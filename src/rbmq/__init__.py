@@ -8,7 +8,6 @@ simulation and Laplace inversion) that cross-check every closed form.
 
 from .asymptotics import AsymptoticReport, classify_regime, constants_C1_C2, nu1_tail
 from .chebyshev import (
-    ChebyshevOrder,
     cheb_T,
     cheb_T_deriv,
     classify_nature,
@@ -18,10 +17,7 @@ from .checks import CheckResult, run_checks
 from .kernel import (
     G_ratio,
     HyperbolaR,
-    KernelCoeffs,
-    KernelPoint,
     contains_G_R,
-    discriminants,
     gamma,
     gamma1,
     gamma2,
@@ -61,7 +57,6 @@ from .transform import (
 )
 from .uniformization import (
     GroupReport,
-    SpherePoint,
     W_of_s,
     classify_solution_nature,
     group_elements,

@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._points import _as_array, _unwrap
 from .chebyshev import is_integer_order
 from .errors import IntegerExponentError, WrongRegimeError
 from .kernel import theta1_at_branch_point
@@ -84,9 +85,12 @@ def constants_C1_C2(b: TransformBundle) -> TailConstants:
     pi/beta (the gluing map is then a polynomial with no branch point)
     and meaningless in the pole regime.
     """
+    return _constants(b, _regime_of(b)[0])
+
+
+def _constants(b: TransformBundle, regime: str) -> TailConstants:
     sc = b.scalars
     a = sc.pi_over_beta
-    regime, _ = _regime_of(b)
     if regime == REGIME_POLE:
         raise WrongRegimeError(
             "the pole dominates the tail here; branch-point constants do not apply"
@@ -126,7 +130,7 @@ def classify_regime(b: TransformBundle) -> AsymptoticReport:
             pole_location=rate,
             theta1_at_theta2_plus=v,
         )
-    consts = constants_C1_C2(b)
+    consts = _constants(b, regime)
     if regime == REGIME_SADDLE:
         constant = -consts.c1 / (2.0 * np.sqrt(np.pi))
         power = -1.5
@@ -145,9 +149,8 @@ def classify_regime(b: TransformBundle) -> AsymptoticReport:
 
 def nu1_tail(b: TransformBundle, x2):
     """Leading-order tail value(s) of the first boundary density at x2 > 0."""
-    x = np.asarray(x2, dtype=float)
+    x, scalar = _as_array(x2, dtype=float)
     if np.any(x <= 0):
         raise ValueError("x2 must be positive")
     rep = classify_regime(b)
-    out = rep.constant * x**rep.power * np.exp(-rep.decay_rate * x)
-    return float(out) if np.isscalar(x2) else out
+    return _unwrap(rep.constant * x**rep.power * np.exp(-rep.decay_rate * x), scalar)

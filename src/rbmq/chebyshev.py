@@ -21,14 +21,13 @@ from __future__ import annotations
 import logging
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
+from ._points import _as_array, _unwrap
 from .errors import AtBranchPointError, OnCutError
 from .rational import detect_rational
 
 __all__ = [
-    "ChebyshevOrder",
     "cheb_T",
     "cheb_T_deriv",
     "expansion_at_minus_one",
@@ -66,11 +65,6 @@ def _check_order(a) -> float:
     if not np.isfinite(af) or af < 0:
         raise ValueError(f"order must be a finite non-negative real, got {a!r}")
     return af
-
-
-def _prep(x):
-    arr = np.array(x, dtype=complex)
-    return arr, arr.ndim == 0
 
 
 def _raise_on_cut(x, a):
@@ -111,19 +105,14 @@ def _large_root(z: np.ndarray) -> np.ndarray:
     return z + np.sqrt(z - 1.0) * np.sqrt(z + 1.0)
 
 
-def cheb_T(a, x):
-    """Evaluate T_a at x (scalar or array, real or complex).
+def _order(a) -> tuple[float, bool]:
+    """The validated order and whether it takes the polynomial path."""
+    return _check_order(a), is_integer_order(a)
 
-    Equals cos(a arccos x) on [-1, 1]; elsewhere the analytic
-    continuation on the cut plane (see module docstring).  Integer
-    orders take the polynomial path, valid everywhere.
-    """
-    af = _check_order(a)
-    arr, scalar = _prep(x)
-    if is_integer_order(a):
-        out = _cheb_poly(int(round(af)), arr)
-        return complex(out[()]) if scalar else out
-    _raise_on_cut(x, a)
+
+def _cheb_T(af: float, integer: bool, arr: np.ndarray) -> np.ndarray:
+    if integer:
+        return _cheb_poly(int(round(af)), arr)
     out = np.empty_like(arr)
     on_interval = (arr.imag == 0) & (np.abs(arr.real) <= 1.0)
     if np.any(on_interval):
@@ -132,23 +121,14 @@ def cheb_T(a, x):
     if np.any(rest):
         lv = np.log(_large_root(arr[rest]))
         out[rest] = 0.5 * (np.exp(af * lv) + np.exp(-af * lv))
-    return complex(out[()]) if scalar else out
+    return out
 
 
-def cheb_T_deriv(a, x):
-    """Derivative of T_a; refuses x = +/-1 for non-integer order.
-
-    On (-1, 1) it is a sin(a arccos x)/sqrt(1 - x^2); elsewhere
-    a (v^a - v^-a) / (2 sqrt(x^2 - 1)) with the module's branch.
-    """
-    af = _check_order(a)
-    arr, scalar = _prep(x)
-    if is_integer_order(a):
-        out = _cheb_poly_deriv(int(round(af)), arr)
-        return complex(out[()]) if scalar else out
-    _raise_on_cut(x, a)
+def _cheb_T_deriv(af: float, integer: bool, arr: np.ndarray) -> np.ndarray:
+    if integer:
+        return _cheb_poly_deriv(int(round(af)), arr)
     if np.any((arr.imag == 0) & (np.abs(arr.real) == 1.0)):
-        raise AtBranchPointError(f"derivative of T_{a} is singular at x = +/-1")
+        raise AtBranchPointError(f"derivative of T_{af} is singular at x = +/-1")
     out = np.empty_like(arr)
     interior = (arr.imag == 0) & (np.abs(arr.real) < 1.0)
     if np.any(interior):
@@ -160,7 +140,34 @@ def cheb_T_deriv(a, x):
         s = np.sqrt(z - 1.0) * np.sqrt(z + 1.0)
         lv = np.log(z + s)
         out[rest] = 0.5 * af * (np.exp(af * lv) - np.exp(-af * lv)) / s
-    return complex(out[()]) if scalar else out
+    return out
+
+
+def cheb_T(a, x):
+    """Evaluate T_a at x (scalar or array, real or complex).
+
+    Equals cos(a arccos x) on [-1, 1]; elsewhere the analytic
+    continuation on the cut plane (see module docstring).  Integer
+    orders take the polynomial path, valid everywhere.
+    """
+    af, integer = _order(a)
+    if not integer:
+        _raise_on_cut(x, a)
+    arr, scalar = _as_array(x)
+    return _unwrap(_cheb_T(af, integer, arr), scalar)
+
+
+def cheb_T_deriv(a, x):
+    """Derivative of T_a; refuses x = +/-1 for non-integer order.
+
+    On (-1, 1) it is a sin(a arccos x)/sqrt(1 - x^2); elsewhere
+    a (v^a - v^-a) / (2 sqrt(x^2 - 1)) with the module's branch.
+    """
+    af, integer = _order(a)
+    if not integer:
+        _raise_on_cut(x, a)
+    arr, scalar = _as_array(x)
+    return _unwrap(_cheb_T_deriv(af, integer, arr), scalar)
 
 
 def expansion_at_minus_one(a) -> tuple[float, float]:
@@ -209,33 +216,10 @@ def cheb_T_hyp2f1(a, x) -> complex:
     """Cross-check route: T_a(x) = 2F1(-a, a; 1/2; (1 - x)/2).
 
     Independent of the power-mean evaluation path; intended for spot
-    checks only (mpmath, slow).
+    checks only (mpmath, slow, imported here so that the package needs
+    only numpy at runtime).
     """
+    import mpmath
+
     z = mpmath.mpmathify(complex(x))
     return complex(mpmath.hyp2f1(-a, a, mpmath.mpf(1) / 2, (1 - z) / 2))
-
-
-class ChebyshevOrder:
-    """Order a >= 0 with an optional exact rationality certificate.
-
-    Carries the value together with how much is known about its
-    arithmetic nature, so classification stays consistent between the
-    evaluation and group-order code paths.
-    """
-
-    def __init__(self, a, rational: Fraction | None = None, qmax: int = 10**6):
-        self.value = _check_order(a)
-        if rational is not None and abs(float(rational) - self.value) > 1e-9:
-            raise ValueError(f"certificate {rational} does not match value {self.value}")
-        self.rational = rational
-        self.qmax = qmax
-
-    @property
-    def nature(self) -> str:
-        if self.rational is not None:
-            return _nature_from_fraction(self.rational)
-        return classify_nature(self.value, qmax=self.qmax)
-
-    def __repr__(self):
-        cert = f", rational={self.rational}" if self.rational is not None else ""
-        return f"ChebyshevOrder({self.value}{cert})"

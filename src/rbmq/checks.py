@@ -3,7 +3,9 @@
 Each check exercises an identity that ties at least two independently
 implemented code paths together; residuals are relative and the
 tolerances are fixed here, not configurable, so a green run means the
-same thing everywhere.
+same thing everywhere.  Every identity is one residual function of the
+model (or bundle) and the points, shared by `run_checks` and the test
+suite, which pass their own samples and tolerances.
 """
 from __future__ import annotations
 
@@ -15,8 +17,29 @@ import numpy as np
 from . import kernel, transform, uniformization
 from .model import ModelParams, derived_scalars
 from .oracle import diagonal_closed_forms
+from .transform import TransformBundle
 
-__all__ = ["CheckResult", "run_checks"]
+__all__ = [
+    "CheckResult",
+    "run_checks",
+    "curve_points",
+    "real_kernel_zeros",
+    "native_kernel_zeros",
+    "cone_points",
+    "kernel_zero_residual",
+    "branch_root_residual",
+    "conjugacy_residual",
+    "vieta_residual",
+    "gluing_residual",
+    "boundary_condition_residual",
+    "cross_transform_residual",
+    "two_sheet_residual",
+    "reflection_residual",
+    "lift_residual",
+    "boundary_mass_residual",
+    "injectivity_collisions",
+    "diagonal_product_residual",
+]
 
 
 @dataclass(frozen=True)
@@ -37,16 +60,28 @@ def _result(name, residual, tol, detail="") -> CheckResult:
     return CheckResult(name, bool(residual <= tol), float(residual), tol, detail)
 
 
-def _sample_curve_points(p: ModelParams, n: int, rng) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# Samplers
+# ---------------------------------------------------------------------------
+
+
+def curve_points(p: ModelParams, n: int) -> np.ndarray:
     """Points on the boundary curve via its real parametrization."""
     sc = derived_scalars(p)
     t = np.concatenate(
         [np.linspace(1e-4, 3.0, n // 2), np.geomspace(3.0, 100.0, n - n // 2)]
     )
-    return np.asarray(kernel.theta2_branch(p, sc.theta1_minus - t, "plus"))
+    return kernel.theta2_branch(p, sc.theta1_minus - t, "plus")
 
 
-def _sample_native_kernel_points(b, n: int, rng):
+def real_kernel_zeros(p: ModelParams, theta1: np.ndarray):
+    """Kernel zeros over real theta1 on both theta2-branches, as
+    (theta1, theta2) with theta1 repeated once per branch."""
+    branches = [kernel.theta2_branch(p, theta1, sign) for sign in ("plus", "minus")]
+    return np.concatenate([theta1, theta1]), np.concatenate(branches)
+
+
+def native_kernel_zeros(b: TransformBundle, n: int, rng):
     """Kernel zeros with both coordinates in the left half-plane."""
     t1_out, t2_out = [], []
     for _ in range(200):
@@ -64,48 +99,162 @@ def _sample_native_kernel_points(b, n: int, rng):
     return np.array(t1_out[:n]), np.array(t2_out[:n])
 
 
+def cone_points(b: TransformBundle, n: int, rng, max_log_radius: float = 2.0) -> np.ndarray:
+    """Sphere points in the open cone between the rays through -1 and
+    -e^{i beta}: the lift of the interior domain."""
+    rho = np.exp(rng.uniform(-2.0, max_log_radius, n))
+    ang = np.pi + rng.uniform(1e-3, b.scalars.beta - 1e-3, n)
+    return rho * np.exp(1j * ang)
+
+
+# ---------------------------------------------------------------------------
+# Identities: each returns the largest relative residual over the points
+# ---------------------------------------------------------------------------
+
+
+def kernel_zero_residual(p: ModelParams, theta1, theta2) -> float:
+    """|gamma| at points that should be kernel zeros, scale-normalised."""
+    res = np.abs(kernel.gamma(p, theta1, theta2)) / (
+        (1.0 + np.abs(theta1) ** 2 + np.abs(theta2) ** 2) * p.scale
+    )
+    return float(np.max(res))
+
+
+def branch_root_residual(p: ModelParams, points) -> float:
+    """Both branches in both variables are kernel zeros at `points`."""
+    return max(
+        max(
+            kernel_zero_residual(p, points, kernel.theta2_branch(p, points, sign)),
+            kernel_zero_residual(p, kernel.theta1_branch(p, points, sign), points),
+        )
+        for sign in ("plus", "minus")
+    )
+
+
+def conjugacy_residual(p: ModelParams, theta1) -> float:
+    """Left of theta1_minus the two theta2-branches are conjugate and lie
+    on the boundary curve."""
+    plus = kernel.theta2_branch(p, theta1, "plus")
+    minus = kernel.theta2_branch(p, theta1, "minus")
+    conj = float(np.max(np.abs(plus - np.conj(minus)) / (1.0 + np.abs(plus))))
+    hyp = kernel.hyperbola(p)
+    return max(conj, max(hyp.residual(z) for z in plus))
+
+
+def vieta_residual(p: ModelParams, theta1) -> float:
+    """Sum and product of the theta2-branches against the coefficient
+    ratios -b/a and c/a of the kernel as a quadratic in theta2."""
+    plus = kernel.theta2_branch(p, theta1, "plus")
+    minus = kernel.theta2_branch(p, theta1, "minus")
+    b_coef = p.s12 * theta1 + p.m2
+    c_coef = 0.5 * p.s11 * theta1 * theta1 + p.m1 * theta1
+    vsum = np.abs(plus + minus + b_coef / 0.5 / p.s22) / (1.0 + np.abs(plus))
+    vprod = np.abs(plus * minus - c_coef / (0.5 * p.s22)) / (1.0 + np.abs(plus) ** 2)
+    return float(max(vsum.max(), vprod.max()))
+
+
+def gluing_residual(b: TransformBundle, curve) -> float:
+    """w takes conjugate curve points to the same value."""
+    w_up = transform.w_eval(b, curve)
+    w_dn = transform.w_eval(b, np.conj(curve))
+    return float(np.max(np.abs(w_up - w_dn) / (1.0 + np.abs(w_up))))
+
+
+def boundary_condition_residual(b: TransformBundle, curve) -> float:
+    """psi1 takes conjugate curve points to the same value."""
+    ps_up = transform.psi1_eval(b, curve)
+    ps_dn = transform.psi1_eval(b, np.conj(curve))
+    return float(np.max(np.abs(ps_up - ps_dn) / np.maximum(np.abs(ps_up), 1e-300)))
+
+
+def cross_transform_residual(b: TransformBundle, theta1, theta2) -> float:
+    """psi1(theta2) + psi2(theta1) = 0 at kernel zeros."""
+    s1 = transform.psi1_eval(b, theta2)
+    s2 = transform.psi2_eval(b, theta1)
+    return float(np.max(np.abs(s1 + s2) / np.maximum(np.abs(s1), np.abs(s2))))
+
+
+def two_sheet_residual(b: TransformBundle, s) -> float:
+    """zeta fixes theta1(s) and eta fixes theta2(s)."""
+    th1, th2 = uniformization.theta_of_s(b, s)
+    zeta, eta = uniformization.group_elements(b, s)
+    z1, _ = uniformization.theta_of_s(b, zeta)
+    _, z2 = uniformization.theta_of_s(b, eta)
+    return max(
+        float(np.max(np.abs(z1 - th1) / (1.0 + np.abs(th1)))),
+        float(np.max(np.abs(z2 - th2) / (1.0 + np.abs(th2)))),
+    )
+
+
+def reflection_residual(b: TransformBundle, radii) -> float:
+    """Each boundary reflection identity of W on its own ray: W(s) =
+    W(1/s) on the negative axis and W(s) = W(e^{2i beta}/s) on the ray
+    through -e^{i beta} (principal logs wrap off the rays)."""
+    neg = -radii
+    ray = -cmath.exp(1j * b.scalars.beta) * radii
+    w_neg = uniformization.W_of_s(b, neg)
+    w_inv = uniformization.W_of_s(b, uniformization.group_elements(b, neg)[0])
+    w_ray = uniformization.W_of_s(b, ray)
+    w_eta = uniformization.W_of_s(b, uniformization.group_elements(b, ray)[1])
+    return max(
+        float(np.max(np.abs(w_neg - w_inv) / (1.0 + np.abs(w_neg)))),
+        float(np.max(np.abs(w_ray - w_eta) / (1.0 + np.abs(w_ray)))),
+    )
+
+
+def lift_residual(b: TransformBundle, cone) -> float:
+    """W agrees with w(theta2(s)) on the cone lifting the interior domain."""
+    w_cone = uniformization.W_of_s(b, cone)
+    _, th2 = uniformization.theta_of_s(b, cone)
+    w_down = transform.w_eval(b, th2)
+    return float(np.max(np.abs(w_down - w_cone) / (1.0 + np.abs(w_cone))))
+
+
+def boundary_mass_residual(b: TransformBundle) -> float:
+    """Cubic extrapolation of phi1 and phi2 to 0 against -mu1 and -mu2."""
+    p = b.params
+    ts = 1e-3 * 0.5 ** np.arange(4)
+    lim1 = np.polyfit(ts, np.real(transform.phi1_eval(b, ts + 0j)), 3)[-1]
+    lim2 = np.polyfit(ts, np.real(transform.phi2_eval(b, ts + 0j)), 3)[-1]
+    return float(max(abs(lim1 + p.m1) / abs(p.m1), abs(lim2 + p.m2) / abs(p.m2)))
+
+
+def injectivity_collisions(b: TransformBundle, za, zb) -> int:
+    """Pairs of distinct domain points that share a w-value."""
+    distinct = np.abs(za - zb) > 1e-8
+    wa = transform.w_eval(b, za)
+    wb = transform.w_eval(b, zb)
+    return int(np.sum((np.abs(wa - wb) == 0.0) & distinct))
+
+
+def diagonal_product_residual(b: TransformBundle, theta1, theta2) -> float:
+    """phi against the product of the one-dimensional transforms
+    (diagonal covariance only)."""
+    p = b.params
+    forms = diagonal_closed_forms(p)
+    lhs = transform.phi_eval(b, theta1, theta2)
+    rhs = forms.one_dim_phi(theta1, p.m1, p.s11) * forms.one_dim_phi(theta2, p.m2, p.s22)
+    return float(np.max(np.abs(lhs - rhs) / np.abs(rhs)))
+
+
+# ---------------------------------------------------------------------------
+# The suite
+# ---------------------------------------------------------------------------
+
+
 def run_checks(p: ModelParams, seed: int = 0) -> list[CheckResult]:
     """Run the full invariant suite for one model."""
     rng = np.random.default_rng(seed)
     sc = derived_scalars(p)
-    out: list[CheckResult] = []
-
-    # kernel roots: gamma vanishes on both branches at random complex points
     pts = rng.uniform(-4, 4, 10_000) + 1j * rng.uniform(-4, 4, 10_000)
-    worst = 0.0
-    for sign in ("plus", "minus"):
-        th2 = kernel.theta2_branch(p, pts, sign)
-        res = np.abs(kernel.gamma(p, pts, th2)) / (
-            (1.0 + np.abs(pts) ** 2 + np.abs(th2) ** 2) * p.scale
-        )
-        th1 = kernel.theta1_branch(p, pts, sign)
-        res1 = np.abs(kernel.gamma(p, th1, pts)) / (
-            (1.0 + np.abs(pts) ** 2 + np.abs(th1) ** 2) * p.scale
-        )
-        worst = max(worst, float(res.max()), float(res1.max()))
-    out.append(_result("kernel_branch_roots", worst, 1e-10))
-
-    # conjugacy and curve membership left of the first branch point
-    t1 = sc.theta1_minus - np.concatenate(
+    left = sc.theta1_minus - np.concatenate(
         [np.linspace(1e-3, 5.0, 100), np.geomspace(5.0, 100.0, 100)]
     )
-    plus = np.asarray(kernel.theta2_branch(p, t1, "plus"))
-    minus = np.asarray(kernel.theta2_branch(p, t1, "minus"))
-    conj_res = float(np.max(np.abs(plus - np.conj(minus)) / (1.0 + np.abs(plus))))
-    hyp = kernel.hyperbola(p)
-    curve_res = float(max(hyp.residual(z) for z in plus))
-    out.append(_result("branch_conjugacy_on_curve", max(conj_res, curve_res), 1e-10))
-
-    # Vieta: sum and product of the branches against the coefficient ratios
-    coeffs = kernel.KernelCoeffs(p)
-    vieta_sum = np.abs(plus + minus + coeffs.b(t1) / 0.5 / p.s22) / (1.0 + np.abs(plus))
-    vieta_prod = np.abs(plus * minus - coeffs.c(t1) / (0.5 * p.s22)) / (
-        1.0 + np.abs(plus) ** 2
-    )
-    out.append(
-        _result("vieta", float(max(vieta_sum.max(), vieta_prod.max())), 1e-10)
-    )
-
+    out = [
+        _result("kernel_branch_roots", branch_root_residual(p, pts), 1e-10),
+        _result("branch_conjugacy_on_curve", conjugacy_residual(p, left), 1e-10),
+        _result("vieta", vieta_residual(p, left), 1e-10),
+    ]
     if not p.identity_reflection:
         out.append(
             CheckResult(
@@ -119,93 +268,25 @@ def run_checks(p: ModelParams, seed: int = 0) -> list[CheckResult]:
         return out
 
     b = transform.make_bundle(p)
-
-    # gluing and boundary condition on the curve
-    curve = _sample_curve_points(p, 200, rng)
-    w_up = np.asarray(transform.w_eval(b, curve))
-    w_dn = np.asarray(transform.w_eval(b, np.conj(curve)))
-    glue = float(np.max(np.abs(w_up - w_dn) / (1.0 + np.abs(w_up))))
-    out.append(_result("gluing_symmetry", glue, 1e-10))
-    ps_up = np.asarray(transform.psi1_eval(b, curve))
-    ps_dn = np.asarray(transform.psi1_eval(b, np.conj(curve)))
-    bc = float(np.max(np.abs(ps_up - ps_dn) / np.maximum(np.abs(ps_up), 1e-300)))
-    out.append(_result("boundary_condition", bc, 1e-9))
-
-    # cross-transform identity on the curve parametrization and at
-    # sphere-sampled kernel zeros in the native domain
-    t1c = sc.theta1_minus - np.geomspace(1e-3, 50.0, 100)
-    worst = 0.0
-    for sign in ("plus", "minus"):
-        th2 = np.asarray(kernel.theta2_branch(p, t1c, sign))
-        s1 = np.asarray(transform.psi1_eval(b, th2))
-        s2 = np.asarray(transform.psi2_eval(b, t1c))
-        worst = max(
-            worst,
-            float(np.max(np.abs(s1 + s2) / np.maximum(np.abs(s1), np.abs(s2)))),
-        )
-    k1, k2 = _sample_native_kernel_points(b, 200, rng)
-    s1 = np.asarray(transform.psi1_eval(b, k2))
-    s2 = np.asarray(transform.psi2_eval(b, k1))
-    worst = max(
-        worst, float(np.max(np.abs(s1 + s2) / np.maximum(np.abs(s1), np.abs(s2))))
-    )
-    out.append(_result("cross_transform_identity", worst, 1e-9))
-
-    # uniformization kills the kernel
+    curve = curve_points(p, 200)
+    out.append(_result("gluing_symmetry", gluing_residual(b, curve), 1e-10))
+    out.append(_result("boundary_condition", boundary_condition_residual(b, curve), 1e-9))
+    # on the real locus and at sphere-sampled zeros in the native domain
+    real_zeros = real_kernel_zeros(p, sc.theta1_minus - np.geomspace(1e-3, 50.0, 100))
+    cross = cross_transform_residual(b, *real_zeros)
+    cross = max(cross, cross_transform_residual(b, *native_kernel_zeros(b, 200, rng)))
+    out.append(_result("cross_transform_identity", cross, 1e-9))
     s = rng.uniform(0.05, 20.0, 10_000) * np.exp(1j * rng.uniform(-np.pi, np.pi, 10_000))
-    th1, th2 = uniformization.theta_of_s(b, s)
-    res = np.abs(kernel.gamma(p, th1, th2)) / (
-        (1.0 + np.abs(th1) ** 2 + np.abs(th2) ** 2) * p.scale
-    )
-    out.append(_result("uniformization_zero_set", float(res.max()), 1e-10))
-
-    # two-sheet identities
-    z1, _ = uniformization.theta_of_s(b, 1.0 / s)
-    _, z2 = uniformization.theta_of_s(b, cmath.exp(2j * sc.beta) / s)
-    sheet = max(
-        float(np.max(np.abs(z1 - th1) / (1.0 + np.abs(th1)))),
-        float(np.max(np.abs(z2 - th2) / (1.0 + np.abs(th2)))),
-    )
-    out.append(_result("two_sheet_identities", sheet, 1e-10))
-
-    # lifted gluing map: each boundary reflection identity on its own
-    # ray (principal logs wrap off the rays), and agreement with w on
-    # the open cone between them
-    neg = -np.geomspace(1e-2, 100.0, 100)
-    w_neg = np.asarray(uniformization.W_of_s(b, neg))
-    w_inv = np.asarray(uniformization.W_of_s(b, 1.0 / neg))
-    refl = float(np.max(np.abs(w_neg - w_inv) / (1.0 + np.abs(w_neg))))
-    ray = -cmath.exp(1j * sc.beta) * np.geomspace(1e-2, 100.0, 100)
-    w_ray = np.asarray(uniformization.W_of_s(b, ray))
-    w_eta = np.asarray(uniformization.W_of_s(b, cmath.exp(2j * sc.beta) / ray))
-    refl = max(refl, float(np.max(np.abs(w_ray - w_eta) / (1.0 + np.abs(w_ray)))))
-    rho = np.exp(rng.uniform(-2, 2, 200))
-    ang = np.pi + rng.uniform(1e-3, sc.beta - 1e-3, 200)
-    cone = rho * np.exp(1j * ang)
-    w_cone = np.asarray(uniformization.W_of_s(b, cone))
-    _, th2c = uniformization.theta_of_s(b, cone)
-    w_down = np.asarray(transform.w_eval(b, th2c))
-    lift = float(np.max(np.abs(w_down - w_cone) / (1.0 + np.abs(w_cone))))
-    out.append(_result("lifted_gluing", max(refl, lift), 1e-9))
-
-    # boundary masses via extrapolation of the raw ratio to 0
-    ts = 1e-3 * 0.5 ** np.arange(4)
-    lim1 = np.polyfit(ts, np.real(transform.phi1_eval(b, ts + 0j)), 3)[-1]
-    lim2 = np.polyfit(ts, np.real(transform.phi2_eval(b, ts + 0j)), 3)[-1]
-    mass = max(abs(lim1 + p.m1) / abs(p.m1), abs(lim2 + p.m2) / abs(p.m2))
-    out.append(_result("boundary_masses", float(mass), 1e-10))
-
-    # injectivity witness: distinct domain points never share a w-value
-    def domain_sample(k):
-        rho_ = np.exp(rng.uniform(-2.0, 1.5, k))
-        ang_ = np.pi + rng.uniform(1e-3, sc.beta - 1e-3, k)
-        return uniformization.theta_of_s(b, rho_ * np.exp(1j * ang_))[1]
-
-    za, zb = domain_sample(1000), domain_sample(1000)
-    distinct_args = np.abs(za - zb) > 1e-8
-    wa = np.asarray(transform.w_eval(b, za))
-    wb = np.asarray(transform.w_eval(b, zb))
-    collisions = int(np.sum((np.abs(wa - wb) == 0.0) & distinct_args))
+    zero_set = kernel_zero_residual(p, *uniformization.theta_of_s(b, s))
+    out.append(_result("uniformization_zero_set", zero_set, 1e-10))
+    out.append(_result("two_sheet_identities", two_sheet_residual(b, s), 1e-10))
+    lifted = reflection_residual(b, np.geomspace(1e-2, 100.0, 100))
+    lifted = max(lifted, lift_residual(b, cone_points(b, 200, rng)))
+    out.append(_result("lifted_gluing", lifted, 1e-9))
+    out.append(_result("boundary_masses", boundary_mass_residual(b), 1e-10))
+    _, za = uniformization.theta_of_s(b, cone_points(b, 1000, rng, 1.5))
+    _, zb = uniformization.theta_of_s(b, cone_points(b, 1000, rng, 1.5))
+    collisions = injectivity_collisions(b, za, zb)
     out.append(
         CheckResult(
             "gluing_injectivity",
@@ -215,23 +296,11 @@ def run_checks(p: ModelParams, seed: int = 0) -> list[CheckResult]:
             "no w-collisions over 1000 random domain pairs",
         )
     )
-
     # total mass of the bivariate transform at the origin
     phi00 = transform.phi_eval(b, 0.0, 0.0, direction=(1.0, 1.0))
     out.append(_result("total_mass", abs(phi00 - 1.0), 1e-12))
-
-    # diagonal covariance: pipeline equals the closed product form
     if p.s12 == 0.0:
-        forms = diagonal_closed_forms(p)
         grid = -np.linspace(0.1, 3.0, 10)
-        worst = 0.0
-        for a in grid:
-            for c in grid:
-                lhs = transform.phi_eval(b, a, c)
-                rhs = forms.one_dim_phi(a, p.m1, p.s11) * forms.one_dim_phi(
-                    c, p.m2, p.s22
-                )
-                worst = max(worst, abs(lhs - rhs) / abs(rhs))
-        out.append(_result("diagonal_product_form", worst, 1e-12))
-
+        t1, t2 = np.meshgrid(grid, grid, indexing="ij")
+        out.append(_result("diagonal_product_form", diagonal_product_residual(b, t1, t2), 1e-12))
     return out

@@ -4,8 +4,7 @@ and the general-reflection boundary ratio.
 
 All evaluators accept scalars or numpy arrays and broadcast; scalar in,
 scalar out.  Branch labels (plus/minus) are attached to the principal
-square root; a separate tracking evaluator follows one branch
-continuously along a caller-supplied path.
+square root.
 """
 from __future__ import annotations
 
@@ -14,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._points import _as_array, _unwrap
 from .errors import (
     NotOnCurveError,
     ZeroDenominatorError,
@@ -24,16 +24,10 @@ __all__ = [
     "gamma",
     "gamma1",
     "gamma2",
-    "KernelCoeffs",
-    "KernelPoint",
-    "make_kernel_point",
-    "kernel_tolerance",
-    "discriminants",
     "disc_d",
     "disc_d_tilde",
     "theta2_branch",
     "theta1_branch",
-    "branch_track",
     "theta1_at_branch_point",
     "HyperbolaR",
     "hyperbola",
@@ -45,25 +39,19 @@ __all__ = [
 _SIGN = {"plus": 1.0, "minus": -1.0, +1: 1.0, -1: -1.0, 1.0: 1.0, -1.0: -1.0}
 
 
-def _prep(x):
-    arr = np.asarray(x, dtype=complex)
-    return arr, np.isscalar(x) or arr.ndim == 0
-
-
-def _out(arr, scalar):
-    return complex(arr[()]) if scalar else arr
-
-
-def gamma(p: ModelParams, theta1, theta2):
-    """The kernel 1/2 <theta, sigma theta> + <theta, mu>."""
-    t1, s1 = _prep(theta1)
-    t2, s2 = _prep(theta2)
-    val = (
+def _gamma(p: ModelParams, t1, t2):
+    return (
         0.5 * (p.s11 * t1 * t1 + 2.0 * p.s12 * t1 * t2 + p.s22 * t2 * t2)
         + p.m1 * t1
         + p.m2 * t2
     )
-    return _out(np.asarray(val), s1 and s2)
+
+
+def gamma(p: ModelParams, theta1, theta2):
+    """The kernel 1/2 <theta, sigma theta> + <theta, mu>."""
+    t1, s1 = _as_array(theta1)
+    t2, s2 = _as_array(theta2)
+    return _unwrap(_gamma(p, t1, t2), s1 and s2)
 
 
 def gamma1(p: ModelParams, theta1, theta2):
@@ -76,82 +64,32 @@ def gamma2(p: ModelParams, theta1, theta2):
     return p.r[0, 1] * theta1 + p.r[1, 1] * theta2
 
 
-class KernelCoeffs:
-    """Coefficients of the kernel viewed as a quadratic in either variable.
-
-    gamma = a(t1) t2^2 + b(t1) t2 + c(t1) = a~(t2) t1^2 + b~(t2) t1 + c~(t2).
-    """
-
-    def __init__(self, p: ModelParams):
-        self.p = p
-
-    def a(self, theta1):
-        return 0.5 * self.p.s22 * np.ones_like(np.asarray(theta1, dtype=complex))
-
-    def b(self, theta1):
-        return self.p.s12 * theta1 + self.p.m2
-
-    def c(self, theta1):
-        return 0.5 * self.p.s11 * theta1 * theta1 + self.p.m1 * theta1
-
-    def a_tilde(self, theta2):
-        return 0.5 * self.p.s11 * np.ones_like(np.asarray(theta2, dtype=complex))
-
-    def b_tilde(self, theta2):
-        return self.p.s12 * theta2 + self.p.m1
-
-    def c_tilde(self, theta2):
-        return 0.5 * self.p.s22 * theta2 * theta2 + self.p.m2 * theta2
-
-
-def disc_d(p: ModelParams, theta1):
-    """Discriminant b^2 - 4ac of the kernel as a quadratic in theta2."""
-    t, s = _prep(theta1)
-    val = (
+def _disc_d(p: ModelParams, t):
+    return (
         t * t * (p.s12 * p.s12 - p.s11 * p.s22)
         + 2.0 * t * (p.m2 * p.s12 - p.m1 * p.s22)
         + p.m2 * p.m2
     )
-    return _out(np.asarray(val), s)
 
 
-def disc_d_tilde(p: ModelParams, theta2):
-    """Discriminant of the kernel as a quadratic in theta1."""
-    t, s = _prep(theta2)
-    val = (
+def _disc_d_tilde(p: ModelParams, t):
+    return (
         t * t * (p.s12 * p.s12 - p.s11 * p.s22)
         + 2.0 * t * (p.m1 * p.s12 - p.m2 * p.s11)
         + p.m1 * p.m1
     )
-    return _out(np.asarray(val), s)
 
 
-def discriminants(p: ModelParams, theta1, theta2):
-    """Both discriminants evaluated at (theta1, theta2)."""
-    return disc_d(p, theta1), disc_d_tilde(p, theta2)
+def disc_d(p: ModelParams, theta1):
+    """Discriminant b^2 - 4ac of the kernel as a quadratic in theta2."""
+    t, scalar = _as_array(theta1)
+    return _unwrap(_disc_d(p, t), scalar)
 
 
-def kernel_tolerance(p: ModelParams, theta1, theta2, coeff: float = 1e-10):
-    """Residual tolerance for |gamma| at this point, scale-normalised."""
-    return coeff * (1.0 + abs(theta1) ** 2 + abs(theta2) ** 2) * p.scale
-
-
-@dataclass(frozen=True)
-class KernelPoint:
-    """A zero (theta1, theta2) of the kernel, with branch metadata."""
-
-    theta1: complex
-    theta2: complex
-    branch: str = "unspecified"
-
-
-def make_kernel_point(p: ModelParams, theta1, theta2, branch="unspecified") -> KernelPoint:
-    """Validated kernel point; raises if |gamma| exceeds tolerance."""
-    res = abs(gamma(p, theta1, theta2))
-    tol = kernel_tolerance(p, theta1, theta2)
-    if res > tol:
-        raise ValueError(f"not a kernel zero: |gamma|={res:.3e} > tol={tol:.3e}")
-    return KernelPoint(complex(theta1), complex(theta2), branch)
+def disc_d_tilde(p: ModelParams, theta2):
+    """Discriminant of the kernel as a quadratic in theta1."""
+    t, scalar = _as_array(theta2)
+    return _unwrap(_disc_d_tilde(p, t), scalar)
 
 
 def theta2_branch(p: ModelParams, theta1, sign):
@@ -162,50 +100,19 @@ def theta2_branch(p: ModelParams, theta1, sign):
     complex-conjugate values (plus = upper half-plane).
     """
     sg = _SIGN[sign]
-    t, s = _prep(theta1)
+    t, scalar = _as_array(theta1)
     b = p.s12 * t + p.m2
-    root = np.sqrt(disc_d(p, t) + 0j)
-    val = (-b + sg * root) / p.s22
-    return _out(np.asarray(val), s)
+    root = np.sqrt(_disc_d(p, t) + 0j)
+    return _unwrap((-b + sg * root) / p.s22, scalar)
 
 
 def theta1_branch(p: ModelParams, theta2, sign):
     """Root of gamma(., theta2) = 0 with the same labelling convention."""
     sg = _SIGN[sign]
-    t, s = _prep(theta2)
+    t, scalar = _as_array(theta2)
     b = p.s12 * t + p.m1
-    root = np.sqrt(disc_d_tilde(p, t) + 0j)
-    val = (-b + sg * root) / p.s11
-    return _out(np.asarray(val), s)
-
-
-def branch_track(p: ModelParams, path, sign, variable: str = "theta2"):
-    """Follow one branch continuously along a path of argument values.
-
-    Starts from the principal-root branch selected by `sign` at path[0]
-    and at each subsequent point picks whichever of the two roots is
-    closer to the previous value.  Encircling a branch point therefore
-    ends on the other sheet, which is the intended behaviour.
-
-    Parameters
-    ----------
-    path : sequence of complex
-        Argument values; consecutive points should be close enough that
-        the two roots do not swap distance ordering between steps.
-    variable : "theta2" or "theta1"
-        Which branch family to track (argument is the other variable).
-    """
-    path = np.asarray(path, dtype=complex)
-    if path.ndim != 1 or path.size == 0:
-        raise ValueError("path must be a non-empty 1-d sequence")
-    fn = theta2_branch if variable == "theta2" else theta1_branch
-    plus = fn(p, path, "plus")
-    minus = fn(p, path, "minus")
-    out = np.empty_like(path)
-    out[0] = plus[0] if _SIGN[sign] > 0 else minus[0]
-    for k in range(1, path.size):
-        out[k] = plus[k] if abs(plus[k] - out[k - 1]) <= abs(minus[k] - out[k - 1]) else minus[k]
-    return out
+    root = np.sqrt(_disc_d_tilde(p, t) + 0j)
+    return _unwrap((-b + sg * root) / p.s11, scalar)
 
 
 def theta1_at_branch_point(p: ModelParams, scalars: Optional[DerivedScalars] = None) -> float:

@@ -319,6 +319,8 @@ def talbot_invert(transform: Callable, x, nodes: int = 32) -> np.ndarray:
     The contour winds around the negative real axis, so singularities
     must satisfy Re <= 0; node count beyond ~35 buys nothing in double
     precision because the e^{2M/5} weight growth amplifies roundoff.
+    The transform is called once, on the len(x) x nodes array of all
+    nodes (Abate & Whitt 2006), so it must broadcast over 2-d input.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs <= 0):
@@ -328,18 +330,24 @@ def talbot_invert(transform: Callable, x, nodes: int = 32) -> np.ndarray:
     cot = np.zeros(mm)
     cot[1:] = 1.0 / np.tan(theta[1:])
     r = 2.0 * mm / 5.0
-    out = np.empty(xs.size)
-    for i, t in enumerate(xs):
-        s = r / t * theta * (cot + 1j)
-        s[0] = r / t
-        fp = np.asarray(transform(s), dtype=complex)
-        gam = np.empty(mm, dtype=complex)
-        gam[0] = 0.5 * np.exp(r)
-        gam[1:] = np.exp(t * s[1:]) * (
-            1.0 + 1j * theta[1:] * (1.0 + cot[1:] ** 2) - 1j * cot[1:]
-        )
-        out[i] = (2.0 / (5.0 * t)) * np.dot(gam, fp).real
-    return out
+    t = xs[:, None]
+    s = r / t * theta * (cot + 1j)
+    s[:, 0] = r / xs
+    fp = np.asarray(transform(s), dtype=complex)
+    gam = np.empty((xs.size, mm), dtype=complex)
+    gam[:, 0] = 0.5 * np.exp(r)
+    gam[:, 1:] = np.exp(t * s[:, 1:]) * (
+        1.0 + 1j * theta[1:] * (1.0 + cot[1:] ** 2) - 1j * cot[1:]
+    )
+    return (2.0 / (5.0 * xs)) * _row_dots(gam, fp).real
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row pair.  One np.dot per row keeps the
+    summation order of a per-abscissa loop; a pairwise reduction
+    (einsum, sum over axis 1) moved nu1 tables by up to 7e-8 relative for
+    rho = 0.999, mu = (-0.05, -3)."""
+    return np.array([np.dot(ra, rb) for ra, rb in zip(a, b)])
 
 
 def _stehfest_weights(order: int) -> np.ndarray:
@@ -375,12 +383,8 @@ def gaver_stehfest_invert(transform: Callable, x, order: int = 14) -> np.ndarray
     v = _stehfest_weights(order)
     k = np.arange(1, order + 1)
     ln2 = math.log(2.0)
-    out = np.empty(xs.size)
-    for i, t in enumerate(xs):
-        s = k * ln2 / t
-        fp = np.asarray(transform(s), dtype=float)
-        out[i] = ln2 / t * float(np.dot(v, fp))
-    return out
+    fp = np.asarray(transform(k * ln2 / xs[:, None]), dtype=float)
+    return ln2 / xs * _row_dots(np.broadcast_to(v, fp.shape), fp)
 
 
 def invert_transform(

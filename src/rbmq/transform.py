@@ -22,7 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from . import kernel
-from .chebyshev import cheb_T, cheb_T_deriv
+from ._points import _as_array, _unwrap
+from .chebyshev import _cheb_T, _cheb_T_deriv, _order
 from .errors import (
     AtPoleError,
     AtZeroError,
@@ -112,12 +113,7 @@ def make_bundle(p: ModelParams) -> TransformBundle:
     )
 
 
-def _prep(x):
-    arr = np.array(x, dtype=complex)
-    return arr, arr.ndim == 0
-
-
-def _affine(sc: DerivedScalars, theta2):
+def _affine(sc: DerivedScalars, arr: np.ndarray) -> np.ndarray:
     """Map [theta2_minus, theta2_plus] onto [1, -1].
 
     Real and imaginary parts are transformed separately: complex
@@ -126,7 +122,6 @@ def _affine(sc: DerivedScalars, theta2):
     slope, so the side flips, which real-float products get right).
     """
     spread = sc.theta2_plus - sc.theta2_minus
-    arr = np.asarray(theta2, dtype=complex)
     out = np.empty_like(arr)
     out.real = -(2.0 * arr.real - (sc.theta2_plus + sc.theta2_minus)) / spread
     out.imag = (-2.0 / spread) * arr.imag
@@ -143,22 +138,44 @@ def _raise_if_on_cut(raw, cut_start: float, name: str):
         )
 
 
+def _w(b: TransformBundle, arr: np.ndarray) -> np.ndarray:
+    sc = b.scalars
+    return _cheb_T(*_order(sc.pi_over_beta), _affine(sc, arr))
+
+
+def _w_deriv(b: TransformBundle, arr: np.ndarray) -> np.ndarray:
+    sc = b.scalars
+    xp = -2.0 / (sc.theta2_plus - sc.theta2_minus)
+    return xp * _cheb_T_deriv(*_order(sc.pi_over_beta), _affine(sc, arr))
+
+
 def w_eval(b: TransformBundle, theta2):
     """Conformal gluing map at theta2 (cut plane, cut on (theta2_plus, inf))."""
-    sc = b.scalars
-    _raise_if_on_cut(theta2, sc.theta2_plus, "theta2")
-    arr, scalar = _prep(theta2)
-    out = cheb_T(sc.pi_over_beta, _affine(sc, arr))
-    return out if not scalar else complex(out)
+    _raise_if_on_cut(theta2, b.scalars.theta2_plus, "theta2")
+    arr, scalar = _as_array(theta2)
+    return _unwrap(_w(b, arr), scalar)
 
 
 def w_deriv(b: TransformBundle, theta2):
     """Derivative of the gluing map (chain rule through the affine map)."""
-    sc = b.scalars
-    arr, scalar = _prep(theta2)
-    xp = -2.0 / (sc.theta2_plus - sc.theta2_minus)
-    out = xp * cheb_T_deriv(sc.pi_over_beta, _affine(sc, arr))
-    return out if not scalar else complex(out)
+    _raise_if_on_cut(theta2, b.scalars.theta2_plus, "theta2")
+    arr, scalar = _as_array(theta2)
+    return _unwrap(_w_deriv(b, arr), scalar)
+
+
+def _phi1(b: TransformBundle, arr: np.ndarray) -> np.ndarray:
+    den = _w(b, arr) - b.w1_at_0
+    small = np.abs(arr) < _ORIGIN_RADIUS
+    pole = (np.abs(den) < _POLE_REL * np.abs(b.w1_prime0 * arr)) & (
+        np.abs(arr) > _POLE_MIN_ABS
+    )
+    if np.any(pole):
+        raise AtPoleError(location=complex(arr[pole][0]), order=1)
+    out = np.empty_like(arr)
+    out[small] = b.phi1_at_0
+    ok = ~small
+    out[ok] = -b.params.m1 * b.w1_prime0 * arr[ok] / den[ok]
+    return out
 
 
 def phi1_eval(b: TransformBundle, theta2):
@@ -168,35 +185,24 @@ def phi1_eval(b: TransformBundle, theta2):
     (w(theta2) = w(0) away from 0) raises AtPoleError carrying the
     location; order is always 1 by injectivity of the gluing map.
     """
-    wv_raw = w_eval(b, theta2)  # cut check happens on the raw input
-    arr, scalar = _prep(theta2)
-    vals = np.atleast_1d(arr)
-    wv = np.atleast_1d(np.asarray(wv_raw, dtype=complex))
-    den = wv - b.w1_at_0
-    small = np.abs(vals) < _ORIGIN_RADIUS
-    pole = (np.abs(den) < _POLE_REL * np.abs(b.w1_prime0 * vals)) & (
-        np.abs(vals) > _POLE_MIN_ABS
-    )
-    if np.any(pole):
-        raise AtPoleError(location=complex(vals[pole][0]), order=1)
-    out = np.empty_like(vals)
-    out[small] = b.phi1_at_0
-    ok = ~small
-    out[ok] = -b.params.m1 * b.w1_prime0 * vals[ok] / den[ok]
-    out = out.reshape(arr.shape)
-    return complex(out[()]) if scalar else out
+    _raise_if_on_cut(theta2, b.scalars.theta2_plus, "theta2")
+    arr, scalar = _as_array(theta2)
+    return _unwrap(_phi1(b, arr), scalar)
+
+
+def _phi1_deriv(b: TransformBundle, arr: np.ndarray) -> np.ndarray:
+    if np.any(np.abs(arr) < _ORIGIN_RADIUS):
+        raise AtZeroError("derivative formula is not stable this close to 0")
+    den = _w(b, arr) - b.w1_at_0
+    wp = _w_deriv(b, arr)
+    return -b.params.m1 * b.w1_prime0 * (den - arr * wp) / (den * den)
 
 
 def phi1_deriv(b: TransformBundle, theta2):
     """d(phi1)/d(theta2); valid away from the removable origin."""
-    arr, scalar = _prep(theta2)
-    if np.any(np.abs(np.atleast_1d(arr)) < _ORIGIN_RADIUS):
-        raise AtZeroError("derivative formula is not stable this close to 0")
-    wv = np.asarray(w_eval(b, arr))
-    wp = np.asarray(w_deriv(b, arr))
-    den = wv - b.w1_at_0
-    out = -b.params.m1 * b.w1_prime0 * (den - arr * wp) / (den * den)
-    return complex(np.asarray(out)[()]) if scalar else out
+    _raise_if_on_cut(theta2, b.scalars.theta2_plus, "theta2")
+    arr, scalar = _as_array(theta2)
+    return _unwrap(_phi1_deriv(b, arr), scalar)
 
 
 def phi2_eval(b: TransformBundle, theta1):
@@ -204,26 +210,18 @@ def phi2_eval(b: TransformBundle, theta1):
     return phi1_eval(b.swapped, theta1)
 
 
-def phi2_deriv(b: TransformBundle, theta1):
-    return phi1_deriv(b.swapped, theta1)
-
-
 def psi1_eval(b: TransformBundle, theta2):
     """phi1(theta2)/theta2: simple pole at 0 with residue -mu1."""
-    arr, scalar = _prep(theta2)
-    if np.any(np.atleast_1d(arr) == 0):
-        raise AtZeroError("psi1 has its pole at 0")
-    out = phi1_eval(b, theta2) / arr
-    return complex(np.asarray(out)[()]) if scalar else out
+    _raise_if_on_cut(theta2, b.scalars.theta2_plus, "theta2")
+    arr, scalar = _as_array(theta2)
+    if np.any(arr == 0):
+        raise AtZeroError("psi1 and psi2 have their pole at 0")
+    return _unwrap(_phi1(b, arr) / arr, scalar)
 
 
 def psi2_eval(b: TransformBundle, theta1):
     """phi2(theta1)/theta1: simple pole at 0 with residue -mu2."""
-    arr, scalar = _prep(theta1)
-    if np.any(np.atleast_1d(arr) == 0):
-        raise AtZeroError("psi2 has its pole at 0")
-    out = phi2_eval(b, theta1) / arr
-    return complex(np.asarray(out)[()]) if scalar else out
+    return psi1_eval(b.swapped, theta1)
 
 
 def phi_eval(b: TransformBundle, theta1, theta2, *, direction=None):
@@ -239,40 +237,39 @@ def phi_eval(b: TransformBundle, theta1, theta2, *, direction=None):
     p = b.params
     _raise_if_on_cut(theta2, b.scalars.theta2_plus, "theta2")
     _raise_if_on_cut(theta1, b.scalars.theta1_plus, "theta1")
-    t1, s1 = _prep(theta1)
-    t2, s2 = _prep(theta2)
+    t1, s1 = _as_array(theta1)
+    t2, s2 = _as_array(theta2)
     scalar = s1 and s2
-    if scalar and abs(complex(t1[()])) < 1e-12 and abs(complex(t2[()])) < 1e-12:
-        return 1.0 + 0.0j
-    g = np.asarray(kernel.gamma(p, t1, t2), dtype=complex)
+    origin = (np.abs(t1) < 1e-12) & (np.abs(t2) < 1e-12)
+    g = kernel._gamma(p, t1, t2)
     tol = 1e-12 * (1.0 + np.abs(t1) ** 2 + np.abs(t2) ** 2) * p.scale
-    on_kernel = np.atleast_1d(np.abs(g) <= tol)
-    if np.any(on_kernel):
+    if np.any((np.abs(g) <= tol) & ~origin):
         if direction is None or not scalar:
             raise OnKernelCurveError(
                 "gamma vanishes here; pass direction=(u1, u2) for the limit"
             )
-        return _phi_limit(b, complex(t1[()]), complex(t2[()]), direction)
-    num = t1 * phi1_eval(b, t2) + t2 * phi2_eval(b, t1)
-    out = -num / g
-    return complex(np.asarray(out)[()]) if scalar else out
+        return _unwrap(_phi_limit(b, t1, t2, direction), scalar)
+    num = t1 * _phi1(b, t2) + t2 * _phi1(b.swapped, t1)
+    # gamma vanishes at the origin too; its limit replaces the 0/0 there
+    out = np.where(origin, 1.0, -num / np.where(origin, 1.0, g))
+    return _unwrap(out, scalar)
 
 
-def _phi_limit(b: TransformBundle, t1: complex, t2: complex, direction) -> complex:
+def _phi_limit(b: TransformBundle, t1: np.ndarray, t2: np.ndarray, direction) -> np.ndarray:
     """Directional limit of phi at a kernel zero (l'Hopital)."""
     p = b.params
     u1, u2 = complex(direction[0]), complex(direction[1])
     if u1 == 0 and u2 == 0:
         raise ValueError("direction must be non-zero")
     # gradient of the numerator theta1 phi1 + theta2 phi2
-    dn1 = phi1_eval(b, t2) + t2 * phi2_deriv(b, t1)
-    dn2 = t1 * phi1_deriv(b, t2) + phi2_eval(b, t1)
+    dn1 = _phi1(b, t2) + t2 * _phi1_deriv(b.swapped, t1)
+    dn2 = t1 * _phi1_deriv(b, t2) + _phi1(b.swapped, t1)
     dg1 = p.s11 * t1 + p.s12 * t2 + p.m1
     dg2 = p.s12 * t1 + p.s22 * t2 + p.m2
     den = u1 * dg1 + u2 * dg2
-    if den == 0:
+    if np.any(den == 0):
         raise OnKernelCurveError("direction is tangent to the kernel curve here")
-    return complex(-(u1 * dn1 + u2 * dn2) / den)
+    return -(u1 * dn1 + u2 * dn2) / den
 
 
 def continuation_check(b: TransformBundle, theta2) -> float:

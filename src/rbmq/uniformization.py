@@ -16,13 +16,13 @@ from typing import Optional
 
 import numpy as np
 
+from ._points import _as_array, _unwrap
 from .chebyshev import classify_nature
 from .errors import AtZeroOrInfinityError, OnLogCutError
 from .rational import detect_rational
 from .transform import TransformBundle
 
 __all__ = [
-    "SpherePoint",
     "GroupReport",
     "theta_of_s",
     "s0",
@@ -31,14 +31,6 @@ __all__ = [
     "group_order",
     "classify_solution_nature",
 ]
-
-
-@dataclass(frozen=True)
-class SpherePoint:
-    """A point of the parametrizing sphere (s = 0 and infinity both map
-    to the point at infinity of the zero set)."""
-
-    s: complex
 
 
 @dataclass(frozen=True)
@@ -63,18 +55,21 @@ class GroupReport:
     generator_residual: float
 
 
-def _check_s(s) -> np.ndarray:
-    arr = np.asarray(s, dtype=complex)
+def _check_s(s) -> tuple[np.ndarray, bool]:
+    arr, scalar = _as_array(s)
     if np.any(arr == 0) or not np.all(np.isfinite(arr)):
         raise AtZeroOrInfinityError("s = 0 and s = infinity map to the point at infinity")
-    return arr
+    return arr, scalar
 
 
 def theta_of_s(b: TransformBundle, s):
-    """Coordinates (theta1(s), theta2(s)) of the sphere point s."""
+    """Coordinates (theta1(s), theta2(s)) of the sphere point s.
+
+    s = 0 and s = infinity both map to the point at infinity of the
+    zero set and are refused.
+    """
     sc = b.scalars
-    arr = _check_s(s)
-    scalar = arr.ndim == 0
+    arr, scalar = _check_s(s)
     e = cmath.exp(1j * sc.beta)
     th1 = (sc.theta1_plus + sc.theta1_minus) / 2.0 + (
         sc.theta1_plus - sc.theta1_minus
@@ -82,12 +77,10 @@ def theta_of_s(b: TransformBundle, s):
     th2 = (sc.theta2_plus + sc.theta2_minus) / 2.0 + (
         sc.theta2_plus - sc.theta2_minus
     ) / 4.0 * (arr / e + e / arr)
-    if scalar:
-        return complex(th1), complex(th2)
-    return th1, th2
+    return _unwrap(th1, scalar), _unwrap(th2, scalar)
 
 
-def s0(b: TransformBundle) -> SpherePoint:
+def s0(b: TransformBundle) -> complex:
     """The unit-circle point over (0, 0).
 
     Both candidates solving theta1(s) = 0 lie on the unit circle; only
@@ -104,7 +97,7 @@ def s0(b: TransformBundle) -> SpherePoint:
     resid = abs(theta_of_s(b, point)[0]) + abs(theta_of_s(b, point)[1])
     if resid > 1e-10 * (1.0 + b.params.scale):
         raise AssertionError(f"s0 candidate fails to kill both coordinates: {resid}")
-    return SpherePoint(complex(point))
+    return complex(point)
 
 
 def W_of_s(b: TransformBundle, s):
@@ -120,24 +113,19 @@ def W_of_s(b: TransformBundle, s):
         on_cut = raw >= 0
     if np.any(on_cut):
         raise OnLogCutError("s in [0, inf) lies on the logarithm cut of (-s)^a")
-    arr = _check_s(s)
-    scalar = arr.ndim == 0
+    arr, scalar = _check_s(s)
     a = b.scalars.pi_over_beta
     lg = np.log(-arr)
-    out = -0.5 * (np.exp(a * lg) + np.exp(-a * lg))
-    return complex(out) if scalar else out
+    return _unwrap(-0.5 * (np.exp(a * lg) + np.exp(-a * lg)), scalar)
 
 
 def group_elements(b: TransformBundle, s):
     """The two involutions at s: zeta(s) = 1/s fixes theta1, and
     eta(s) = e^{2 i beta}/s fixes theta2."""
-    arr = _check_s(s)
-    scalar = arr.ndim == 0
+    arr, scalar = _check_s(s)
     zeta = 1.0 / arr
     eta = cmath.exp(2j * b.scalars.beta) / arr
-    if scalar:
-        return complex(zeta), complex(eta)
-    return zeta, eta
+    return _unwrap(zeta, scalar), _unwrap(eta, scalar)
 
 
 def _generator_residual(b: TransformBundle, n: int = 100, seed: int = 7) -> float:
@@ -177,19 +165,11 @@ def group_order(b: TransformBundle, qmax: int = 10**6) -> GroupReport:
     p, q, residual = hit
     frac = Fraction(p, q)
     p, q = frac.numerator, frac.denominator
-    # smallest n >= 1 with n*beta in pi*Z, i.e. n*q/p integral; found by
-    # exact iteration for small p, with the gcd(p, q) = 1 shortcut n = p
-    # taking over where iterating would be wasteful
-    if p <= 10_000:
-        n = 1
-        while (n * q) % p != 0:
-            n += 1
-    else:
-        n = p
-    assert Fraction(n * q, p).denominator == 1
+    # the smallest n >= 1 with n*beta in pi*Z makes n*q/p integral, and
+    # gcd(p, q) = 1 after reduction, so n = p
     return GroupReport(
         finite=True,
-        order=2 * n,
+        order=2 * p,
         p=p,
         q=q,
         residual=residual,

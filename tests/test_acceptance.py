@@ -13,7 +13,7 @@ import pytest
 from conftest import random_ergodic
 from rbmq import make_bundle, validate_parameters
 from rbmq.asymptotics import REGIME_BOUNDARY, REGIME_POLE, REGIME_SADDLE
-from rbmq import asymptotics, kernel, oracle, transform, uniformization
+from rbmq import asymptotics, checks, oracle, transform, uniformization
 
 
 def _report(num, name, ok, detail, elapsed, budget):
@@ -30,17 +30,11 @@ def test_criterion_01_diagonal_exactness():
     t0 = time.time()
     rng = np.random.default_rng(101)
     worst = 0.0
+    grid = np.linspace(-2.5, 0.0, 5)
+    a, c = np.meshgrid(grid, grid, indexing="ij")
     for _ in range(10):
-        p = random_ergodic(rng, diagonal=True)
-        b = make_bundle(p)
-        grid = np.linspace(-2.5, 0.0, 5)
-        for a in grid:
-            for c in grid:
-                got = transform.phi_eval(b, a, c)
-                want = (2 * p.m1 / p.s11) / (a + 2 * p.m1 / p.s11) * (
-                    2 * p.m2 / p.s22
-                ) / (c + 2 * p.m2 / p.s22)
-                worst = max(worst, abs(got - want) / abs(want))
+        b = make_bundle(random_ergodic(rng, diagonal=True))
+        worst = max(worst, checks.diagonal_product_residual(b, a, c))
     _report(1, "diagonal exactness", worst < 1e-12,
             f"max rel dev {worst:.2e} over 10 models x 5x5 grid (tol 1e-12)",
             time.time() - t0, 1.0)
@@ -50,15 +44,12 @@ def test_criterion_02_mass_identities():
     t0 = time.time()
     rng = np.random.default_rng(102)
     worst = 0.0
-    ts = 1e-3 * 0.5 ** np.arange(4)
     for _ in range(100):
         p = random_ergodic(rng)
         b = make_bundle(p)
         assert transform.phi1_eval(b, 0.0) == -p.m1
         assert transform.phi2_eval(b, 0.0) == -p.m2
-        lim1 = np.polyfit(ts, np.real(transform.phi1_eval(b, ts + 0j)), 3)[-1]
-        lim2 = np.polyfit(ts, np.real(transform.phi2_eval(b, ts + 0j)), 3)[-1]
-        worst = max(worst, abs(lim1 + p.m1) / abs(p.m1), abs(lim2 + p.m2) / abs(p.m2))
+        worst = max(worst, checks.boundary_mass_residual(b))
     _report(2, "boundary masses", worst < 1e-10,
             f"max rel dev of extrapolated limits {worst:.2e} over 100 models (tol 1e-10)",
             time.time() - t0, 1.0)
@@ -69,19 +60,10 @@ def test_criterion_03_boundary_gluing_identities():
     rng = np.random.default_rng(103)
     worst_psi = worst_w = 0.0
     for _ in range(20):
-        p = random_ergodic(rng)
-        b = make_bundle(p)
-        sc = b.scalars
-        t1 = sc.theta1_minus - np.concatenate(
-            [np.linspace(1e-4, 3, 100), np.geomspace(3, 100, 100)]
-        )
-        curve = np.asarray(kernel.theta2_branch(p, t1, "plus"))
-        w_up = np.asarray(transform.w_eval(b, curve))
-        w_dn = np.asarray(transform.w_eval(b, np.conj(curve)))
-        worst_w = max(worst_w, np.max(np.abs(w_up - w_dn) / (1 + np.abs(w_up))))
-        p_up = np.asarray(transform.psi1_eval(b, curve))
-        p_dn = np.asarray(transform.psi1_eval(b, np.conj(curve)))
-        worst_psi = max(worst_psi, np.max(np.abs(p_up - p_dn) / np.abs(p_up)))
+        b = make_bundle(random_ergodic(rng))
+        curve = checks.curve_points(b.params, 200)
+        worst_w = max(worst_w, checks.gluing_residual(b, curve))
+        worst_psi = max(worst_psi, checks.boundary_condition_residual(b, curve))
     _report(3, "boundary/gluing identities", worst_psi < 1e-9 and worst_w < 1e-9,
             f"psi {worst_psi:.2e}, w {worst_w:.2e} on 200 curve points x 20 models (tol 1e-9)",
             time.time() - t0, 5.0)
@@ -94,35 +76,12 @@ def test_criterion_04_cross_transform_identity():
     for _ in range(20):
         p = random_ergodic(rng)
         b = make_bundle(p)
-        sc = b.scalars
         # 100 points on the real locus, both branches
-        t1 = sc.theta1_minus - np.geomspace(1e-3, 60, 50)
-        for sign in ("plus", "minus"):
-            th2 = np.asarray(kernel.theta2_branch(p, t1, sign))
-            s1 = np.asarray(transform.psi1_eval(b, th2))
-            s2 = np.asarray(transform.psi2_eval(b, t1 + 0j))
-            worst = max(
-                worst,
-                np.max(np.abs(s1 + s2) / np.maximum(np.abs(s1), np.abs(s2))),
-            )
+        t1 = b.scalars.theta1_minus - np.geomspace(1e-3, 60, 50)
+        worst = max(worst, checks.cross_transform_residual(b, *checks.real_kernel_zeros(p, t1)))
         # 100 complex kernel zeros in the native half-plane domain
-        kept = 0
-        while kept < 100:
-            s = rng.uniform(0.05, 20, 400) * np.exp(1j * rng.uniform(-np.pi, np.pi, 400))
-            th1, th2 = uniformization.theta_of_s(b, s)
-            keep = (th1.real < -1e-3) & (th2.real < -1e-3) & (np.abs(th1) > 1e-6) & (
-                np.abs(th2) > 1e-6
-            )
-            th1, th2 = th1[keep][: 100 - kept], th2[keep][: 100 - kept]
-            if th1.size == 0:
-                continue
-            kept += th1.size
-            s1 = np.asarray(transform.psi1_eval(b, th2))
-            s2 = np.asarray(transform.psi2_eval(b, th1))
-            worst = max(
-                worst,
-                np.max(np.abs(s1 + s2) / np.maximum(np.abs(s1), np.abs(s2))),
-            )
+        zeros = checks.native_kernel_zeros(b, 100, rng)
+        worst = max(worst, checks.cross_transform_residual(b, *zeros))
     _report(4, "cross-transform identity", worst < 1e-9,
             f"max rel residual {worst:.2e} at 200 pts x 20 models (tol 1e-9)",
             time.time() - t0, 5.0)
@@ -135,28 +94,12 @@ def test_criterion_05_uniformization():
     for _ in range(20):
         p = random_ergodic(rng)
         b = make_bundle(p)
-        beta = b.scalars.beta
         s = rng.uniform(0.05, 20, 500) * np.exp(1j * rng.uniform(-np.pi, np.pi, 500))
-        th1, th2 = uniformization.theta_of_s(b, s)
-        res = np.abs(kernel.gamma(p, th1, th2)) / (
-            (1 + np.abs(th1) ** 2 + np.abs(th2) ** 2) * p.scale
+        worst_zero = max(
+            worst_zero, checks.kernel_zero_residual(p, *uniformization.theta_of_s(b, s))
         )
-        worst_zero = max(worst_zero, float(res.max()))
-        neg = -np.geomspace(1e-2, 100, 50)
-        w_neg = np.asarray(uniformization.W_of_s(b, neg))
-        w_inv = np.asarray(uniformization.W_of_s(b, 1.0 / neg))
-        worst_refl = max(worst_refl, np.max(np.abs(w_neg - w_inv) / (1 + np.abs(w_neg))))
-        ray = -np.exp(1j * beta) * np.geomspace(1e-2, 100, 50)
-        w_ray = np.asarray(uniformization.W_of_s(b, ray))
-        w_eta = np.asarray(uniformization.W_of_s(b, np.exp(2j * beta) / ray))
-        worst_refl = max(worst_refl, np.max(np.abs(w_ray - w_eta) / (1 + np.abs(w_ray))))
-        rho = np.exp(rng.uniform(-2, 2, 100))
-        ang = np.pi + rng.uniform(1e-3, beta - 1e-3, 100)
-        cone = rho * np.exp(1j * ang)
-        _, t2c = uniformization.theta_of_s(b, cone)
-        down = np.asarray(transform.w_eval(b, t2c))
-        lifted = np.asarray(uniformization.W_of_s(b, cone))
-        worst_lift = max(worst_lift, np.max(np.abs(down - lifted) / (1 + np.abs(lifted))))
+        worst_refl = max(worst_refl, checks.reflection_residual(b, np.geomspace(1e-2, 100, 50)))
+        worst_lift = max(worst_lift, checks.lift_residual(b, checks.cone_points(b, 100, rng)))
     ok = worst_zero < 1e-10 and worst_refl < 1e-9 and worst_lift < 1e-9
     _report(5, "uniformization", ok,
             f"zero-set {worst_zero:.2e}, reflections {worst_refl:.2e}, lift {worst_lift:.2e}",

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,12 @@ def test_regime2_classification(regime2):
     # gluing map collapses at the branch point exactly in this regime
     wdiff = w_eval(b, b.scalars.theta2_plus) - b.w1_at_0
     assert abs(wdiff) < 1e-9
+
+
+def test_boundary_regime_warning_logged_once(regime2, caplog):
+    with caplog.at_level(logging.WARNING, logger="rbmq.asymptotics"):
+        classify_regime(make_bundle(regime2))
+    assert sum("boundary regime" in r.getMessage() for r in caplog.records) == 1
 
 
 def test_constants_c1_c2(regime1, regime2):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbmq.chebyshev import (
-    ChebyshevOrder,
     cheb_T,
     cheb_T_deriv,
     cheb_T_hyp2f1,
@@ -154,13 +153,6 @@ def test_classify_nature():
     assert classify_nature(1.5) == "algebraic_nonpolynomial"
     assert classify_nature(np.pi) == "transcendental_D_finite"
     assert classify_nature(2.0 + 1e-14) == "rational_polynomial"  # snapped, logged
-
-
-def test_chebyshev_order_certificate():
-    assert ChebyshevOrder(1.5, Fraction(3, 2)).nature == "algebraic_nonpolynomial"
-    assert ChebyshevOrder(np.pi).nature == "transcendental_D_finite"
-    with pytest.raises(ValueError):
-        ChebyshevOrder(1.5, Fraction(2, 1))
 
 
 def test_hypergeometric_cross_check():

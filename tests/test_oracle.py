@@ -147,6 +147,29 @@ def test_talbot_and_stehfest_on_known_transform():
         gaver_stehfest_invert(lambda s: 1.0 / s, [1.0], order=13)
 
 
+def test_inversion_makes_one_transform_call_per_table(corr):
+    # every abscissa goes through one call, with the bits of inverting
+    # one abscissa at a time
+    b = make_bundle(corr)
+    shapes = []
+
+    def f(s):
+        shapes.append(np.shape(s))
+        return phi1_eval(b, -np.asarray(s, dtype=complex))
+
+    def f_real(s):
+        return f(s).real
+
+    xs = np.linspace(0.1, 5.0, 7)
+    tal = talbot_invert(f, xs)
+    gs = gaver_stehfest_invert(f_real, xs)
+    assert shapes == [(7, 32), (7, 14)]
+    one_by_one = np.concatenate([talbot_invert(f, [x]) for x in xs])
+    assert tal.tobytes() == one_by_one.tobytes()
+    one_by_one = np.concatenate([gaver_stehfest_invert(f_real, [x]) for x in xs])
+    assert gs.tobytes() == one_by_one.tobytes()
+
+
 def test_invert_diag_closed_form(diag):
     b = make_bundle(diag)
     xs = np.linspace(0.1, 5.0, 40)

@@ -3,6 +3,15 @@ import pytest
 
 from conftest import random_ergodic
 from rbmq import make_bundle, validate_parameters
+from rbmq.checks import (
+    boundary_condition_residual,
+    boundary_mass_residual,
+    cone_points,
+    cross_transform_residual,
+    gluing_residual,
+    injectivity_collisions,
+    real_kernel_zeros,
+)
 from rbmq.errors import (
     AtPoleError,
     AtZeroError,
@@ -20,7 +29,6 @@ from rbmq.transform import (
     phi2_eval,
     phi_eval,
     psi1_eval,
-    psi2_eval,
     w_deriv,
     w_eval,
 )
@@ -87,8 +95,9 @@ def test_w_cut_side_limits_non_integer_order(corr):
     dn = w_eval(b, complex(x, -0.0))
     assert up == pytest.approx(dn.conjugate(), rel=1e-13)
     assert abs(up.imag) > 1e-3
-    with pytest.raises(OnCutError):
-        w_eval(b, x)
+    for fn in (w_eval, w_deriv, phi1_deriv):
+        with pytest.raises(OnCutError):
+            fn(b, x)
 
 
 def test_phi1_closed_form_diag(diag):
@@ -115,10 +124,7 @@ def test_phi1_origin_and_limit(corr):
     b = make_bundle(corr)
     assert phi1_eval(b, 0.0) == -corr.m1
     # limit of the raw ratio approaches the mass: cubic extrapolation
-    ts = 1e-3 * 0.5 ** np.arange(4)
-    vals = np.real(phi1_eval(b, ts + 0j))
-    intercept = np.polyfit(ts, vals, 3)[-1]
-    assert intercept == pytest.approx(-corr.m1, rel=1e-10)
+    assert boundary_mass_residual(b) <= 1e-10
 
 
 def test_phi1_pole_detection(diag):
@@ -144,6 +150,9 @@ def test_phi_product_form_diag(diag):
     b = make_bundle(diag)
     assert phi_eval(b, -2.0, -2.0) == pytest.approx(0.25, rel=1e-12)
     assert phi_eval(b, 0.0, 0.0) == 1.0
+    # the origin inside an array takes the same limit
+    both = phi_eval(b, np.array([0.0, -2.0]), np.array([0.0, -2.0]))
+    assert both[0] == 1.0 and both[1] == phi_eval(b, -2.0, -2.0)
     # vanishes along the diagonal ray at -infinity
     vals = [abs(phi_eval(b, -t, -t)) for t in (1.0, 10.0, 100.0, 2000.0)]
     assert all(a > b_ for a, b_ in zip(vals, vals[1:]))
@@ -178,15 +187,8 @@ def test_psi_values_and_residue(diag):
 
 def test_cross_transform_identity(corr):
     b = make_bundle(corr)
-    sc = b.scalars
-    worst = 0.0
-    t1 = sc.theta1_minus - np.geomspace(1e-3, 50, 100)
-    for sign in ("plus", "minus"):
-        th2 = np.asarray(theta2_branch(corr, t1, sign))
-        s1 = np.asarray(psi1_eval(b, th2))
-        s2 = np.asarray(psi2_eval(b, t1 + 0j))
-        worst = max(worst, np.max(np.abs(s1 + s2) / np.maximum(np.abs(s1), np.abs(s2))))
-    assert worst < 1e-9
+    t1 = b.scalars.theta1_minus - np.geomspace(1e-3, 50, 100)
+    assert cross_transform_residual(b, *real_kernel_zeros(corr, t1)) < 1e-9
 
 
 def test_phi2_is_swapped_phi1(corr):
@@ -228,30 +230,17 @@ def test_continuation_domain_and_branch_guards(diag):
 def test_gluing_and_boundary_condition_on_curve(corr):
     b = make_bundle(corr)
     sc = b.scalars
-    curve = np.asarray(
-        theta2_branch(corr, sc.theta1_minus - np.geomspace(1e-3, 80, 200), "plus")
-    )
-    w_up = np.asarray(w_eval(b, curve))
-    w_dn = np.asarray(w_eval(b, np.conj(curve)))
-    assert np.max(np.abs(w_up - w_dn) / (1 + np.abs(w_up))) < 1e-10
-    p_up = np.asarray(psi1_eval(b, curve))
-    p_dn = np.asarray(psi1_eval(b, np.conj(curve)))
-    assert np.max(np.abs(p_up - p_dn) / np.abs(p_up)) < 1e-9
+    curve = theta2_branch(corr, sc.theta1_minus - np.geomspace(1e-3, 80, 200), "plus")
+    assert gluing_residual(b, curve) < 1e-10
+    assert boundary_condition_residual(b, curve) < 1e-9
 
 
 def test_injectivity_witness(corr):
     b = make_bundle(corr)
     rng = np.random.default_rng(4)
-
-    def sample(n):
-        rho = np.exp(rng.uniform(-2, 1.5, n))
-        ang = np.pi + rng.uniform(1e-3, b.scalars.beta - 1e-3, n)
-        return theta_of_s(b, rho * np.exp(1j * ang))[1]
-
-    za, zb = sample(1000), sample(1000)
-    wa, wb = np.asarray(w_eval(b, za)), np.asarray(w_eval(b, zb))
-    separated = np.abs(za - zb) > 1e-8
-    assert not np.any((np.abs(wa - wb) == 0) & separated)
+    _, za = theta_of_s(b, cone_points(b, 1000, rng, 1.5))
+    _, zb = theta_of_s(b, cone_points(b, 1000, rng, 1.5))
+    assert injectivity_collisions(b, za, zb) == 0
 
 
 def test_theta1_branch_principal_label(diag):

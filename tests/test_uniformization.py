@@ -5,9 +5,14 @@ import pytest
 
 from conftest import random_ergodic
 from rbmq import make_bundle
+from rbmq.checks import (
+    cone_points,
+    kernel_zero_residual,
+    lift_residual,
+    reflection_residual,
+    two_sheet_residual,
+)
 from rbmq.errors import AtZeroOrInfinityError, OnLogCutError
-from rbmq.kernel import gamma
-from rbmq.transform import w_eval
 from rbmq.uniformization import (
     W_of_s,
     classify_solution_nature,
@@ -35,7 +40,7 @@ def test_origin_lift_diag(diag):
     b = make_bundle(diag)
     t1, t2 = theta_of_s(b, cmath.exp(-3j * np.pi / 4))
     assert abs(t1) < 1e-14 and abs(t2) < 1e-14
-    assert s0(b).s == pytest.approx(cmath.exp(-3j * np.pi / 4), rel=1e-12)
+    assert s0(b) == pytest.approx(cmath.exp(-3j * np.pi / 4), rel=1e-12)
 
 
 def test_s0_properties_random_models():
@@ -43,7 +48,7 @@ def test_s0_properties_random_models():
     for _ in range(15):
         p = random_ergodic(rng)
         b = make_bundle(p)
-        pt = s0(b).s
+        pt = s0(b)
         assert abs(abs(pt) - 1.0) < 1e-12
         assert pt.imag < 0  # lower arc (interior-domain lift)
         t1, t2 = theta_of_s(b, pt)
@@ -56,7 +61,7 @@ def test_s0_properties_random_models():
 
 def test_pole_lift_diag(diag):
     b = make_bundle(diag)
-    _, t2 = theta_of_s(b, 1.0 / s0(b).s)
+    _, t2 = theta_of_s(b, 1.0 / s0(b))
     assert t2 == pytest.approx(2.0, rel=1e-13)
 
 
@@ -64,21 +69,14 @@ def test_zero_set_sweep(corr):
     b = make_bundle(corr)
     rng = np.random.default_rng(1)
     s = rng.uniform(0.05, 20, 10_000) * np.exp(1j * rng.uniform(-np.pi, np.pi, 10_000))
-    t1, t2 = theta_of_s(b, s)
-    res = np.abs(gamma(corr, t1, t2))
-    tol = 1e-10 * (1 + np.abs(t1) ** 2 + np.abs(t2) ** 2) * corr.scale
-    assert np.all(res <= tol)
+    assert kernel_zero_residual(corr, *theta_of_s(b, s)) <= 1e-10
 
 
 def test_two_sheet_identities(corr):
     b = make_bundle(corr)
     rng = np.random.default_rng(2)
     s = rng.uniform(0.1, 10, 500) * np.exp(1j * rng.uniform(-np.pi, np.pi, 500))
-    t1, t2 = theta_of_s(b, s)
-    t1i, _ = theta_of_s(b, 1.0 / s)
-    _, t2e = theta_of_s(b, cmath.exp(2j * b.scalars.beta) / s)
-    assert np.max(np.abs(t1i - t1) / (1 + np.abs(t1))) < 1e-12
-    assert np.max(np.abs(t2e - t2) / (1 + np.abs(t2))) < 1e-12
+    assert two_sheet_residual(b, s) < 1e-12
 
 
 def test_unit_circle_gives_real_points(corr):
@@ -102,13 +100,7 @@ def test_W_values_and_cut(diag):
 
 def test_W_reflection_identities(corr):
     b = make_bundle(corr)
-    neg = -np.geomspace(1e-2, 100, 100)
-    assert np.max(np.abs(np.asarray(W_of_s(b, neg)) - np.asarray(W_of_s(b, 1.0 / neg)))) < 1e-12
-    beta = b.scalars.beta
-    ray = -cmath.exp(1j * beta) * np.geomspace(1e-2, 100, 100)
-    w_ray = np.asarray(W_of_s(b, ray))
-    w_eta = np.asarray(W_of_s(b, cmath.exp(2j * beta) / ray))
-    assert np.max(np.abs(w_ray - w_eta) / (1 + np.abs(w_ray))) < 1e-12
+    assert reflection_residual(b, np.geomspace(1e-2, 100, 100)) < 1e-12
 
 
 def test_W_equation_solving_family(corr):
@@ -138,15 +130,8 @@ def test_W_equation_solving_family(corr):
 def test_lifted_gluing_matches_w(corr, regime2):
     for p in (corr, regime2):
         b = make_bundle(p)
-        beta = b.scalars.beta
         rng = np.random.default_rng(4)
-        rho = np.exp(rng.uniform(-2, 2, 300))
-        ang = np.pi + rng.uniform(1e-3, beta - 1e-3, 300)
-        cone = rho * np.exp(1j * ang)
-        _, t2 = theta_of_s(b, cone)
-        down = np.asarray(w_eval(b, t2))
-        lifted = np.asarray(W_of_s(b, cone))
-        assert np.max(np.abs(down - lifted) / (1 + np.abs(lifted))) < 1e-12
+        assert lift_residual(b, cone_points(b, 300, rng)) < 1e-12
 
 
 def test_group_elements_are_involutions(corr):
@@ -159,11 +144,7 @@ def test_group_elements_are_involutions(corr):
     assert np.max(np.abs(zz - s)) < 1e-12 * np.max(1 + np.abs(s))
     assert np.max(np.abs(ee - s)) < 1e-12 * np.max(1 + np.abs(s))
     # generators fix their coordinate
-    t1, t2 = theta_of_s(b, s)
-    t1z, _ = theta_of_s(b, zeta)
-    _, t2e = theta_of_s(b, eta)
-    assert np.max(np.abs(t1z - t1)) < 1e-12 * np.max(1 + np.abs(t1))
-    assert np.max(np.abs(t2e - t2)) < 1e-12 * np.max(1 + np.abs(t2))
+    assert two_sheet_residual(b, s) < 1e-12
 
 
 def test_group_orders(diag, beta_third, regime2, corr):
