@@ -15,12 +15,8 @@ from .chebyshev import (
 )
 from .checks import CheckResult, run_checks
 from .kernel import (
-    G_ratio,
     HyperbolaR,
-    contains_G_R,
     gamma,
-    gamma1,
-    gamma2,
     hyperbola,
     theta1_at_branch_point,
     theta1_branch,
@@ -46,7 +42,6 @@ from .oracle import (
 )
 from .transform import (
     TransformBundle,
-    continuation_check,
     make_bundle,
     phi1_eval,
     phi2_eval,

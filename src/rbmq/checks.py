@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel, transform, uniformization
+from ._points import _as_array
 from .model import ModelParams, derived_scalars
 from .oracle import diagonal_closed_forms
 from .transform import TransformBundle
@@ -114,10 +115,9 @@ def cone_points(b: TransformBundle, n: int, rng, max_log_radius: float = 2.0) ->
 
 def kernel_zero_residual(p: ModelParams, theta1, theta2) -> float:
     """|gamma| at points that should be kernel zeros, scale-normalised."""
-    res = np.abs(kernel.gamma(p, theta1, theta2)) / (
-        (1.0 + np.abs(theta1) ** 2 + np.abs(theta2) ** 2) * p.scale
-    )
-    return float(np.max(res))
+    t1, _ = _as_array(theta1)
+    t2, _ = _as_array(theta2)
+    return float(np.max(np.abs(kernel._gamma(p, t1, t2)) / kernel._zero_scale(p, t1, t2)))
 
 
 def branch_root_residual(p: ModelParams, points) -> float:
@@ -131,21 +131,17 @@ def branch_root_residual(p: ModelParams, points) -> float:
     )
 
 
-def conjugacy_residual(p: ModelParams, theta1) -> float:
-    """Left of theta1_minus the two theta2-branches are conjugate and lie
-    on the boundary curve."""
-    plus = kernel.theta2_branch(p, theta1, "plus")
-    minus = kernel.theta2_branch(p, theta1, "minus")
+def conjugacy_residual(p: ModelParams, plus, minus) -> float:
+    """Left of theta1_minus the two theta2-branches `plus` and `minus`
+    are conjugate and lie on the boundary curve."""
     conj = float(np.max(np.abs(plus - np.conj(minus)) / (1.0 + np.abs(plus))))
-    hyp = kernel.hyperbola(p)
-    return max(conj, max(hyp.residual(z) for z in plus))
+    return max(conj, float(np.max(kernel.hyperbola(p).residual(plus))))
 
 
-def vieta_residual(p: ModelParams, theta1) -> float:
-    """Sum and product of the theta2-branches against the coefficient
-    ratios -b/a and c/a of the kernel as a quadratic in theta2."""
-    plus = kernel.theta2_branch(p, theta1, "plus")
-    minus = kernel.theta2_branch(p, theta1, "minus")
+def vieta_residual(p: ModelParams, theta1, plus, minus) -> float:
+    """Sum and product of the theta2-branches `plus` and `minus` at
+    theta1 against the coefficient ratios -b/a and c/a of the kernel as
+    a quadratic in theta2."""
     b_coef = p.s12 * theta1 + p.m2
     c_coef = 0.5 * p.s11 * theta1 * theta1 + p.m1 * theta1
     vsum = np.abs(plus + minus + b_coef / 0.5 / p.s22) / (1.0 + np.abs(plus))
@@ -174,9 +170,9 @@ def cross_transform_residual(b: TransformBundle, theta1, theta2) -> float:
     return float(np.max(np.abs(s1 + s2) / np.maximum(np.abs(s1), np.abs(s2))))
 
 
-def two_sheet_residual(b: TransformBundle, s) -> float:
-    """zeta fixes theta1(s) and eta fixes theta2(s)."""
-    th1, th2 = uniformization.theta_of_s(b, s)
+def two_sheet_residual(b: TransformBundle, s, th1, th2) -> float:
+    """zeta fixes theta1(s) and eta fixes theta2(s), given
+    (th1, th2) = theta_of_s(b, s)."""
     zeta, eta = uniformization.group_elements(b, s)
     z1, _ = uniformization.theta_of_s(b, zeta)
     _, z2 = uniformization.theta_of_s(b, eta)
@@ -250,23 +246,12 @@ def run_checks(p: ModelParams, seed: int = 0) -> list[CheckResult]:
     left = sc.theta1_minus - np.concatenate(
         [np.linspace(1e-3, 5.0, 100), np.geomspace(5.0, 100.0, 100)]
     )
+    plus, minus = (kernel.theta2_branch(p, left, sign) for sign in ("plus", "minus"))
     out = [
         _result("kernel_branch_roots", branch_root_residual(p, pts), 1e-10),
-        _result("branch_conjugacy_on_curve", conjugacy_residual(p, left), 1e-10),
-        _result("vieta", vieta_residual(p, left), 1e-10),
+        _result("branch_conjugacy_on_curve", conjugacy_residual(p, plus, minus), 1e-10),
+        _result("vieta", vieta_residual(p, left, plus, minus), 1e-10),
     ]
-    if not p.identity_reflection:
-        out.append(
-            CheckResult(
-                "transform_suite",
-                True,
-                0.0,
-                1.0,
-                "skipped: non-identity reflection has no explicit transform",
-            )
-        )
-        return out
-
     b = transform.make_bundle(p)
     curve = curve_points(p, 200)
     out.append(_result("gluing_symmetry", gluing_residual(b, curve), 1e-10))
@@ -277,9 +262,9 @@ def run_checks(p: ModelParams, seed: int = 0) -> list[CheckResult]:
     cross = max(cross, cross_transform_residual(b, *native_kernel_zeros(b, 200, rng)))
     out.append(_result("cross_transform_identity", cross, 1e-9))
     s = rng.uniform(0.05, 20.0, 10_000) * np.exp(1j * rng.uniform(-np.pi, np.pi, 10_000))
-    zero_set = kernel_zero_residual(p, *uniformization.theta_of_s(b, s))
-    out.append(_result("uniformization_zero_set", zero_set, 1e-10))
-    out.append(_result("two_sheet_identities", two_sheet_residual(b, s), 1e-10))
+    th1, th2 = uniformization.theta_of_s(b, s)
+    out.append(_result("uniformization_zero_set", kernel_zero_residual(p, th1, th2), 1e-10))
+    out.append(_result("two_sheet_identities", two_sheet_residual(b, s, th1, th2), 1e-10))
     lifted = reflection_residual(b, np.geomspace(1e-2, 100.0, 100))
     lifted = max(lifted, lift_residual(b, cone_points(b, 200, rng)))
     out.append(_result("lifted_gluing", lifted, 1e-9))

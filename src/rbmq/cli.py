@@ -72,9 +72,6 @@ def _analyze_payload(p) -> dict:
     }
     v = kernel.theta1_at_branch_point(p, sc)
     payload["theta1_at_theta2_plus"] = v
-    if not p.identity_reflection:
-        payload["note"] = "non-identity reflection: explicit transform unavailable"
-        return payload
     b = transform.make_bundle(p)
     report = uniformization.group_order(b)
     payload["group"] = {

@@ -54,22 +54,6 @@ class AtZeroError(ComputationRefused):
     pass
 
 
-class OutsideDomainError(ComputationRefused):
-    pass
-
-
-class BranchAmbiguityError(ComputationRefused):
-    pass
-
-
-class NotOnCurveError(ComputationRefused):
-    pass
-
-
-class ZeroDenominatorError(ComputationRefused):
-    pass
-
-
 class WrongRegimeError(ComputationRefused):
     pass
 
@@ -87,10 +71,6 @@ class AtZeroOrInfinityError(ComputationRefused):
 
 
 class NotDiagonalError(ComputationRefused):
-    pass
-
-
-class NonIdentityReflectionError(ComputationRefused):
     pass
 
 

@@ -1,10 +1,9 @@
 """Model ingestion: parameter validation and derived scalar quantities.
 
-The model is the triple (sigma, mu, r): a 2x2 covariance matrix, a drift
-vector with negative components, and a reflection matrix whose columns
-give the push directions on the two axes.  The explicit-transform
-pipeline requires r to be the identity (orthogonal reflection); the
-kernel and simulation modules accept a general ergodic r.
+The model is the pair (sigma, mu): a 2x2 covariance matrix and a drift
+vector with negative components.  Reflection on the axes is orthogonal
+(reflection matrix the identity); this is part of what a model is, not
+a parameter.
 """
 from __future__ import annotations
 
@@ -34,27 +33,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Validated (sigma, mu, r) triple.
+    """Validated (sigma, mu) pair.
 
     Attributes
     ----------
     sigma : ndarray, shape (2, 2)
         Symmetric positive-definite covariance (variance per unit time).
     mu : ndarray, shape (2,)
-        Drift (distance per unit time); both components negative when
-        the reflection is orthogonal.
-    r : ndarray, shape (2, 2)
-        Reflection matrix; columns are the push directions.
+        Drift (distance per unit time); both components negative.
 
     Instances are immutable and safe to share across threads.
     """
 
     sigma: np.ndarray
     mu: np.ndarray
-    r: np.ndarray
 
     def __post_init__(self):
-        for name in ("sigma", "mu", "r"):
+        for name in ("sigma", "mu"):
             getattr(self, name).setflags(write=False)
 
     # scalar accessors used throughout the kernel algebra
@@ -83,11 +78,6 @@ class ModelParams:
         return self.s11 * self.s22 - self.s12 * self.s12
 
     @property
-    def identity_reflection(self) -> bool:
-        """True iff r is exactly the identity (explicit pipeline available)."""
-        return bool(np.array_equal(self.r, np.eye(2)))
-
-    @property
     def scale(self) -> float:
         """Magnitude used to normalise residual tolerances."""
         return max(float(np.abs(self.sigma).max()), float(np.abs(self.mu).max()))
@@ -98,7 +88,6 @@ class ModelParams:
         return ModelParams(
             np.array(self.sigma[::-1, ::-1]),
             np.array(self.mu[::-1]),
-            np.array(self.r[::-1, ::-1]),
         )
 
 
@@ -123,7 +112,15 @@ class DerivedScalars:
         return np.pi / self.beta
 
 
-def validate_parameters(sigma, mu, r=None) -> ModelParams:
+def _real_array(value, name: str) -> np.ndarray:
+    """value as a float ndarray; non-numeric or ragged input is refused."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be numeric, got {value!r}") from None
+
+
+def validate_parameters(sigma, mu) -> ModelParams:
     """Validate raw input and return immutable ModelParams.
 
     Strict inequalities are tested exactly against zero: the admissible
@@ -132,19 +129,17 @@ def validate_parameters(sigma, mu, r=None) -> ModelParams:
 
     Raises
     ------
+    ValidationError (non-numeric, wrong shape, non-finite),
     NonSymmetricCovarianceError, SingularCovarianceError, NotErgodicError
     """
-    sigma = np.asarray(sigma, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    r = np.eye(2) if r is None else np.asarray(r, dtype=float)
+    sigma = _real_array(sigma, "sigma")
+    mu = _real_array(mu, "mu")
 
     if sigma.shape != (2, 2):
         raise ValidationError(f"sigma must be 2x2, got shape {sigma.shape}")
     if mu.shape != (2,):
         raise ValidationError(f"mu must be a 2-vector, got shape {mu.shape}")
-    if r.shape != (2, 2):
-        raise ValidationError(f"r must be 2x2, got shape {r.shape}")
-    if not (np.isfinite(sigma).all() and np.isfinite(mu).all() and np.isfinite(r).all()):
+    if not (np.isfinite(sigma).all() and np.isfinite(mu).all()):
         raise ValidationError("parameters must be finite")
 
     if sigma[0, 1] != sigma[1, 0]:
@@ -158,23 +153,13 @@ def validate_parameters(sigma, mu, r=None) -> ModelParams:
             f"need s11 > 0, s22 > 0, det > 0; got s11={s11}, s22={s22}, det={det}"
         )
 
-    r11, r12, r21, r22 = r[0, 0], r[0, 1], r[1, 0], r[1, 1]
-    m1, m2 = mu
-    failed = []
-    if not r11 > 0:
-        failed.append(f"r11 > 0 fails (r11={r11})")
-    if not r22 > 0:
-        failed.append(f"r22 > 0 fails (r22={r22})")
-    if not r11 * r22 - r12 * r21 > 0:
-        failed.append(f"r11*r22 - r12*r21 > 0 fails ({r11 * r22 - r12 * r21})")
-    if not r22 * m1 - r12 * m2 < 0:
-        failed.append(f"r22*mu1 - r12*mu2 < 0 fails ({r22 * m1 - r12 * m2})")
-    if not r11 * m2 - r21 * m1 < 0:
-        failed.append(f"r11*mu2 - r21*mu1 < 0 fails ({r11 * m2 - r21 * m1})")
+    # with orthogonal reflection the process is ergodic iff both drifts
+    # point into the axes
+    failed = [f"mu{i} < 0 fails (mu{i}={m})" for i, m in enumerate(mu, 1) if not m < 0]
     if failed:
         raise NotErgodicError(failed)
 
-    return ModelParams(sigma.copy(), mu.copy(), r.copy())
+    return ModelParams(sigma.copy(), mu.copy())
 
 
 def derived_scalars(p: ModelParams) -> DerivedScalars:
@@ -204,22 +189,28 @@ def derived_scalars(p: ModelParams) -> DerivedScalars:
 def params_from_dict(d: dict) -> ModelParams:
     """Build ModelParams from the JSON config mapping.
 
-    Schema: {"sigma": [[s11, s12], [s12, s22]], "mu": [m1, m2],
-    "r": [[1, 0], [0, 1]]}; "r" is optional and defaults to identity.
+    Schema: {"sigma": [[s11, s12], [s12, s22]], "mu": [m1, m2]}.  An
+    optional "r" (reflection matrix) is accepted only as the identity
+    [[1, 0], [0, 1]], since reflection is orthogonal.
     """
+    if not isinstance(d, dict):
+        raise ValidationError(f"config must be a JSON object, got {type(d).__name__}")
     try:
         sigma = d["sigma"]
         mu = d["mu"]
     except KeyError as exc:
         raise ValidationError(f"config missing required field {exc}") from None
-    return validate_parameters(sigma, mu, d.get("r"))
+    if "r" in d and not np.array_equal(_real_array(d["r"], "r"), np.eye(2)):
+        raise ValidationError(
+            f"r must be the identity [[1, 0], [0, 1]] (orthogonal reflection), got {d['r']!r}"
+        )
+    return validate_parameters(sigma, mu)
 
 
 def params_to_dict(p: ModelParams) -> dict:
     return {
         "sigma": [[p.s11, p.s12], [p.s12, p.s22]],
         "mu": [p.m1, p.m2],
-        "r": p.r.tolist(),
     }
 
 
@@ -228,6 +219,6 @@ def load_config(path) -> ModelParams:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             d = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValidationError(f"invalid JSON in {path}: {exc}") from None
     return params_from_dict(d)

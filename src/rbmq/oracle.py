@@ -37,7 +37,6 @@ from . import asymptotics
 from .errors import (
     ContourCollisionError,
     MethodDisagreementError,
-    NonIdentityReflectionError,
     NotDiagonalError,
     StepSizeWarning,
 )
@@ -230,15 +229,10 @@ def _run_batch(p, cfg, theta_grid, edges1, edges2, n_burn, n_meas, thin, seed_se
 def simulate(p: ModelParams, cfg: Optional[SimConfig] = None, theta_grid=None) -> SimResult:
     """Simulate the reflected diffusion and summarise its stationary law.
 
-    Requires the identity reflection matrix (the projection step is the
-    exact discrete Skorokhod map only for orthogonal pushes).  Thread
-    count is capped by the RBMQ_THREADS environment variable; results
-    do not depend on it.
+    The projection step is the exact discrete Skorokhod map because the
+    reflection is orthogonal.  Thread count is capped by the
+    RBMQ_THREADS environment variable; results do not depend on it.
     """
-    if not p.identity_reflection:
-        raise NonIdentityReflectionError(
-            "componentwise projection is only valid for orthogonal reflection"
-        )
     cfg = cfg or SimConfig()
     mu_max = float(np.abs(p.mu).max())
     if cfg.step * mu_max > 0.01:
@@ -477,11 +471,9 @@ class DiagonalClosedForms:
 
 
 def diagonal_closed_forms(p: ModelParams) -> DiagonalClosedForms:
-    """Exact density evaluators; requires s12 = 0 and identity reflection."""
+    """Exact density evaluators; requires s12 = 0."""
     if p.s12 != 0.0:
         raise NotDiagonalError(f"s12 = {p.s12} != 0")
-    if not p.identity_reflection:
-        raise NonIdentityReflectionError("closed forms assume orthogonal reflection")
     return DiagonalClosedForms(p)
 
 

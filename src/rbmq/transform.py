@@ -27,11 +27,8 @@ from .chebyshev import _cheb_T, _cheb_T_deriv, _order
 from .errors import (
     AtPoleError,
     AtZeroError,
-    BranchAmbiguityError,
-    NonIdentityReflectionError,
     OnCutError,
     OnKernelCurveError,
-    OutsideDomainError,
 )
 from .model import DerivedScalars, ModelParams, derived_scalars
 
@@ -46,7 +43,6 @@ __all__ = [
     "phi_eval",
     "psi1_eval",
     "psi2_eval",
-    "continuation_check",
 ]
 
 # below this radius the removable origin is evaluated by its closed limit
@@ -60,18 +56,16 @@ _POLE_MIN_ABS = 1e-6
 class TransformBundle:
     """Evaluator state for one model: scalars and gluing-map constants.
 
-    w1_prime0 / w1_at_0 belong to the theta2-side gluing map, the
-    2-suffixed fields to the index-swapped one.  phi1_at_0 = -mu1 and
-    phi2_at_0 = -mu2 are the boundary masses.  Immutable; evaluators
+    w1_prime0 / w1_at_0 belong to the theta2-side gluing map; the
+    index-swapped side's constants live on `swapped`.  phi1_at_0 = -mu1
+    and phi2_at_0 = -mu2 are the boundary masses.  Immutable; evaluators
     are pure functions of (bundle, point).
     """
 
     params: ModelParams
     scalars: DerivedScalars
     w1_prime0: float
-    w2_prime0: float
     w1_at_0: float
-    w2_at_0: float
     phi1_at_0: float
     phi2_at_0: float
 
@@ -92,22 +86,14 @@ def _glue_constants(sc: DerivedScalars) -> tuple[float, float]:
 
 
 def make_bundle(p: ModelParams) -> TransformBundle:
-    """Build the evaluator bundle; requires orthogonal reflection."""
-    if not p.identity_reflection:
-        raise NonIdentityReflectionError(
-            "explicit transforms require the identity reflection matrix"
-        )
+    """Build the evaluator bundle."""
     sc = derived_scalars(p)
     w1_at_0, w1_prime0 = _glue_constants(sc)
-    sc2 = derived_scalars(p.swapped)
-    w2_at_0, w2_prime0 = _glue_constants(sc2)
     return TransformBundle(
         params=p,
         scalars=sc,
         w1_prime0=w1_prime0,
-        w2_prime0=w2_prime0,
         w1_at_0=w1_at_0,
-        w2_at_0=w2_at_0,
         phi1_at_0=-p.m1,
         phi2_at_0=-p.m2,
     )
@@ -242,8 +228,7 @@ def phi_eval(b: TransformBundle, theta1, theta2, *, direction=None):
     scalar = s1 and s2
     origin = (np.abs(t1) < 1e-12) & (np.abs(t2) < 1e-12)
     g = kernel._gamma(p, t1, t2)
-    tol = 1e-12 * (1.0 + np.abs(t1) ** 2 + np.abs(t2) ** 2) * p.scale
-    if np.any((np.abs(g) <= tol) & ~origin):
+    if np.any((np.abs(g) <= 1e-12 * kernel._zero_scale(p, t1, t2)) & ~origin):
         if direction is None or not scalar:
             raise OnKernelCurveError(
                 "gamma vanishes here; pass direction=(u1, u2) for the limit"
@@ -270,33 +255,3 @@ def _phi_limit(b: TransformBundle, t1: np.ndarray, t2: np.ndarray, direction) ->
     if np.any(den == 0):
         raise OnKernelCurveError("direction is tangent to the kernel curve here")
     return -(u1 * dn1 + u2 * dn2) / den
-
-
-def continuation_check(b: TransformBundle, theta2) -> float:
-    """Relative defect of the meromorphic-continuation identity.
-
-    Checks phi1(theta2) = -(theta2/Theta1_minus) phi2(Theta1_minus) at
-    theta2, where Theta1_minus is the principal minus-branch preimage.
-    Valid on {Re theta2 <= 0 or Re Theta1_minus(theta2) < 0}; refused
-    near the branch points of the preimage where the label is ambiguous.
-
-    Note the sign: substituting the kernel zero into the functional
-    equation gives theta1 phi1 + theta2 phi2 = 0, so the ratio carries
-    a minus sign.
-    """
-    t2 = complex(theta2)
-    p = b.params
-    if t2 == 0:
-        return 0.0  # both sides take the limit value -mu1
-    dt = kernel.disc_d_tilde(p, t2)
-    if abs(dt) < 1e-12 * p.scale**2:
-        raise BranchAmbiguityError(f"discriminant nearly vanishes at theta2={t2}")
-    th1 = kernel.theta1_branch(p, t2, "minus")
-    if t2.real > 0 and th1.real >= 0:
-        raise OutsideDomainError(
-            f"theta2={t2} outside the continuation domain "
-            f"(Re theta2 > 0 and Re Theta1_minus = {th1.real} >= 0)"
-        )
-    lhs = phi1_eval(b, t2)
-    rhs = -(t2 / th1) * phi2_eval(b, th1)
-    return float(abs(lhs - rhs) / max(abs(lhs), 1e-300))

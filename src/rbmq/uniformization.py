@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -40,9 +39,6 @@ class GroupReport:
     finite=True comes with the rational detection (p, q) of pi/beta in
     lowest terms and the group order; finite=False only ever means "no
     rational with denominator <= qmax", recorded in `note`.
-    generator_residual is the largest pointwise defect of the two
-    invariance identities theta1(zeta(s)) = theta1(s) and
-    theta2(eta(s)) = theta2(s) on a random sample.
     """
 
     finite: bool
@@ -52,7 +48,6 @@ class GroupReport:
     residual: float
     qmax: int
     note: str
-    generator_residual: float
 
 
 def _check_s(s) -> tuple[np.ndarray, bool]:
@@ -128,19 +123,6 @@ def group_elements(b: TransformBundle, s):
     return _unwrap(zeta, scalar), _unwrap(eta, scalar)
 
 
-def _generator_residual(b: TransformBundle, n: int = 100, seed: int = 7) -> float:
-    rng = np.random.default_rng(seed)
-    s = rng.uniform(0.2, 5.0, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
-    th1, th2 = theta_of_s(b, s)
-    zeta, eta = group_elements(b, s)
-    th1z, _ = theta_of_s(b, zeta)
-    _, th2e = theta_of_s(b, eta)
-    scale = 1.0 + np.abs(th1) + np.abs(th2)
-    return float(
-        max(np.max(np.abs(th1z - th1) / scale), np.max(np.abs(th2e - th2) / scale))
-    )
-
-
 def group_order(b: TransformBundle, qmax: int = 10**6) -> GroupReport:
     """Finiteness detection for <zeta, eta> via rationality of pi/beta.
 
@@ -148,9 +130,7 @@ def group_order(b: TransformBundle, qmax: int = 10**6) -> GroupReport:
     p/q in lowest terms the smallest n with n*beta in pi*Z is n = p
     (computed on exact integers), and the dihedral group order is 2n.
     """
-    a = b.scalars.pi_over_beta
-    gen_res = _generator_residual(b)
-    hit = detect_rational(a, qmax=qmax)
+    hit = detect_rational(b.scalars.pi_over_beta, qmax=qmax)
     if hit is None:
         return GroupReport(
             finite=False,
@@ -160,13 +140,10 @@ def group_order(b: TransformBundle, qmax: int = 10**6) -> GroupReport:
             residual=float("nan"),
             qmax=qmax,
             note=f"infinite within bound {qmax}",
-            generator_residual=gen_res,
         )
+    # detect_rational returns lowest terms; the smallest n >= 1 with
+    # n*beta in pi*Z makes n*q/p integral, and gcd(p, q) = 1, so n = p
     p, q, residual = hit
-    frac = Fraction(p, q)
-    p, q = frac.numerator, frac.denominator
-    # the smallest n >= 1 with n*beta in pi*Z makes n*q/p integral, and
-    # gcd(p, q) = 1 after reduction, so n = p
     return GroupReport(
         finite=True,
         order=2 * p,
@@ -175,7 +152,6 @@ def group_order(b: TransformBundle, qmax: int = 10**6) -> GroupReport:
         residual=residual,
         qmax=qmax,
         note=f"pi/beta = {p}/{q} (residual {residual:.2e})",
-        generator_residual=gen_res,
     )
 
 
@@ -186,7 +162,4 @@ def classify_solution_nature(b: TransformBundle, qmax: int = 10**6) -> str:
     integer pi/beta a rational one; otherwise the transform is
     transcendental but still satisfies a linear ODE.
     """
-    report = group_order(b, qmax=qmax)
-    if not report.finite:
-        return "transcendental_D_finite"
-    return classify_nature(Fraction(report.p, report.q))
+    return classify_nature(b.scalars.pi_over_beta, qmax=qmax)

@@ -52,7 +52,8 @@ def test_analyze_round_trip_bit_for_bit(corr_config, capsys, tmp_path):
     assert code == 0
     doc = json.loads(out1)
     echo = tmp_path / "echo.json"
-    echo.write_text(json.dumps({"sigma": doc["sigma"], "mu": doc["mu"], "r": doc["r"]}))
+    assert "r" not in doc
+    echo.write_text(json.dumps({"sigma": doc["sigma"], "mu": doc["mu"]}))
     code, out2, _ = run_cli(["analyze", "--config", str(echo)], capsys)
     assert code == 0
     assert out1 == out2
@@ -100,6 +101,43 @@ def test_bad_config_exit_code(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     code, _, _ = run_cli(["analyze", "--config", str(missing)], capsys)
     assert code == 2
+    bad.write_bytes(b"\xff\xfe{}")
+    code, _, err = run_cli(["analyze", "--config", str(bad)], capsys)
+    assert code == 2
+    assert "invalid JSON" in err
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([1, 2], "JSON object"),
+        ({"sigma": [[1, 0], [0, 1]], "mu": ["a", -1]}, "mu must be numeric"),
+        ({"sigma": [[1, 0], [0, "x"]], "mu": [-1, -1]}, "sigma must be numeric"),
+        ({"sigma": [[1, 0], [0]], "mu": [-1, -1]}, "sigma must be numeric"),
+        ({"sigma": [[1, 0], [0, 1]], "mu": [-1, [-1]]}, "mu must be numeric"),
+        ({"sigma": [[1, 0], [0, 1]], "mu": [-1, -1, -1]}, "mu must be a 2-vector"),
+        (
+            {"sigma": [[1, 0], [0, 1]], "mu": [-1, -1], "r": [[1, 0.2], [0, 1]]},
+            "r must be the identity",
+        ),
+    ],
+)
+def test_malformed_config_exit_code(doc, message, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(["analyze", "--config", str(bad)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_identity_r_is_accepted(diag_config, tmp_path, capsys):
+    with_r = tmp_path / "with_r.json"
+    doc = json.loads(open(diag_config).read())
+    with_r.write_text(json.dumps({**doc, "r": [[1, 0], [0, 1]]}))
+    code, out, _ = run_cli(["analyze", "--config", str(with_r)], capsys)
+    assert code == 0
+    assert out == run_cli(["analyze", "--config", diag_config], capsys)[1]
 
 
 def test_asympt(diag_config, capsys):

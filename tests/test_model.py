@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_ergodic
-from rbmq import derived_scalars, params_from_dict, params_to_dict, validate_parameters
+from rbmq import (
+    ModelParams,
+    derived_scalars,
+    params_from_dict,
+    params_to_dict,
+    validate_parameters,
+)
 from rbmq.errors import (
     NonSymmetricCovarianceError,
     NotErgodicError,
@@ -17,15 +24,18 @@ from rbmq.errors import (
 SQRT2 = np.sqrt(2.0)
 
 
-def test_identity_reflection_valid(diag):
-    assert diag.identity_reflection
+def test_model_is_sigma_and_mu(diag):
+    assert [f.name for f in dataclasses.fields(ModelParams)] == ["sigma", "mu"]
     assert diag.det_sigma == 1.0
 
 
 def test_not_ergodic_lists_failures():
     with pytest.raises(NotErgodicError) as err:
         validate_parameters([[1, 0], [0, 1]], [1, -1])
-    assert any("r22*mu1" in f for f in err.value.failed)
+    assert err.value.failed == ("mu1 < 0 fails (mu1=1.0)",)
+    with pytest.raises(NotErgodicError) as err:
+        validate_parameters([[1, 0], [0, 1]], [0.0, 2.0])
+    assert [f.split()[0] for f in err.value.failed] == ["mu1", "mu2"]
 
 
 def test_singular_covariance():
@@ -46,8 +56,10 @@ def test_shape_and_finite_guards():
 
 
 def test_general_reflection_ergodic():
-    p = validate_parameters([[1, 0], [0, 1]], [-1, -1], r=[[1, 0.2], [0.0, 1]])
-    assert not p.identity_reflection
+    # reflection is orthogonal by construction; any other r is refused
+    for r in ([[1, 0.2], [0.0, 1]], [[2, 0], [0, 2]], [1, 0, 0, 1], "I"):
+        with pytest.raises(ValidationError, match="^r must be"):
+            params_from_dict({"sigma": [[1, 0], [0, 1]], "mu": [-1, -1], "r": r})
 
 
 def test_derived_scalars_diag(diag):
@@ -107,12 +119,13 @@ def test_json_round_trip(corr):
     p2 = params_from_dict(json.loads(text))
     assert np.array_equal(p2.sigma, corr.sigma)
     assert np.array_equal(p2.mu, corr.mu)
-    assert np.array_equal(p2.r, corr.r)
+    assert sorted(d) == ["mu", "sigma"]
 
 
 def test_json_r_optional():
     p = params_from_dict({"sigma": [[1, 0], [0, 1]], "mu": [-1, -1]})
-    assert p.identity_reflection
+    q = params_from_dict({"sigma": [[1, 0], [0, 1]], "mu": [-1, -1], "r": [[1, 0], [0, 1]]})
+    assert np.array_equal(p.sigma, q.sigma) and np.array_equal(p.mu, q.mu)
 
 
 def test_json_missing_field():

@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from rbmq import make_bundle, validate_parameters
+from rbmq import make_bundle
 from rbmq.errors import (
     MethodDisagreementError,
-    NonIdentityReflectionError,
     NotDiagonalError,
     StepSizeWarning,
 )
@@ -58,12 +57,6 @@ def test_simconfig_validation():
         SimConfig(burn_in=10.0, horizon=5.0)
     with pytest.raises(ValueError):
         SimConfig(batches=1)
-
-
-def test_simulate_requires_identity_reflection(diag):
-    p = validate_parameters(diag.sigma, diag.mu, r=[[1.0, 0.2], [0.0, 1.0]])
-    with pytest.raises(NonIdentityReflectionError):
-        simulate(p, SMALL)
 
 
 def test_simulate_step_warning(diag):

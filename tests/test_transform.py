@@ -15,15 +15,11 @@ from rbmq.checks import (
 from rbmq.errors import (
     AtPoleError,
     AtZeroError,
-    BranchAmbiguityError,
-    NonIdentityReflectionError,
     OnCutError,
     OnKernelCurveError,
-    OutsideDomainError,
 )
 from rbmq.kernel import theta1_branch, theta2_branch
 from rbmq.transform import (
-    continuation_check,
     phi1_deriv,
     phi1_eval,
     phi2_eval,
@@ -46,13 +42,6 @@ def test_bundle_constants_diag(diag):
     assert b.w1_prime0 == pytest.approx(-2.0, rel=1e-14)
     assert b.phi1_at_0 == 1.0
     assert b.phi2_at_0 == 1.0
-    assert b.swapped.w1_prime0 == pytest.approx(b.w2_prime0)
-
-
-def test_bundle_requires_identity_reflection(diag):
-    p = validate_parameters(diag.sigma, diag.mu, r=[[1.0, 0.2], [0.0, 1.0]])
-    with pytest.raises(NonIdentityReflectionError):
-        make_bundle(p)
 
 
 def test_w_closed_form_diag(diag):
@@ -207,24 +196,13 @@ def test_phi1_deriv_matches_finite_differences(corr):
 
 
 def test_continuation_identity(diag, corr):
-    b = make_bundle(diag)
-    assert continuation_check(b, -1.0) < 1e-9
-    assert continuation_check(b, 0.0) == 0.0
-    bc = make_bundle(corr)
+    # phi1(t2) = -(t2/Theta1_minus) phi2(Theta1_minus) continues phi1
+    # through the minus preimage: the cross-transform identity there
+    theta1 = theta1_branch(diag, -1.0, "minus")
+    assert cross_transform_residual(make_bundle(diag), theta1, -1.0) < 1e-9
     rng = np.random.default_rng(3)
-    worst = 0.0
-    for _ in range(100):
-        z = complex(-rng.uniform(0.05, 4.0), rng.uniform(-3.0, 3.0))
-        worst = max(worst, continuation_check(bc, z))
-    assert worst < 1e-9
-
-
-def test_continuation_domain_and_branch_guards(diag):
-    b = make_bundle(diag)
-    with pytest.raises(OutsideDomainError):
-        continuation_check(b, 2.0)
-    with pytest.raises(BranchAmbiguityError):
-        continuation_check(b, b.scalars.theta2_plus)
+    z = np.array([complex(-rng.uniform(0.05, 4.0), rng.uniform(-3.0, 3.0)) for _ in range(100)])
+    assert cross_transform_residual(make_bundle(corr), theta1_branch(corr, z, "minus"), z) < 1e-9
 
 
 def test_gluing_and_boundary_condition_on_curve(corr):

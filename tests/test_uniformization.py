@@ -76,7 +76,7 @@ def test_two_sheet_identities(corr):
     b = make_bundle(corr)
     rng = np.random.default_rng(2)
     s = rng.uniform(0.1, 10, 500) * np.exp(1j * rng.uniform(-np.pi, np.pi, 500))
-    assert two_sheet_residual(b, s) < 1e-12
+    assert two_sheet_residual(b, s, *theta_of_s(b, s)) < 1e-12
 
 
 def test_unit_circle_gives_real_points(corr):
@@ -144,7 +144,7 @@ def test_group_elements_are_involutions(corr):
     assert np.max(np.abs(zz - s)) < 1e-12 * np.max(1 + np.abs(s))
     assert np.max(np.abs(ee - s)) < 1e-12 * np.max(1 + np.abs(s))
     # generators fix their coordinate
-    assert two_sheet_residual(b, s) < 1e-12
+    assert two_sheet_residual(b, s, *theta_of_s(b, s)) < 1e-12
 
 
 def test_group_orders(diag, beta_third, regime2, corr):
@@ -157,7 +157,6 @@ def test_group_orders(diag, beta_third, regime2, corr):
     assert not rep.finite
     assert rep.order is None
     assert "infinite within bound 1000000" in rep.note
-    assert rep.generator_residual < 1e-12
 
 
 def test_solution_nature(diag, beta_third, regime2, corr):
