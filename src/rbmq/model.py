@@ -52,32 +52,33 @@ class ModelParams:
         for name in ("sigma", "mu"):
             getattr(self, name).setflags(write=False)
 
-    # scalar accessors used throughout the kernel algebra
-    @property
+    # scalar accessors used throughout the kernel algebra, computed once
+    # per instance (the arrays are read-only)
+    @cached_property
     def s11(self) -> float:
         return float(self.sigma[0, 0])
 
-    @property
+    @cached_property
     def s12(self) -> float:
         return float(self.sigma[0, 1])
 
-    @property
+    @cached_property
     def s22(self) -> float:
         return float(self.sigma[1, 1])
 
-    @property
+    @cached_property
     def m1(self) -> float:
         return float(self.mu[0])
 
-    @property
+    @cached_property
     def m2(self) -> float:
         return float(self.mu[1])
 
-    @property
+    @cached_property
     def det_sigma(self) -> float:
         return self.s11 * self.s22 - self.s12 * self.s12
 
-    @property
+    @cached_property
     def scale(self) -> float:
         """Magnitude used to normalise residual tolerances."""
         return max(float(np.abs(self.sigma).max()), float(np.abs(self.mu).max()))

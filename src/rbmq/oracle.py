@@ -6,13 +6,23 @@ Simulation
 Euler scheme with componentwise projection: Y = Z + mu h + sqrt(h) A xi
 with A the Cholesky factor of sigma, then Z' = max(Y, 0) and the local
 time increments read off as the clipped negatives.  With orthogonal
-reflection each coordinate satisfies a one-dimensional Lindley
-recursion, so a whole chunk of the path is computed vectorised from
-cumulative sums and running minima; the result is the same chain as the
-stepwise scheme.  Batches are independent replicas, each with its own
-burn-in and its own RNG stream spawned from one seed, merged by batch
-index, so output is deterministic for a fixed seed regardless of how
-many worker threads run.
+reflection each coordinate is a one-dimensional Skorokhod problem: with
+T the running sum of increments since a chunk began at z0 and
+M = min(-z0, running minimum of T), the path is Z = T - M and the local
+time is the regulator L = -z0 - M, the same chain as the stepwise
+scheme.  L grows only at real boundary hits, so the boundary
+histograms see no rounding noise, and a chunk's local time telescopes
+to L at its end minus L before its measured segment.
+
+Each chunk's normals are drawn in one call per coordinate, then the
+recursion walks them in cache-sized blocks, carrying the last T and M
+from block to block; the cumulative sum and minimum, and so the path,
+are bit for bit those of the whole chunk.  Observables are gathered
+per chunk in step order, so no result depends on the block size.
+Batches are independent replicas, each with its own burn-in and its own
+RNG stream spawned from one seed, merged by batch index, so output is
+deterministic for a fixed seed regardless of how many worker threads
+run.
 
 Inversion
 ---------
@@ -23,6 +33,7 @@ weights, real nodes only) serves as an independent cross-check.
 """
 from __future__ import annotations
 
+import logging
 import math
 import os
 import warnings
@@ -39,6 +50,7 @@ from .errors import (
     MethodDisagreementError,
     NotDiagonalError,
     StepSizeWarning,
+    ValidationError,
 )
 from .model import ModelParams
 from .transform import TransformBundle, phi1_eval
@@ -58,11 +70,14 @@ __all__ = [
     "DEFAULT_THETA_GRID",
 ]
 
+log = logging.getLogger(__name__)
+
 DEFAULT_THETA_GRID = tuple(
     (a, c) for a in (-1.0, -0.5, -0.1) for c in (-1.0, -0.5, -0.1)
 )
 
-_CHUNK = 1 << 21  # steps per vectorised chunk (~100 MB of scratch)
+_CHUNK = 1 << 21  # steps per RNG draw: the two normal buffers are 2 x 16 MB per worker
+_BLOCK = 1 << 15  # steps per cache-resident block of the Lindley recursion
 
 
 @dataclass(frozen=True)
@@ -86,14 +101,16 @@ class SimConfig:
     bins: int = 60
 
     def __post_init__(self):
-        if self.step <= 0 or self.horizon <= 0 or self.burn_in < 0:
-            raise ValueError("step and horizon must be positive, burn_in non-negative")
+        if not (0 < self.step < math.inf and 0 < self.horizon < math.inf and self.burn_in >= 0):
+            raise ValidationError(
+                "step and horizon must be positive and finite, burn_in non-negative"
+            )
         if self.burn_in >= self.horizon:
-            raise ValueError("burn_in must be smaller than horizon")
+            raise ValidationError("burn_in must be smaller than horizon")
         if self.batches < 2:
-            raise ValueError("batch-means errors need at least 2 batches")
+            raise ValidationError("batch-means errors need at least 2 batches")
         if self.bins < 2:
-            raise ValueError("need at least 2 histogram bins")
+            raise ValidationError("need at least 2 histogram bins")
 
 
 @dataclass(frozen=True)
@@ -128,20 +145,72 @@ class DensityTable:
         self.values.setflags(write=False)
 
 
-def _lindley_chunk(z0: float, incr: np.ndarray):
-    """Exact vectorised projection recursion for one coordinate.
+class _Skorokhod:
+    """One coordinate's reflected walk over a chunk, advanced block by block.
 
-    z_n = max(z0 + T_n, T_n - min_{0<=j<=n} T_j) with T the running sum
-    of increments; returns the path and the per-step local-time
-    increments dl = z - (z_prev + incr).
+    With T the chunk's running sum of increments and
+    M_n = min(-z0, T_0, ..., T_n), the path is z_n = T_n - M_n, the same
+    bits as the projection recursion max(z0 + T_n, T_n - min(0, T_0..T_n)),
+    and the local time is the Skorokhod regulator L_n = -z0 - M_n.  The
+    carry between blocks is the last T and the last M, so every block
+    reproduces the whole-chunk cumulative sum and minimum exactly.
     """
-    t = np.cumsum(incr)
-    m = np.minimum.accumulate(np.minimum(t, 0.0))
-    z = np.maximum(z0 + t, t - m)
-    y = np.empty_like(z)
-    y[0] = z0 + incr[0]
-    y[1:] = z[:-1] + incr[1:]
-    return z, z - y
+
+    def __init__(self, block: int):
+        # slot 0 holds the carried minimum, slots 1.. the block's values
+        self._t = np.empty(block + 1)
+        self._m = np.empty(block + 1)
+        self._down = np.empty(block, dtype=bool)
+
+    def start(self, z0: float) -> None:
+        """Begin a chunk at z0; nothing carried yet."""
+        self.z0 = z0
+        self.t_end = 0.0
+        self.m_end = -z0
+
+    def advance(self, incr: np.ndarray) -> None:
+        """Advance over one block, keeping its T and M; incr is overwritten."""
+        k = incr.size
+        t, m = self._t[: k + 1], self._m[: k + 1]
+        incr[0] += self.t_end
+        np.cumsum(incr, out=t[1:])
+        t[0] = self.m_end
+        np.fmin.accumulate(t, out=m)
+        self.t_end = float(t[k])
+        self.m_end = float(m[k])
+        self._k = k
+
+    @property
+    def z_end(self) -> float:
+        """z after the last step walked."""
+        return self.t_end - self.m_end
+
+    @property
+    def l_end(self) -> float:
+        """L after the last step walked."""
+        return -self.z0 - self.m_end
+
+    def path(self, idx: np.ndarray) -> np.ndarray:
+        """z at block-local step indices idx (last block advanced)."""
+        return self._t[idx + 1] - self._m[idx + 1]
+
+    def regulator(self, j: int) -> float:
+        """L after block-local step j of the last block advanced
+        (j = -1: before it)."""
+        return -self.z0 - float(self._m[j + 1])
+
+    def hits(self, first: int):
+        """Block-local steps >= first where L grows, and its increments.
+
+        dl = L_n - L_(n-1) is exactly 0 off boundary hits, so only real
+        hits are returned."""
+        k = self._k
+        m = self._m[: k + 1]
+        down = np.less(m[1:], m[:-1], out=self._down[:k])
+        h = np.flatnonzero(down[first:]) + first
+        dl = (-self.z0 - m[h + 1]) - (-self.z0 - m[h])
+        keep = dl > 0
+        return h[keep], dl[keep]
 
 
 def _uniform_hist(vals, inv_width: float, nbins: int, weights=None):
@@ -154,7 +223,12 @@ def _uniform_hist(vals, inv_width: float, nbins: int, weights=None):
 
 
 def _run_batch(p, cfg, theta_grid, edges1, edges2, n_burn, n_meas, thin, seed_seq):
-    """One replica: burn-in, then accumulate thinned observables."""
+    """One replica: burn-in, then accumulate thinned observables.
+
+    Each chunk draws its normals in one call per coordinate (the RNG
+    stream), then walks them in cache-sized blocks.  Observables are
+    gathered per chunk in step order and reduced once per chunk, so no
+    result depends on the block size."""
     rng = np.random.default_rng(seed_seq)
     chol = np.linalg.cholesky(p.sigma)
     drift = p.mu * cfg.step
@@ -175,42 +249,71 @@ def _run_batch(p, cfg, theta_grid, edges1, edges2, n_burn, n_meas, thin, seed_se
     bhist1 = np.zeros(nb)
     bhist2 = np.zeros(nb)
 
+    total = n_burn + n_meas
+    xi1 = np.empty(min(_CHUNK, total))
+    xi2 = np.empty_like(xi1)
+    block = min(_BLOCK, xi1.size)
+    incr2 = np.empty(block)
+    w1, w2 = _Skorokhod(block), _Skorokhod(block)
+
     z1 = z2 = 0.0
     done = 0
-    total = n_burn + n_meas
     while done < total:
         n = min(_CHUNK, total - done)
-        xi1 = rng.standard_normal(n)
-        xi2 = rng.standard_normal(n)
-        incr2 = a21 * xi1 + a22 * xi2 + drift[1]
-        xi1 *= a11
-        xi1 += drift[0]
-        p1, dl1 = _lindley_chunk(z1, xi1)
-        p2, dl2 = _lindley_chunk(z2, incr2)
-        z1 = float(p1[-1])
-        z2 = float(p2[-1])
+        rng.standard_normal(out=xi1[:n])
+        rng.standard_normal(out=xi2[:n])
+        w1.start(z1)
+        w2.start(z2)
 
         lo = max(n_burn - done, 0)  # first measured index within this chunk
+        # thinned sampling times, phase-locked to the measured segment
+        first = (-(done + lo - n_burn)) % thin
+        idx = np.arange(lo + first, n, thin)
+        s1 = np.empty(idx.size)
+        s2 = np.empty(idx.size)
+        hits1, hits2 = [], []
+        l_lo1 = l_lo2 = 0.0  # L just before the measured segment
+        for b0 in range(0, n, block):
+            b1 = min(b0 + block, n)
+            x1 = xi1[b0:b1]
+            x2 = xi2[b0:b1]
+            # increments in place, summed in the order that fixes their
+            # bits: a21 xi1 + a22 xi2 + drift2 (before xi1 is
+            # overwritten), then a11 xi1 + drift1
+            i2 = np.multiply(x1, a21, out=incr2[: b1 - b0])
+            x2 *= a22
+            i2 += x2
+            i2 += drift[1]
+            x1 *= a11
+            x1 += drift[0]
+            w1.advance(x1)
+            w2.advance(i2)
+            if b1 <= lo:
+                continue  # burn-in: only the carry matters
+            start = max(lo - b0, 0)
+            if b0 <= lo:  # first measured block
+                l_lo1, l_lo2 = w1.regulator(start - 1), w2.regulator(start - 1)
+            ka, kb = np.searchsorted(idx, (b0, b1))
+            s1[ka:kb] = w1.path(idx[ka:kb] - b0)
+            s2[ka:kb] = w2.path(idx[ka:kb] - b0)
+            h, dl = w1.hits(start)
+            hits1.append((w2.path(h), dl))
+            h, dl = w2.hits(start)
+            hits2.append((w1.path(h), dl))
+        z1, z2 = w1.z_end, w2.z_end
+
         if lo < n:
-            l1 += float(dl1[lo:].sum())
-            l2 += float(dl2[lo:].sum())
-            # thinned sampling times, phase-locked to the measured segment
-            meas_start = done + lo - n_burn
-            first = (-meas_start) % thin
-            idx = np.arange(lo + first, n, thin)
+            l1 += w1.l_end - l_lo1
+            l2 += w2.l_end - l_lo2
             if idx.size:
-                s1 = p1[idx]
-                s2 = p2[idx]
                 acc += np.exp(np.outer(th1, s1) + np.outer(th2, s2)).sum(axis=1)
                 n_acc += idx.size
                 mhist1 += _uniform_hist(s1, inv_w1, nb)
                 mhist2 += _uniform_hist(s2, inv_w2, nb)
-            hit1 = np.flatnonzero(dl1[lo:] > 0) + lo
-            if hit1.size:
-                bhist1 += _uniform_hist(p2[hit1], inv_w2, nb, weights=dl1[hit1])
-            hit2 = np.flatnonzero(dl2[lo:] > 0) + lo
-            if hit2.size:
-                bhist2 += _uniform_hist(p1[hit2], inv_w1, nb, weights=dl2[hit2])
+            at, dl = map(np.concatenate, zip(*hits1))
+            bhist1 += _uniform_hist(at, inv_w2, nb, weights=dl)
+            at, dl = map(np.concatenate, zip(*hits2))
+            bhist2 += _uniform_hist(at, inv_w1, nb, weights=dl)
         done += n
 
     t_meas = n_meas * cfg.step
@@ -226,12 +329,36 @@ def _run_batch(p, cfg, theta_grid, edges1, edges2, n_burn, n_meas, thin, seed_se
     )
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_count(batches: int) -> int:
+    """Worker threads for `batches` replicas: the available CPUs, capped
+    by the batch count and lowered (never raised) by RBMQ_THREADS."""
+    cap = min(_cpu_count(), batches)
+    raw = os.environ.get("RBMQ_THREADS", "")
+    if not raw:
+        return cap
+    try:
+        asked = int(raw)
+    except ValueError:
+        asked = 0
+    if asked < 1:
+        raise ValidationError(f"RBMQ_THREADS must be an integer >= 1, got {raw!r}")
+    return min(asked, cap)
+
+
 def simulate(p: ModelParams, cfg: Optional[SimConfig] = None, theta_grid=None) -> SimResult:
     """Simulate the reflected diffusion and summarise its stationary law.
 
     The projection step is the exact discrete Skorokhod map because the
-    reflection is orthogonal.  Thread count is capped by the
-    RBMQ_THREADS environment variable; results do not depend on it.
+    reflection is orthogonal.  Batches run on one worker thread per
+    available CPU (at most one per batch), fewer if the RBMQ_THREADS
+    environment variable asks for fewer; results do not depend on it.
     """
     cfg = cfg or SimConfig()
     mu_max = float(np.abs(p.mu).max())
@@ -258,7 +385,8 @@ def simulate(p: ModelParams, cfg: Optional[SimConfig] = None, theta_grid=None) -
     thin = max(1, int(round(cfg.thin_time / cfg.step)))
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.batches)
 
-    threads = int(os.environ.get("RBMQ_THREADS", "1") or "1")
+    threads = _worker_count(cfg.batches)
+    log.debug("simulate: %d worker thread(s) for %d batches", threads, cfg.batches)
 
     def run(batch_index):
         return _run_batch(

@@ -133,7 +133,8 @@ def test_malformed_config_exit_code(doc, message, tmp_path, capsys):
 
 def test_identity_r_is_accepted(diag_config, tmp_path, capsys):
     with_r = tmp_path / "with_r.json"
-    doc = json.loads(open(diag_config).read())
+    with open(diag_config, encoding="utf-8") as fh:
+        doc = json.load(fh)
     with_r.write_text(json.dumps({**doc, "r": [[1, 0], [0, 1]]}))
     code, out, _ = run_cli(["analyze", "--config", str(with_r)], capsys)
     assert code == 0
@@ -171,6 +172,35 @@ def test_simulate_csv(diag_config, capsys):
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert any(r["kind"] == "laplace" for r in rows)
+
+
+SIM_ARGS = ["--step", "2e-4", "--horizon", "30", "--burn-in", "2", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--batches", "1"], "at least 2 batches"),
+        (["--batches", "3", "--step", "-1"], "step and horizon must be positive"),
+    ],
+)
+def test_simulate_bad_config_exit_code(diag_config, capsys, extra, message):
+    code, out, err = run_cli(
+        ["simulate", "--config", diag_config, *SIM_ARGS, *extra], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_simulate_bad_rbmq_threads_exit_code(diag_config, capsys, monkeypatch):
+    monkeypatch.setenv("RBMQ_THREADS", "abc")
+    code, out, err = run_cli(
+        ["simulate", "--config", diag_config, *SIM_ARGS, "--batches", "3"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "RBMQ_THREADS" in err
 
 
 def test_check_exit_codes(diag_config, capsys):

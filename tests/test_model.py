@@ -29,6 +29,27 @@ def test_model_is_sigma_and_mu(diag):
     assert diag.det_sigma == 1.0
 
 
+def test_scalar_accessors_cached_and_exact():
+    # computed once per instance, with the bits of the array expressions
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        p = random_ergodic(rng)
+        s, m = p.sigma, p.mu
+        fresh = {
+            "s11": float(s[0, 0]),
+            "s12": float(s[0, 1]),
+            "s22": float(s[1, 1]),
+            "m1": float(m[0]),
+            "m2": float(m[1]),
+            "det_sigma": float(s[0, 0]) * float(s[1, 1]) - float(s[0, 1]) * float(s[0, 1]),
+            "scale": max(float(np.abs(s).max()), float(np.abs(m).max())),
+        }
+        for name, want in fresh.items():
+            got = getattr(p, name)
+            assert type(got) is float and got.hex() == want.hex(), name
+            assert vars(p)[name] is got and getattr(p, name) is got
+
+
 def test_not_ergodic_lists_failures():
     with pytest.raises(NotErgodicError) as err:
         validate_parameters([[1, 0], [0, 1]], [1, -1])

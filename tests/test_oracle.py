@@ -1,15 +1,17 @@
 import csv
 import io
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from rbmq import make_bundle
+from rbmq import make_bundle, oracle
 from rbmq.errors import (
     MethodDisagreementError,
     NotDiagonalError,
     StepSizeWarning,
+    ValidationError,
 )
 from rbmq.oracle import (
     SimConfig,
@@ -20,7 +22,7 @@ from rbmq.oracle import (
     sim_result_to_csv,
     simulate,
     talbot_invert,
-    _lindley_chunk,
+    _Skorokhod,
 )
 from rbmq.transform import phi1_eval, phi_eval
 
@@ -40,14 +42,43 @@ def _sequential_reference(z0, incr):
     return z, dl
 
 
+def _blocked_kernel(z0, incr, block):
+    """Path, per-step local time and telescoped local time of the blocked
+    kernel, walked block by block with its carry."""
+    walk = _Skorokhod(block)
+    walk.start(z0)
+    z = np.empty(len(incr))
+    dl = np.zeros(len(incr))
+    for b0 in range(0, len(incr), block):
+        part = incr[b0 : b0 + block].copy()
+        walk.advance(part)
+        z[b0 : b0 + part.size] = walk.path(np.arange(part.size))
+        h, d = walk.hits(0)
+        dl[b0 + h] = d
+    return z, dl, walk.l_end
+
+
 def test_lindley_matches_sequential_scheme():
     rng = np.random.default_rng(0)
     incr = rng.normal(-0.001, 0.02, 5000)
     for z0 in (0.0, 0.3):
-        z_fast, dl_fast = _lindley_chunk(z0, incr)
+        z_fast, dl_fast, total = _blocked_kernel(z0, incr, 97)
         z_ref, dl_ref = _sequential_reference(z0, incr)
         assert np.max(np.abs(z_fast - z_ref)) < 1e-11
         assert abs(dl_fast.sum() - dl_ref.sum()) < 1e-11
+        assert abs(total - dl_ref.sum()) < 1e-11
+        # the regulator moves only at real hits, by the reference's amount
+        assert np.all(dl_fast[dl_ref == 0] == 0)
+        assert np.max(np.abs(dl_fast - dl_ref)) < 1e-11
+        # the path has the bits of the whole-chunk projection formula
+        t = np.cumsum(incr)
+        z_chunk = np.maximum(z0 + t, t - np.minimum.accumulate(np.minimum(t, 0.0)))
+        assert z_fast.tobytes() == z_chunk.tobytes()
+        # carrying across blocks reproduces the unblocked walk bit for bit
+        z_one, dl_one, total_one = _blocked_kernel(z0, incr, incr.size)
+        assert z_fast.tobytes() == z_one.tobytes()
+        assert dl_fast.tobytes() == dl_one.tobytes()
+        assert total == total_one
 
 
 def test_simconfig_validation():
@@ -57,6 +88,17 @@ def test_simconfig_validation():
         SimConfig(burn_in=10.0, horizon=5.0)
     with pytest.raises(ValueError):
         SimConfig(batches=1)
+    for bad in (
+        {"step": -1.0},
+        {"step": math.nan},
+        {"horizon": math.inf},
+        {"burn_in": -1.0},
+        {"burn_in": 10.0, "horizon": 5.0},
+        {"batches": 1},
+        {"bins": 1},
+    ):
+        with pytest.raises(ValidationError):
+            SimConfig(**bad)
 
 
 def test_simulate_step_warning(diag):
@@ -80,18 +122,132 @@ def test_simulate_matches_transform_values(diag):
     assert res.measured_time == pytest.approx(380.0, rel=1e-12)
 
 
+def _assert_same_result(a, b):
+    """Every SimResult field equal, bit for bit."""
+    assert a.laplace_estimates == b.laplace_estimates
+    assert a.local_time_rates == b.local_time_rates
+    assert a.measured_time == b.measured_time
+    assert a.config == b.config and a.theta_grid == b.theta_grid
+    for name in ("marginal_histograms", "boundary_histograms"):
+        ha, hb = getattr(a, name), getattr(b, name)
+        assert ha.keys() == hb.keys()
+        for key in ha:
+            for xa, xb in zip(ha[key], hb[key]):
+                assert xa.tobytes() == xb.tobytes(), (name, key)
+
+
 def test_simulate_deterministic_and_thread_invariant(diag, monkeypatch):
     cfg = SimConfig(step=2e-4, horizon=60.0, burn_in=5.0, seed=3, batches=4)
     res1 = simulate(diag, cfg)
     res2 = simulate(diag, cfg)
     assert res1.laplace_estimates == res2.laplace_estimates
     assert res1.local_time_rates == res2.local_time_rates
+    _assert_same_result(res1, res2)
     monkeypatch.setenv("RBMQ_THREADS", "3")
     res3 = simulate(diag, cfg)
     assert res3.laplace_estimates == res1.laplace_estimates
     np.testing.assert_array_equal(
         res3.boundary_histograms["nu1"][1], res1.boundary_histograms["nu1"][1]
     )
+    _assert_same_result(res3, res1)
+    monkeypatch.setenv("RBMQ_THREADS", "1")
+    _assert_same_result(simulate(diag, cfg), res1)
+
+
+@pytest.mark.parametrize("burn_in", [1.234, 1.194])
+def test_simulate_block_invariant(corr, monkeypatch, burn_in):
+    # 1000-step chunks; burn-in ends at step 234 of the second chunk,
+    # inside a 97-step block (or at step 194, on a block edge), and the
+    # 7-step thinning phase shifts from chunk to chunk
+    cfg = SimConfig(step=1e-3, horizon=20.0 + burn_in, burn_in=burn_in, seed=4,
+                    batches=4, thin_time=0.007)
+    monkeypatch.setattr(oracle, "_CHUNK", 1000)
+    whole = simulate(corr, cfg)
+    monkeypatch.setattr(oracle, "_BLOCK", 97)
+    blocked = simulate(corr, cfg)
+    _assert_same_result(blocked, whole)
+    assert whole.local_time_rates[0][0] > 0 and whole.local_time_rates[1][0] > 0
+
+
+class _PoolRecorder:
+    """Stands in for ThreadPoolExecutor: records max_workers and runs the
+    batches serially in the calling thread."""
+
+    def __init__(self, created):
+        self.created = created
+
+    def __call__(self, max_workers):
+        self.created.append(max_workers)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+TINY = SimConfig(step=1e-3, horizon=2.0, burn_in=0.5, seed=1, batches=6)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    created = []
+    monkeypatch.setattr(oracle, "ThreadPoolExecutor", _PoolRecorder(created))
+    monkeypatch.delenv("RBMQ_THREADS", raising=False)
+    return created
+
+
+def test_worker_count_defaults_to_cpus_capped_by_batches(diag, pools, monkeypatch):
+    cpus = oracle._cpu_count()
+    simulate(diag, TINY)
+    assert pools == ([min(cpus, TINY.batches)] if min(cpus, TINY.batches) > 1 else [])
+    for fake_cpus, want in ((4, 4), (64, TINY.batches)):
+        monkeypatch.setattr(oracle, "_cpu_count", lambda: fake_cpus)
+        pools.clear()
+        simulate(diag, TINY)
+        assert pools == [want]
+
+
+def test_rbmq_threads_lowers_but_never_raises_the_cap(diag, pools, monkeypatch):
+    monkeypatch.setenv("RBMQ_THREADS", "100000")
+    simulate(diag, TINY)
+    assert all(n <= oracle._cpu_count() for n in pools)
+    monkeypatch.setattr(oracle, "_cpu_count", lambda: 4)
+    pools.clear()
+    simulate(diag, TINY)
+    assert pools == [4]
+    monkeypatch.setenv("RBMQ_THREADS", "3")
+    pools.clear()
+    simulate(diag, TINY)
+    assert pools == [3]
+    monkeypatch.setenv("RBMQ_THREADS", "1")
+    pools.clear()
+    simulate(diag, TINY)
+    assert pools == []  # serial path, no pool
+    monkeypatch.setattr(oracle, "_cpu_count", lambda: 1)
+    monkeypatch.delenv("RBMQ_THREADS")
+    simulate(diag, TINY)
+    assert pools == []
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5"])
+def test_rbmq_threads_must_be_a_positive_integer(diag, pools, monkeypatch, raw):
+    monkeypatch.setenv("RBMQ_THREADS", raw)
+    with pytest.raises(ValidationError, match="RBMQ_THREADS"):
+        simulate(diag, TINY)
+    assert pools == []
+
+
+def test_worker_count_logged_once_per_call(diag, pools, monkeypatch, caplog):
+    monkeypatch.setattr(oracle, "_cpu_count", lambda: 4)
+    with caplog.at_level(logging.DEBUG, logger="rbmq.oracle"):
+        simulate(diag, TINY)
+    lines = [r.getMessage() for r in caplog.records if "worker thread" in r.getMessage()]
+    assert lines == ["simulate: 4 worker thread(s) for 6 batches"]
 
 
 def test_simulate_histograms_track_exact_densities(diag):
