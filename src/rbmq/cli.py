@@ -11,7 +11,9 @@ usage, 3 computation refused (pole, cut, wrong regime, ...).
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -98,7 +100,17 @@ def _cmd_analyze(p, args, out) -> int:
 _EVAL_FNS = ("phi", "phi1", "phi2", "w", "psi1", "psi2")
 
 
+def _require_finite(args, *names) -> None:
+    """Refuse a NaN or infinite value of the float options `names`."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and not math.isfinite(value):
+            flag = "--" + name.replace("_", "-")
+            raise ValidationError(f"{flag} must be finite, got {value}")
+
+
 def _cmd_eval(p, args, out) -> int:
+    _require_finite(args, "re", "im", "re1", "im1", "re2", "im2")
     b = transform.make_bundle(p)
     if args.fn == "phi":
         if args.re1 is None or args.re2 is None:
@@ -158,6 +170,7 @@ def _cmd_simulate(p, args, out) -> int:
 
 
 def _cmd_invert(p, args, out) -> int:
+    _require_finite(args, "x_min", "x_max")
     b = transform.make_bundle(p)
     grid = np.linspace(args.x_min, args.x_max, args.points)
     table = oracle.invert_transform(b, args.side, grid)
@@ -242,9 +255,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 
-    sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    # --out is written only once the verb has run (exit 0 or 1), so a
+    # refused command leaves an existing file as it was
+    sink = io.StringIO() if args.out else sys.stdout
     try:
-        return _COMMANDS[args.verb](params, args, sink)
+        code = _COMMANDS[args.verb](params, args, sink)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
@@ -254,9 +269,14 @@ def main(argv=None) -> int:
     except RBMQError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(sink.getvalue())
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BAD_CONFIG
+    return code
 
 
 if __name__ == "__main__":

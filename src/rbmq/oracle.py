@@ -3,26 +3,36 @@ numerical Laplace inversion, and the diagonal-covariance closed forms.
 
 Simulation
 ----------
-Euler scheme with componentwise projection: Y = Z + mu h + sqrt(h) A xi
-with A the Cholesky factor of sigma, then Z' = max(Y, 0) and the local
-time increments read off as the clipped negatives.  With orthogonal
-reflection each coordinate is a one-dimensional Skorokhod problem: with
-T the running sum of increments since a chunk began at z0 and
-M = min(-z0, running minimum of T), the path is Z = T - M and the local
-time is the regulator L = -z0 - M, the same chain as the stepwise
-scheme.  L grows only at real boundary hits, so the boundary
-histograms see no rounding noise, and a chunk's local time telescopes
-to L at its end minus L before its measured segment.
+Exact reflection of each coordinate over every step.  The free walk
+moves by Y = mu h + sqrt(h) A xi with A the Cholesky factor of sigma.
+With orthogonal reflection each coordinate is a one-dimensional
+Skorokhod problem: with T the running sum of increments since a chunk
+began at z0 and M the running minimum of -z0 and of the free path,
+the path is Z = T - M and the local time is the regulator L = -z0 - M.
+The free path's minimum within a step is not its value at either end:
+given the step's increment y, the minimum of a Brownian bridge from 0
+to y over time h with variance s per unit time has
+P(min <= a) = exp(-2 a (a - y) / (s h)) for a <= min(0, y)
+(Asmussen, Glynn & Pitman 1995; Lepingle 1995), and is drawn from a
+standard exponential E by inversion, m = (y - sqrt(y^2 + 2 s h E)) / 2.
+M is the running minimum of -z0 and of T_(n-1) + m_n, the free path's
+lowest point in step n, so the reflection, the local time and the
+boundary hits carry no O(sqrt h) bias.  The two
+coordinates' minima are drawn independently given both endpoints, which
+is exact when s12 = 0 and an approximation otherwise.  L grows only at
+real boundary hits, so the boundary histograms see no rounding noise,
+and a chunk's local time telescopes to L at its end minus L before its
+measured segment.
 
-Each chunk's normals are drawn in one call per coordinate, then the
-recursion walks them in cache-sized blocks, carrying the last T and M
-from block to block; the cumulative sum and minimum, and so the path,
-are bit for bit those of the whole chunk.  Observables are gathered
-per chunk in step order, so no result depends on the block size.
-Batches are independent replicas, each with its own burn-in and its own
-RNG stream spawned from one seed, merged by batch index, so output is
-deterministic for a fixed seed regardless of how many worker threads
-run.
+Each chunk's normals and exponentials are drawn in one call per
+coordinate, then the recursion walks them in cache-sized blocks,
+carrying the last T and M from block to block; the cumulative sum and
+minimum, and so the path, are bit for bit those of the whole chunk.
+Observables are gathered per chunk in step order, so no result depends
+on the block size.  Batches are independent replicas, each with its own
+burn-in and its own RNG stream spawned from one seed, merged by batch
+index, so output is deterministic for a fixed seed regardless of how
+many worker threads run.
 
 Inversion
 ---------
@@ -76,23 +86,30 @@ DEFAULT_THETA_GRID = tuple(
     (a, c) for a in (-1.0, -0.5, -0.1) for c in (-1.0, -0.5, -0.1)
 )
 
-_CHUNK = 1 << 21  # steps per RNG draw: the two normal buffers are 2 x 16 MB per worker
-_BLOCK = 1 << 15  # steps per cache-resident block of the Lindley recursion
+# steps per RNG draw: two normal and two exponential buffers, 4 x 16 MB
+# per worker at full size; the split of draws between them fixes the stream
+_CHUNK = 1 << 21
+_BLOCK = 1 << 15  # steps per cache-resident block of the reflection recursion
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation controls.
 
-    step is the Euler step h; horizon is the total time budget, of
+    step is the time step h of the exactly reflected walk: the path,
+    the local time and the boundary hits are exact at the grid times
+    for each coordinate, so h only has to resolve the drift (see
+    StepSizeWarning) and, with s12 != 0, the coupling of the two
+    coordinates' in-step minima.  horizon is the total time budget, of
     which (horizon - burn_in) is split evenly across `batches`
     independent replicas (each replica additionally burns in for
     burn_in time units).  Observables are accumulated every thin_time
-    units of simulated time, which is statistically free because the
-    integrands decorrelate on O(1) timescales.
+    units of simulated time, rounded to a whole number of steps (at
+    least one), which is statistically free because the integrands
+    decorrelate on O(1) timescales.
     """
 
-    step: float = 2e-5
+    step: float = 2e-3
     horizon: float = 1e4
     burn_in: float = 100.0
     seed: int = 0
@@ -105,10 +122,17 @@ class SimConfig:
             raise ValidationError(
                 "step and horizon must be positive and finite, burn_in non-negative"
             )
+        if not 0 < self.thin_time < math.inf:
+            raise ValidationError("thin_time must be positive and finite")
         if self.burn_in >= self.horizon:
             raise ValidationError("burn_in must be smaller than horizon")
         if self.batches < 2:
             raise ValidationError("batch-means errors need at least 2 batches")
+        if (self.horizon - self.burn_in) / self.batches < self.step:
+            raise ValidationError(
+                "each batch's measured segment (horizon - burn_in) / batches "
+                "must be at least one step"
+            )
         if self.bins < 2:
             raise ValidationError("need at least 2 histogram bins")
 
@@ -145,20 +169,43 @@ class DensityTable:
         self.values.setflags(write=False)
 
 
+def _bridge_minimum(y: np.ndarray, expo: np.ndarray, var_h: float, out: np.ndarray) -> np.ndarray:
+    """Minimum over one step of a Brownian bridge from 0 to y, per element.
+
+    var_h is the variance of the step, s h; expo holds standard
+    exponential draws E and is overwritten.  Inverting
+    P(min <= a) = exp(-2 a (a - y) / (s h)) at exp(-E) gives
+    m = (y - sqrt(y^2 + 2 s h E)) / 2.  In floating point too m <= min(0, y):
+    the square root of the rounded y^2 is |y| exactly, and every
+    operation rounds monotonically.
+    """
+    np.multiply(y, y, out=out)
+    expo *= 2.0 * var_h
+    out += expo
+    np.sqrt(out, out=out)
+    np.subtract(y, out, out=out)
+    out *= 0.5
+    return out
+
+
 class _Skorokhod:
     """One coordinate's reflected walk over a chunk, advanced block by block.
 
-    With T the chunk's running sum of increments and
-    M_n = min(-z0, T_0, ..., T_n), the path is z_n = T_n - M_n, the same
-    bits as the projection recursion max(z0 + T_n, T_n - min(0, T_0..T_n)),
-    and the local time is the Skorokhod regulator L_n = -z0 - M_n.  The
-    carry between blocks is the last T and the last M, so every block
+    With T the chunk's running sum of increments y, m_n the free walk's
+    minimum within step n relative to T_(n-1) (a Brownian-bridge draw),
+    and M_n = min(-z0, T_0 + m_1, ..., T_(n-1) + m_n), the path is
+    z_n = T_n - M_n, i.e. z_n = max(z_(n-1) + y_n, y_n - m_n), and the
+    local time is the Skorokhod regulator L_n = -z0 - M_n.  The carry
+    between blocks is the last T and the last M, so every block
     reproduces the whole-chunk cumulative sum and minimum exactly.
     """
 
-    def __init__(self, block: int):
-        # slot 0 holds the carried minimum, slots 1.. the block's values
+    def __init__(self, block: int, var_h: float):
+        # slot 0 holds the carried T (in _t) and the carried M (in _b);
+        # slots 1.. the block's values
+        self._var_h = var_h
         self._t = np.empty(block + 1)
+        self._b = np.empty(block + 1)
         self._m = np.empty(block + 1)
         self._down = np.empty(block, dtype=bool)
 
@@ -168,14 +215,18 @@ class _Skorokhod:
         self.t_end = 0.0
         self.m_end = -z0
 
-    def advance(self, incr: np.ndarray) -> None:
-        """Advance over one block, keeping its T and M; incr is overwritten."""
+    def advance(self, incr: np.ndarray, expo: np.ndarray) -> None:
+        """Advance over one block of increments and standard exponentials,
+        keeping its T and M; incr and expo are overwritten."""
         k = incr.size
-        t, m = self._t[: k + 1], self._m[: k + 1]
+        t, b, m = self._t[: k + 1], self._b[: k + 1], self._m[: k + 1]
+        _bridge_minimum(incr, expo, self._var_h, out=b[1:])
         incr[0] += self.t_end
+        t[0] = self.t_end
         np.cumsum(incr, out=t[1:])
-        t[0] = self.m_end
-        np.fmin.accumulate(t, out=m)
+        b[1:] += t[:-1]  # B_n = T_(n-1) + m_n
+        b[0] = self.m_end
+        np.fmin.accumulate(b, out=m)
         self.t_end = float(t[k])
         self.m_end = float(m[k])
         self._k = k
@@ -225,10 +276,10 @@ def _uniform_hist(vals, inv_width: float, nbins: int, weights=None):
 def _run_batch(p, cfg, theta_grid, edges1, edges2, n_burn, n_meas, thin, seed_seq):
     """One replica: burn-in, then accumulate thinned observables.
 
-    Each chunk draws its normals in one call per coordinate (the RNG
-    stream), then walks them in cache-sized blocks.  Observables are
-    gathered per chunk in step order and reduced once per chunk, so no
-    result depends on the block size."""
+    Each chunk draws its normals, then its exponentials, in one call
+    per coordinate (the RNG stream), then walks them in cache-sized
+    blocks.  Observables are gathered per chunk in step order and
+    reduced once per chunk, so no result depends on the block size."""
     rng = np.random.default_rng(seed_seq)
     chol = np.linalg.cholesky(p.sigma)
     drift = p.mu * cfg.step
@@ -252,9 +303,12 @@ def _run_batch(p, cfg, theta_grid, edges1, edges2, n_burn, n_meas, thin, seed_se
     total = n_burn + n_meas
     xi1 = np.empty(min(_CHUNK, total))
     xi2 = np.empty_like(xi1)
+    e1 = np.empty_like(xi1)
+    e2 = np.empty_like(xi1)
     block = min(_BLOCK, xi1.size)
     incr2 = np.empty(block)
-    w1, w2 = _Skorokhod(block), _Skorokhod(block)
+    w1 = _Skorokhod(block, p.s11 * cfg.step)
+    w2 = _Skorokhod(block, p.s22 * cfg.step)
 
     z1 = z2 = 0.0
     done = 0
@@ -262,6 +316,8 @@ def _run_batch(p, cfg, theta_grid, edges1, edges2, n_burn, n_meas, thin, seed_se
         n = min(_CHUNK, total - done)
         rng.standard_normal(out=xi1[:n])
         rng.standard_normal(out=xi2[:n])
+        rng.standard_exponential(out=e1[:n])
+        rng.standard_exponential(out=e2[:n])
         w1.start(z1)
         w2.start(z2)
 
@@ -286,8 +342,8 @@ def _run_batch(p, cfg, theta_grid, edges1, edges2, n_burn, n_meas, thin, seed_se
             i2 += drift[1]
             x1 *= a11
             x1 += drift[0]
-            w1.advance(x1)
-            w2.advance(i2)
+            w1.advance(x1, e1[b0:b1])
+            w2.advance(i2, e2[b0:b1])
             if b1 <= lo:
                 continue  # burn-in: only the carry matters
             start = max(lo - b0, 0)
@@ -355,10 +411,13 @@ def _worker_count(batches: int) -> int:
 def simulate(p: ModelParams, cfg: Optional[SimConfig] = None, theta_grid=None) -> SimResult:
     """Simulate the reflected diffusion and summarise its stationary law.
 
-    The projection step is the exact discrete Skorokhod map because the
-    reflection is orthogonal.  Batches run on one worker thread per
-    available CPU (at most one per batch), fewer if the RBMQ_THREADS
-    environment variable asks for fewer; results do not depend on it.
+    Because the reflection is orthogonal, each coordinate is reflected
+    exactly over every step, with its in-step minimum drawn from the
+    Brownian-bridge law; the one approximation left is that the two
+    coordinates' minima are drawn independently (exact when s12 = 0).
+    Batches run on one worker thread per available CPU (at most one per
+    batch), fewer if the RBMQ_THREADS environment variable asks for
+    fewer; results do not depend on it.
     """
     cfg = cfg or SimConfig()
     mu_max = float(np.abs(p.mu).max())
@@ -531,8 +590,8 @@ def invert_transform(
     if side not in ("nu1", "nu2"):
         raise ValueError("side must be 'nu1' or 'nu2'")
     xs = np.atleast_1d(np.asarray(grid, dtype=float))
-    if np.any(xs <= 0):
-        raise ValueError("density grid must be strictly positive")
+    if not (xs.size and 0 < xs.min() <= xs.max() < math.inf):  # NaN fails too
+        raise ValidationError("density grid must be non-empty, finite and strictly positive")
     side_bundle = b if side == "nu1" else b.swapped
     report = asymptotics.classify_regime(side_bundle)
     shift = report.decay_rate  # abscissa of the dominant singularity

@@ -182,6 +182,10 @@ SIM_ARGS = ["--step", "2e-4", "--horizon", "30", "--burn-in", "2", "--seed", "1"
     [
         (["--batches", "1"], "at least 2 batches"),
         (["--batches", "3", "--step", "-1"], "step and horizon must be positive"),
+        (
+            ["--batches", "2", "--step", "2e-3", "--horizon", "1e-3", "--burn-in", "0"],
+            "at least one step",
+        ),
     ],
 )
 def test_simulate_bad_config_exit_code(diag_config, capsys, extra, message):
@@ -191,6 +195,64 @@ def test_simulate_bad_config_exit_code(diag_config, capsys, extra, message):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+def test_refused_command_leaves_out_file_unchanged(diag_config, tmp_path, capsys):
+    target = tmp_path / "keep.csv"
+    target.write_bytes(b"keep")
+    code, _, err = run_cli(
+        ["simulate", "--config", diag_config, *SIM_ARGS, "--batches", "1",
+         "--out", str(target)],
+        capsys,
+    )
+    assert code == 2 and err.startswith("error: ")
+    assert target.read_bytes() == b"keep"
+    code, out, _ = run_cli(
+        ["simulate", "--config", diag_config, *SIM_ARGS, "--batches", "3",
+         "--out", str(target)],
+        capsys,
+    )
+    assert code == 0 and out == ""
+    rows = list(csv.DictReader(io.StringIO(target.read_text())))
+    assert any(r["kind"] == "laplace" for r in rows)
+    # an --out that cannot be written is a usage error, not a traceback
+    code, _, err = run_cli(
+        ["analyze", "--config", diag_config, "--out", str(tmp_path / "no" / "x.json")],
+        capsys,
+    )
+    assert code == 2 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--points", "0"], "density grid"),
+        (["--x-min", "-1"], "density grid"),
+        (["--x-max", "nan"], "--x-max must be finite"),
+        (["--x-min", "inf"], "--x-min must be finite"),
+    ],
+)
+def test_invert_bad_grid_exit_code(diag_config, capsys, extra, message):
+    code, out, err = run_cli(["invert", "--config", diag_config, *extra], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "point",
+    [
+        ["--fn", "phi1", "--re", "nan"],
+        ["--fn", "w", "--re", "-0.5", "--im", "inf"],
+        ["--fn", "phi", "--re1", "-1", "--im1", "nan", "--re2", "-1"],
+        ["--fn", "phi", "--re1", "-1", "--re2=-inf"],
+    ],
+)
+def test_eval_non_finite_point_exit_code(diag_config, capsys, point):
+    code, out, err = run_cli(["eval", "--config", diag_config, *point], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "must be finite" in err
 
 
 def test_simulate_bad_rbmq_threads_exit_code(diag_config, capsys, monkeypatch):

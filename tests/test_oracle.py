@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from rbmq import make_bundle, oracle
+from rbmq import make_bundle, oracle, validate_parameters
 from rbmq.errors import (
     MethodDisagreementError,
     NotDiagonalError,
@@ -22,6 +22,7 @@ from rbmq.oracle import (
     sim_result_to_csv,
     simulate,
     talbot_invert,
+    _bridge_minimum,
     _Skorokhod,
 )
 from rbmq.transform import phi1_eval, phi_eval
@@ -29,29 +30,31 @@ from rbmq.transform import phi1_eval, phi_eval
 SMALL = SimConfig(step=1e-4, horizon=400.0, burn_in=20.0, seed=7, batches=8)
 
 
-def _sequential_reference(z0, incr):
-    """Stepwise projection scheme, the contract the fast path must match."""
+def _sequential_reference(z0, incr, expo, var_h):
+    """Stepwise bridge recursion, the contract the fast path must match:
+    m_n = (y_n - sqrt(y_n^2 + 2 var_h E_n)) / 2,
+    z_n = max(z_(n-1) + y_n, y_n - m_n), dl_n = max(0, -(z_(n-1) + m_n))."""
     z = np.empty(len(incr))
     dl = np.empty(len(incr))
     cur = z0
-    for k, dx in enumerate(incr):
-        y = cur + dx
-        dl[k] = max(-y, 0.0)
-        cur = max(y, 0.0)
+    for k, (y, e) in enumerate(zip(incr, expo)):
+        m = 0.5 * (y - math.sqrt(y * y + 2.0 * var_h * e))
+        dl[k] = max(0.0, -(cur + m))
+        cur = max(cur + y, y - m)
         z[k] = cur
     return z, dl
 
 
-def _blocked_kernel(z0, incr, block):
+def _blocked_kernel(z0, incr, expo, var_h, block):
     """Path, per-step local time and telescoped local time of the blocked
     kernel, walked block by block with its carry."""
-    walk = _Skorokhod(block)
+    walk = _Skorokhod(block, var_h)
     walk.start(z0)
     z = np.empty(len(incr))
     dl = np.zeros(len(incr))
     for b0 in range(0, len(incr), block):
         part = incr[b0 : b0 + block].copy()
-        walk.advance(part)
+        walk.advance(part, expo[b0 : b0 + block].copy())
         z[b0 : b0 + part.size] = walk.path(np.arange(part.size))
         h, d = walk.hits(0)
         dl[b0 + h] = d
@@ -61,24 +64,69 @@ def _blocked_kernel(z0, incr, block):
 def test_lindley_matches_sequential_scheme():
     rng = np.random.default_rng(0)
     incr = rng.normal(-0.001, 0.02, 5000)
+    expo = rng.standard_exponential(5000)
+    var_h = 0.02**2
     for z0 in (0.0, 0.3):
-        z_fast, dl_fast, total = _blocked_kernel(z0, incr, 97)
-        z_ref, dl_ref = _sequential_reference(z0, incr)
+        z_fast, dl_fast, total = _blocked_kernel(z0, incr, expo, var_h, 97)
+        z_ref, dl_ref = _sequential_reference(z0, incr, expo, var_h)
         assert np.max(np.abs(z_fast - z_ref)) < 1e-11
         assert abs(dl_fast.sum() - dl_ref.sum()) < 1e-11
         assert abs(total - dl_ref.sum()) < 1e-11
         # the regulator moves only at real hits, by the reference's amount
         assert np.all(dl_fast[dl_ref == 0] == 0)
         assert np.max(np.abs(dl_fast - dl_ref)) < 1e-11
-        # the path has the bits of the whole-chunk projection formula
+        # the path has the bits of the whole-chunk formula z = T - M
         t = np.cumsum(incr)
-        z_chunk = np.maximum(z0 + t, t - np.minimum.accumulate(np.minimum(t, 0.0)))
+        m = 0.5 * (incr - np.sqrt(incr * incr + expo * (2.0 * var_h)))
+        low = np.concatenate(([-z0], np.concatenate(([0.0], t[:-1])) + m))
+        z_chunk = t - np.minimum.accumulate(low)[1:]
         assert z_fast.tobytes() == z_chunk.tobytes()
         # carrying across blocks reproduces the unblocked walk bit for bit
-        z_one, dl_one, total_one = _blocked_kernel(z0, incr, incr.size)
+        z_one, dl_one, total_one = _blocked_kernel(z0, incr, expo, var_h, incr.size)
         assert z_fast.tobytes() == z_one.tobytes()
         assert dl_fast.tobytes() == dl_one.tobytes()
         assert total == total_one
+
+
+def test_bridge_minimum_law():
+    rng = np.random.default_rng(12)
+    n = 20000
+    # never above min(0, y), over many scales and down to E = 0
+    y = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+    expo = rng.standard_exponential(n) * 10.0 ** rng.uniform(-300, 0, n)
+    expo[:100] = 0.0
+    m = _bridge_minimum(y, expo, 0.3, np.empty(n))
+    assert np.all(m <= np.minimum(0.0, y))
+    # for fixed y the law is P(min <= a) = exp(-2 a (a - y) / (s h)):
+    # Kolmogorov-Smirnov distance below the 1% critical value 1.63/sqrt(n)
+    var_h = 0.3
+    for y0 in (-0.8, 0.0, 0.5):
+        y = np.full(n, y0)
+        m = np.sort(_bridge_minimum(y, rng.standard_exponential(n), var_h, np.empty(n)))
+        cdf = np.exp(-2.0 * m * (m - y0) / var_h)
+        ks = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+        assert ks < 1.63 / math.sqrt(n), (y0, ks)
+
+
+@pytest.mark.parametrize(
+    "sigma, mu", [([[1.0, 0.0], [0.0, 1.0]], [-1.0, -1.0]), ([[0.5, 0.0], [0.0, 2.0]], [-1.0, -0.4])]
+)
+def test_exact_reflection_unbiased_at_coarse_step(sigma, mu):
+    # with s12 = 0 each coordinate is reflected exactly, so even a step
+    # of 0.05 (|mu| h = 0.05) leaves the nine cells on the product form;
+    # projected Euler misses them by about 7 stderr at h = 1e-3.  The
+    # second model has s11 != s22, so each coordinate needs its own
+    # variance in the bridge law.
+    p = validate_parameters(sigma, mu)
+    cfg = SimConfig(step=0.05, horizon=2e5, burn_in=10.0, seed=2016, batches=20)
+    with pytest.warns(StepSizeWarning):
+        res = simulate(p, cfg)
+    forms = diagonal_closed_forms(p)
+    for (a, c), (mean, se) in res.laplace_estimates.items():
+        exact = forms.one_dim_phi(a, p.m1, p.s11) * forms.one_dim_phi(c, p.m2, p.s22)
+        assert abs(mean - exact) < 3 * se, ((a, c), (mean - exact) / se)
+    for (rate, se), m in zip(res.local_time_rates, (p.m1, p.m2)):
+        assert abs(rate + m) < 3 * se
 
 
 def test_simconfig_validation():
@@ -96,6 +144,13 @@ def test_simconfig_validation():
         {"burn_in": 10.0, "horizon": 5.0},
         {"batches": 1},
         {"bins": 1},
+        {"thin_time": math.nan},
+        {"thin_time": math.inf},
+        {"thin_time": 0.0},
+        {"thin_time": -0.01},
+        # a measured segment per batch shorter than one step
+        {"step": 2e-3, "horizon": 1e-3, "burn_in": 0.0},
+        {"step": 1.0, "horizon": 10.0, "burn_in": 9.0, "batches": 2},
     ):
         with pytest.raises(ValidationError):
             SimConfig(**bad)
@@ -328,6 +383,12 @@ def test_invert_diag_closed_form(diag):
     assert tab.method == "talbot"
     tab2 = invert_transform(b, "nu2", xs)
     assert np.max(np.abs(tab2.values - exact) / exact) < 1e-6
+
+
+@pytest.mark.parametrize("grid", [[], [0.5, math.nan], [0.5, math.inf], [-1.0, 0.5], [0.0]])
+def test_invert_refuses_bad_grid(diag, grid):
+    with pytest.raises(ValidationError, match="density grid"):
+        invert_transform(make_bundle(diag), "nu1", grid)
 
 
 def test_invert_total_mass(corr):
