@@ -6,13 +6,8 @@ machinery behind them, and two independent numerical oracles (diffusion
 simulation and Laplace inversion) that cross-check every closed form.
 """
 
-from .asymptotics import AsymptoticReport, classify_regime, constants_C1_C2, nu1_tail
-from .chebyshev import (
-    cheb_T,
-    cheb_T_deriv,
-    classify_nature,
-    expansion_at_minus_one,
-)
+from .asymptotics import AsymptoticReport, classify_regime, constants_C1_C2
+from .chebyshev import cheb_T
 from .checks import CheckResult, run_checks
 from .kernel import (
     HyperbolaR,
@@ -56,7 +51,6 @@ from .uniformization import (
     classify_solution_nature,
     group_elements,
     group_order,
-    s0,
     theta_of_s,
 )
 

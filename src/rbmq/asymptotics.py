@@ -14,18 +14,15 @@ from typing import Optional
 
 import numpy as np
 
-from ._points import _as_array, _unwrap
-from .chebyshev import is_integer_order
 from .errors import IntegerExponentError, WrongRegimeError
 from .kernel import theta1_at_branch_point
-from .transform import TransformBundle, phi1_eval, w_eval
+from .transform import TransformBundle, _w_deriv, phi1_eval, w_eval
 
 __all__ = [
     "AsymptoticReport",
     "TailConstants",
     "classify_regime",
     "constants_C1_C2",
-    "nu1_tail",
 ]
 
 logger = logging.getLogger(__name__)
@@ -90,12 +87,12 @@ def constants_C1_C2(b: TransformBundle) -> TailConstants:
 
 def _constants(b: TransformBundle, regime: str) -> TailConstants:
     sc = b.scalars
-    a = sc.pi_over_beta
+    a = b.order
     if regime == REGIME_POLE:
         raise WrongRegimeError(
             "the pole dominates the tail here; branch-point constants do not apply"
         )
-    if is_integer_order(a):
+    if b.integer_order:
         raise IntegerExponentError(
             f"pi/beta = {a} is an integer: the branch-point expansion degenerates "
             "and the constants are withheld"
@@ -121,12 +118,15 @@ def classify_regime(b: TransformBundle) -> AsymptoticReport:
     sc = b.scalars
     regime, v = _regime_of(b)
     if regime == REGIME_POLE:
+        # the residue of phi1 = -mu1 w'(0) theta / (w(theta) - w(0)) at
+        # its pole, where w(pole) = w(0)
         rate = -2.0 * p.m2 / p.s22
+        wp_pole = _w_deriv(b, np.array([rate], dtype=complex)).real[0]
         return AsymptoticReport(
             regime=regime,
             decay_rate=rate,
             power=0.0,
-            constant=2.0 * p.m1 * p.m2 / p.s22,
+            constant=float(p.m1 * b.w1_prime0 * rate / wp_pole),
             pole_location=rate,
             theta1_at_theta2_plus=v,
         )
@@ -145,12 +145,3 @@ def classify_regime(b: TransformBundle) -> AsymptoticReport:
         pole_location=None,
         theta1_at_theta2_plus=v,
     )
-
-
-def nu1_tail(b: TransformBundle, x2):
-    """Leading-order tail value(s) of the first boundary density at x2 > 0."""
-    x, scalar = _as_array(x2, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("x2 must be positive")
-    rep = classify_regime(b)
-    return _unwrap(rep.constant * x**rep.power * np.exp(-rep.decay_rate * x), scalar)

@@ -19,20 +19,16 @@ complex x with a signed zero imaginary part (x +/- 0j).
 from __future__ import annotations
 
 import logging
-from fractions import Fraction
 
 import numpy as np
 
 from ._points import _as_array, _unwrap
 from .errors import AtBranchPointError, OnCutError
-from .rational import detect_rational
 
 __all__ = [
     "cheb_T",
     "cheb_T_deriv",
     "expansion_at_minus_one",
-    "classify_nature",
-    "cheb_T_hyp2f1",
     "is_integer_order",
 ]
 
@@ -42,16 +38,12 @@ _INT_SNAP = 1e-12
 
 
 def is_integer_order(a) -> bool:
-    """Whether the order is (to be treated as) a non-negative integer.
+    """Whether the order is (to be treated as) an integer.
 
-    Exact for int/Fraction input; floats within 1e-12 of an integer are
-    snapped with a logged note, since silent snapping of a generically
+    Exact for integers; floats within 1e-12 of an integer are snapped
+    with a logged note, since silent snapping of a generically
     irrational exponent would corrupt classification.
     """
-    if isinstance(a, Fraction):
-        return a.denominator == 1
-    if isinstance(a, (int, np.integer)):
-        return True
     af = float(a)
     near = round(af)
     if af != near and abs(af - near) < _INT_SNAP:
@@ -60,11 +52,12 @@ def is_integer_order(a) -> bool:
     return af == near
 
 
-def _check_order(a) -> float:
+def _order(a) -> tuple[float, bool]:
+    """The validated order and whether it takes the polynomial path."""
     af = float(a)
     if not np.isfinite(af) or af < 0:
         raise ValueError(f"order must be a finite non-negative real, got {a!r}")
-    return af
+    return af, is_integer_order(af)
 
 
 def _raise_on_cut(x, a):
@@ -103,11 +96,6 @@ def _cheb_poly_deriv(n: int, x: np.ndarray) -> np.ndarray:
 def _large_root(z: np.ndarray) -> np.ndarray:
     """Joukowski preimage with modulus >= 1."""
     return z + np.sqrt(z - 1.0) * np.sqrt(z + 1.0)
-
-
-def _order(a) -> tuple[float, bool]:
-    """The validated order and whether it takes the polynomial path."""
-    return _check_order(a), is_integer_order(a)
 
 
 def _cheb_T(af: float, integer: bool, arr: np.ndarray) -> np.ndarray:
@@ -176,50 +164,8 @@ def expansion_at_minus_one(a) -> tuple[float, float]:
     c0 = cos(a pi), c1 = a sqrt(2) sin(a pi).  For integer order the
     square-root term degenerates and c1 = 0.
     """
-    af = _check_order(a)
-    if is_integer_order(a):
+    af, integer = _order(a)
+    if integer:
         n = int(round(af))
         return float((-1.0) ** n), 0.0
     return float(np.cos(af * np.pi)), float(af * np.sqrt(2.0) * np.sin(af * np.pi))
-
-
-def _nature_from_fraction(frac: Fraction) -> str:
-    return "rational_polynomial" if frac.denominator == 1 else "algebraic_nonpolynomial"
-
-
-def classify_nature(a, *, qmax: int = 10**6) -> str:
-    """Algebraic nature of T_a: polynomial / algebraic / D-finite.
-
-    Exact for int or Fraction input.  A float order goes through
-    continued-fraction rational detection with denominator bound qmax;
-    when nothing qualifies the order is treated as irrational within
-    the bound and the function is classified as transcendental (it
-    still satisfies a linear ODE, being a Gauss hypergeometric).
-    """
-    if isinstance(a, Fraction):
-        if a < 0:
-            raise ValueError("order must be non-negative")
-        return _nature_from_fraction(a)
-    if isinstance(a, (int, np.integer)):
-        if a < 0:
-            raise ValueError("order must be non-negative")
-        return "rational_polynomial"
-    af = _check_order(a)
-    hit = detect_rational(af, qmax=qmax)
-    if hit is None:
-        return "transcendental_D_finite"
-    p, q, _ = hit
-    return _nature_from_fraction(Fraction(p, q))
-
-
-def cheb_T_hyp2f1(a, x) -> complex:
-    """Cross-check route: T_a(x) = 2F1(-a, a; 1/2; (1 - x)/2).
-
-    Independent of the power-mean evaluation path; intended for spot
-    checks only (mpmath, slow, imported here so that the package needs
-    only numpy at runtime).
-    """
-    import mpmath
-
-    z = mpmath.mpmathify(complex(x))
-    return complex(mpmath.hyp2f1(-a, a, mpmath.mpf(1) / 2, (1 - z) / 2))

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernel, transform, uniformization
+from . import asymptotics, kernel, transform, uniformization
 from ._points import _as_array
+from .errors import WrongRegimeError
 from .model import ModelParams, derived_scalars
 from .oracle import diagonal_closed_forms
 from .transform import TransformBundle
@@ -38,6 +39,7 @@ __all__ = [
     "reflection_residual",
     "lift_residual",
     "boundary_mass_residual",
+    "pole_residue_residual",
     "injectivity_collisions",
     "diagonal_product_residual",
 ]
@@ -213,6 +215,25 @@ def boundary_mass_residual(b: TransformBundle) -> float:
     lim1 = np.polyfit(ts, np.real(transform.phi1_eval(b, ts + 0j)), 3)[-1]
     lim2 = np.polyfit(ts, np.real(transform.phi2_eval(b, ts + 0j)), 3)[-1]
     return float(max(abs(lim1 + p.m1) / abs(p.m1), abs(lim2 + p.m2) / abs(p.m2)))
+
+
+def pole_residue_residual(b: TransformBundle) -> float:
+    """In the pole regime, the tail constant of `classify_regime`
+    against the limit of (p - theta) phi1(theta) at the pole p, from
+    the mean of the two sides p -/+ e extrapolated to e = 0.
+
+    Not part of `run_checks`: near the pole the extrapolation meets the
+    same cancellation in w(theta) - w(0) as `boundary_mass_residual`.
+    """
+    rep = asymptotics.classify_regime(b)
+    if rep.regime != asymptotics.REGIME_POLE:
+        raise WrongRegimeError("the tail has no pole in this regime")
+    pole = rep.pole_location
+    es = min(1e-4, (b.scalars.theta2_plus - pole) / 4.0) * 0.5 ** np.arange(4)
+    below = es * np.real(transform.phi1_eval(b, pole - es + 0j))
+    above = -es * np.real(transform.phi1_eval(b, pole + es + 0j))
+    lim = np.polyfit(es * es, 0.5 * (below + above), 3)[-1]
+    return float(abs(lim - rep.constant) / abs(rep.constant))
 
 
 def injectivity_collisions(b: TransformBundle, za, zb) -> int:

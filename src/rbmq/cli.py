@@ -109,20 +109,26 @@ def _require_finite(args, *names) -> None:
             raise ValidationError(f"{flag} must be finite, got {value}")
 
 
+def _point(re: float, im):
+    """A real-typed point when --im is omitted, so that a point on a cut
+    is refused; --im 0 or --im -0 picks the side of the cut."""
+    return re if im is None else complex(re, im)
+
+
 def _cmd_eval(p, args, out) -> int:
     _require_finite(args, "re", "im", "re1", "im1", "re2", "im2")
     b = transform.make_bundle(p)
     if args.fn == "phi":
         if args.re1 is None or args.re2 is None:
             raise ValidationError("--fn phi needs --re1/--im1 and --re2/--im2")
-        t1 = complex(args.re1, args.im1)
-        t2 = complex(args.re2, args.im2)
+        t1 = _point(args.re1, args.im1)
+        t2 = _point(args.re2, args.im2)
         val = transform.phi_eval(b, t1, t2)
-        point = {"theta1": t1, "theta2": t2}
+        point = {"theta1": complex(t1), "theta2": complex(t2)}
     else:
         if args.re is None:
             raise ValidationError(f"--fn {args.fn} needs --re/--im")
-        z = complex(args.re, args.im)
+        z = _point(args.re, args.im)
         fn = {
             "phi1": transform.phi1_eval,
             "phi2": transform.phi2_eval,
@@ -131,7 +137,7 @@ def _cmd_eval(p, args, out) -> int:
             "psi2": transform.psi2_eval,
         }[args.fn]
         val = fn(b, z)
-        point = {"arg": z}
+        point = {"arg": complex(z)}
     out.write(_fmt({"fn": args.fn, **point, "value": complex(val)}) + "\n")
     return EXIT_OK
 
@@ -204,12 +210,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("eval", help="evaluate a transform at a point")
     common(sp)
     sp.add_argument("--fn", required=True, choices=_EVAL_FNS)
+    im_help = "imaginary part; if omitted the point is real and refused on a cut, "
+    im_help += "while 0 or -0 picks the side of the cut"
     sp.add_argument("--re", type=float, default=None)
-    sp.add_argument("--im", type=float, default=0.0)
+    sp.add_argument("--im", type=float, default=None, help=im_help)
     sp.add_argument("--re1", type=float, default=None)
-    sp.add_argument("--im1", type=float, default=0.0)
+    sp.add_argument("--im1", type=float, default=None, help=im_help)
     sp.add_argument("--re2", type=float, default=None)
-    sp.add_argument("--im2", type=float, default=0.0)
+    sp.add_argument("--im2", type=float, default=None, help=im_help)
 
     sp = sub.add_parser("asympt", help="tail asymptotics report")
     common(sp)

@@ -17,8 +17,6 @@ from .model import DerivedScalars, ModelParams, derived_scalars
 
 __all__ = [
     "gamma",
-    "disc_d",
-    "disc_d_tilde",
     "theta2_branch",
     "theta1_branch",
     "theta1_at_branch_point",
@@ -26,7 +24,7 @@ __all__ = [
     "hyperbola",
 ]
 
-_SIGN = {"plus": 1.0, "minus": -1.0, +1: 1.0, -1: -1.0, 1.0: 1.0, -1.0: -1.0}
+_SIGN = {"plus": 1.0, "minus": -1.0}
 
 
 def _gamma(p: ModelParams, t1, t2):
@@ -51,6 +49,8 @@ def _zero_scale(p: ModelParams, t1, t2):
 
 
 def _disc_d(p: ModelParams, t):
+    """Discriminant b^2 - 4ac of the kernel as a quadratic in theta2,
+    at theta1 = t."""
     return (
         t * t * (p.s12 * p.s12 - p.s11 * p.s22)
         + 2.0 * t * (p.m2 * p.s12 - p.m1 * p.s22)
@@ -59,6 +59,7 @@ def _disc_d(p: ModelParams, t):
 
 
 def _disc_d_tilde(p: ModelParams, t):
+    """Discriminant of the kernel as a quadratic in theta1, at theta2 = t."""
     return (
         t * t * (p.s12 * p.s12 - p.s11 * p.s22)
         + 2.0 * t * (p.m1 * p.s12 - p.m2 * p.s11)
@@ -66,24 +67,13 @@ def _disc_d_tilde(p: ModelParams, t):
     )
 
 
-def disc_d(p: ModelParams, theta1):
-    """Discriminant b^2 - 4ac of the kernel as a quadratic in theta2."""
-    t, scalar = _as_array(theta1)
-    return _unwrap(_disc_d(p, t), scalar)
-
-
-def disc_d_tilde(p: ModelParams, theta2):
-    """Discriminant of the kernel as a quadratic in theta1."""
-    t, scalar = _as_array(theta2)
-    return _unwrap(_disc_d_tilde(p, t), scalar)
-
-
 def theta2_branch(p: ModelParams, theta1, sign):
     """Root of gamma(theta1, .) = 0: (-b +/- sqrt(d)) / (2a).
 
-    The +/- label is attached to the principal square root of d, so for
-    real theta1 outside the branch-point interval the two labels give
-    complex-conjugate values (plus = upper half-plane).
+    sign is "plus" or "minus".  The label is attached to the principal
+    square root of d, so for real theta1 outside the branch-point
+    interval the two labels give complex-conjugate values (plus = upper
+    half-plane).
     """
     sg = _SIGN[sign]
     t, scalar = _as_array(theta1)

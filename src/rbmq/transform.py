@@ -36,9 +36,7 @@ __all__ = [
     "TransformBundle",
     "make_bundle",
     "w_eval",
-    "w_deriv",
     "phi1_eval",
-    "phi1_deriv",
     "phi2_eval",
     "phi_eval",
     "psi1_eval",
@@ -47,6 +45,7 @@ __all__ = [
 
 # below this radius the removable origin is evaluated by its closed limit
 _ORIGIN_RADIUS = 1e-8
+_ORIGIN = np.zeros(1, dtype=complex)
 # pole report thresholds: w-difference collapse at a not-small argument
 _POLE_REL = 1e-12
 _POLE_MIN_ABS = 1e-6
@@ -56,7 +55,10 @@ _POLE_MIN_ABS = 1e-6
 class TransformBundle:
     """Evaluator state for one model: scalars and gluing-map constants.
 
-    w1_prime0 / w1_at_0 belong to the theta2-side gluing map; the
+    order is pi/beta, validated once; integer_order records whether it
+    is (snapped to) an integer, which sends every evaluation of the
+    gluing map down the polynomial path.  w1_prime0 / w1_at_0 belong to
+    the theta2-side gluing map and come from that same path; the
     index-swapped side's constants live on `swapped`.  phi1_at_0 = -mu1
     and phi2_at_0 = -mu2 are the boundary masses.  Immutable; evaluators
     are pure functions of (bundle, point).
@@ -64,39 +66,37 @@ class TransformBundle:
 
     params: ModelParams
     scalars: DerivedScalars
-    w1_prime0: float
-    w1_at_0: float
-    phi1_at_0: float
-    phi2_at_0: float
+    order: float
+    integer_order: bool
+
+    @property
+    def phi1_at_0(self) -> float:
+        return -self.params.m1
+
+    @property
+    def phi2_at_0(self) -> float:
+        return -self.params.m2
+
+    @cached_property
+    def w1_at_0(self) -> float:
+        return float(_w(self, _ORIGIN).real[0])
+
+    @cached_property
+    def w1_prime0(self) -> float:
+        return float(_w_deriv(self, _ORIGIN).real[0])
 
     @cached_property
     def swapped(self) -> "TransformBundle":
-        return make_bundle(self.params.swapped)
-
-
-def _glue_constants(sc: DerivedScalars) -> tuple[float, float]:
-    """w(0) and w'(0) from the trig form; x(0) is inside (-1, 1)."""
-    a = sc.pi_over_beta
-    x0 = (sc.theta2_plus + sc.theta2_minus) / (sc.theta2_plus - sc.theta2_minus)
-    t = np.arccos(x0)
-    w0 = float(np.cos(a * t))
-    xp = -2.0 / (sc.theta2_plus - sc.theta2_minus)
-    wp = float(xp * a * np.sin(a * t) / np.sqrt(1.0 - x0 * x0))
-    return w0, wp
+        # the swap leaves beta, hence the order and its snap, unchanged
+        p = self.params.swapped
+        return TransformBundle(p, derived_scalars(p), self.order, self.integer_order)
 
 
 def make_bundle(p: ModelParams) -> TransformBundle:
-    """Build the evaluator bundle."""
+    """Build the evaluator bundle; the order pi/beta is resolved (and a
+    snap to an integer logged) here, once per model."""
     sc = derived_scalars(p)
-    w1_at_0, w1_prime0 = _glue_constants(sc)
-    return TransformBundle(
-        params=p,
-        scalars=sc,
-        w1_prime0=w1_prime0,
-        w1_at_0=w1_at_0,
-        phi1_at_0=-p.m1,
-        phi2_at_0=-p.m2,
-    )
+    return TransformBundle(p, sc, *_order(sc.pi_over_beta))
 
 
 def _affine(sc: DerivedScalars, arr: np.ndarray) -> np.ndarray:
@@ -125,14 +125,14 @@ def _raise_if_on_cut(raw, cut_start: float, name: str):
 
 
 def _w(b: TransformBundle, arr: np.ndarray) -> np.ndarray:
-    sc = b.scalars
-    return _cheb_T(*_order(sc.pi_over_beta), _affine(sc, arr))
+    return _cheb_T(b.order, b.integer_order, _affine(b.scalars, arr))
 
 
 def _w_deriv(b: TransformBundle, arr: np.ndarray) -> np.ndarray:
+    """Derivative of the gluing map (chain rule through the affine map)."""
     sc = b.scalars
     xp = -2.0 / (sc.theta2_plus - sc.theta2_minus)
-    return xp * _cheb_T_deriv(*_order(sc.pi_over_beta), _affine(sc, arr))
+    return xp * _cheb_T_deriv(b.order, b.integer_order, _affine(sc, arr))
 
 
 def w_eval(b: TransformBundle, theta2):
@@ -140,13 +140,6 @@ def w_eval(b: TransformBundle, theta2):
     _raise_if_on_cut(theta2, b.scalars.theta2_plus, "theta2")
     arr, scalar = _as_array(theta2)
     return _unwrap(_w(b, arr), scalar)
-
-
-def w_deriv(b: TransformBundle, theta2):
-    """Derivative of the gluing map (chain rule through the affine map)."""
-    _raise_if_on_cut(theta2, b.scalars.theta2_plus, "theta2")
-    arr, scalar = _as_array(theta2)
-    return _unwrap(_w_deriv(b, arr), scalar)
 
 
 def _phi1(b: TransformBundle, arr: np.ndarray) -> np.ndarray:
@@ -177,18 +170,12 @@ def phi1_eval(b: TransformBundle, theta2):
 
 
 def _phi1_deriv(b: TransformBundle, arr: np.ndarray) -> np.ndarray:
+    """d(phi1)/d(theta2); valid away from the removable origin."""
     if np.any(np.abs(arr) < _ORIGIN_RADIUS):
         raise AtZeroError("derivative formula is not stable this close to 0")
     den = _w(b, arr) - b.w1_at_0
     wp = _w_deriv(b, arr)
     return -b.params.m1 * b.w1_prime0 * (den - arr * wp) / (den * den)
-
-
-def phi1_deriv(b: TransformBundle, theta2):
-    """d(phi1)/d(theta2); valid away from the removable origin."""
-    _raise_if_on_cut(theta2, b.scalars.theta2_plus, "theta2")
-    arr, scalar = _as_array(theta2)
-    return _unwrap(_phi1_deriv(b, arr), scalar)
 
 
 def phi2_eval(b: TransformBundle, theta1):

@@ -16,7 +16,6 @@ from typing import Optional
 import numpy as np
 
 from ._points import _as_array, _unwrap
-from .chebyshev import classify_nature
 from .errors import AtZeroOrInfinityError, OnLogCutError
 from .rational import detect_rational
 from .transform import TransformBundle
@@ -24,7 +23,6 @@ from .transform import TransformBundle
 __all__ = [
     "GroupReport",
     "theta_of_s",
-    "s0",
     "W_of_s",
     "group_elements",
     "group_order",
@@ -75,26 +73,6 @@ def theta_of_s(b: TransformBundle, s):
     return _unwrap(th1, scalar), _unwrap(th2, scalar)
 
 
-def s0(b: TransformBundle) -> complex:
-    """The unit-circle point over (0, 0).
-
-    Both candidates solving theta1(s) = 0 lie on the unit circle; only
-    one also kills theta2, and it always sits on the lower arc (the
-    lift of the interior domain is the cone between the rays through -1
-    and -e^{i beta}).
-    """
-    sc = b.scalars
-    # s + 1/s = q with |q| < 2 since theta1_minus < 0 < theta1_plus
-    q = -2.0 * (sc.theta1_plus + sc.theta1_minus) / (sc.theta1_plus - sc.theta1_minus)
-    root = cmath.sqrt(complex(q * q - 4.0))
-    cands = ((q + root) / 2.0, (q - root) / 2.0)
-    point = min(cands, key=lambda c: abs(theta_of_s(b, c)[1]))
-    resid = abs(theta_of_s(b, point)[0]) + abs(theta_of_s(b, point)[1])
-    if resid > 1e-10 * (1.0 + b.params.scale):
-        raise AssertionError(f"s0 candidate fails to kill both coordinates: {resid}")
-    return complex(point)
-
-
 def W_of_s(b: TransformBundle, s):
     """Lifted gluing map -((-s)^a + (-s)^-a)/2 with a = pi/beta.
 
@@ -109,7 +87,7 @@ def W_of_s(b: TransformBundle, s):
     if np.any(on_cut):
         raise OnLogCutError("s in [0, inf) lies on the logarithm cut of (-s)^a")
     arr, scalar = _check_s(s)
-    a = b.scalars.pi_over_beta
+    a = b.order
     lg = np.log(-arr)
     return _unwrap(-0.5 * (np.exp(a * lg) + np.exp(-a * lg)), scalar)
 
@@ -160,6 +138,10 @@ def classify_solution_nature(b: TransformBundle, qmax: int = 10**6) -> str:
 
     Finite group (rational pi/beta) gives an algebraic transform,
     integer pi/beta a rational one; otherwise the transform is
-    transcendental but still satisfies a linear ODE.
+    transcendental but still satisfies a linear ODE.  Reads the rational
+    detection of `group_order`, so the two always agree.
     """
-    return classify_nature(b.scalars.pi_over_beta, qmax=qmax)
+    rep = group_order(b, qmax)
+    if not rep.finite:
+        return "transcendental_D_finite"
+    return "rational_polynomial" if rep.q == 1 else "algebraic_nonpolynomial"

@@ -11,11 +11,11 @@ from rbmq.asymptotics import (
     REGIME_SADDLE,
     classify_regime,
     constants_C1_C2,
-    nu1_tail,
 )
 from rbmq import asymptotics
+from rbmq.checks import pole_residue_residual
 from rbmq.errors import IntegerExponentError, WrongRegimeError
-from rbmq.oracle import diagonal_closed_forms
+from rbmq.oracle import diagonal_closed_forms, invert_transform
 from rbmq.transform import phi1_eval, w_eval
 
 
@@ -27,15 +27,15 @@ def test_diag_regime_is_pole_dominant(diag):
     assert rep.power == 0.0
     assert rep.constant == pytest.approx(2.0)
     assert rep.pole_location == pytest.approx(2.0)
-    assert nu1_tail(b, 1.0) == pytest.approx(2 * np.exp(-2.0), rel=1e-14)
 
 
 def test_diag_tail_equals_exact_density(diag):
     # the pole regime formula reproduces the exact boundary density
-    b = make_bundle(diag)
+    rep = classify_regime(make_bundle(diag))
     forms = diagonal_closed_forms(diag)
     x = np.linspace(0.05, 6.0, 40)
-    assert np.max(np.abs(nu1_tail(b, x) - forms.nu1(x))) < 1e-14
+    tail = rep.constant * np.exp(-rep.decay_rate * x)
+    assert np.max(np.abs(tail - forms.nu1(x))) < 1e-14
 
 
 def test_random_diagonal_always_pole_regime():
@@ -150,21 +150,30 @@ def test_regime_boundary_collision_sweep():
     assert gaps[k] < 1e-10
 
 
-def test_nu1_tail_compensated_constant(regime1):
-    b = make_bundle(regime1)
-    rep = classify_regime(b)
-    x = np.linspace(1.0, 3.0, 7)
-    comp = nu1_tail(b, x) * x**1.5 * np.exp(rep.decay_rate * x)
-    assert np.max(np.abs(comp - rep.constant)) < 1e-12 * abs(rep.constant)
+def test_pole_constant_matches_inverted_tails():
+    # pole and branch point far apart: both inverted tails are flat by
+    # x = 20, and the nu2 side takes its constant from the swapped bundle
+    b = make_bundle(validate_parameters([[1.0, -0.6], [-0.6, 1.0]], [-1.0, -0.5]))
+    x = np.array([20.0, 40.0, 80.0])
+    for side, side_bundle in (("nu1", b), ("nu2", b.swapped)):
+        rep = classify_regime(side_bundle)
+        assert rep.regime == REGIME_POLE
+        table = invert_transform(b, side, x)
+        flat = table.values * np.exp(rep.decay_rate * x)
+        assert np.max(np.abs(flat / rep.constant - 1.0)) < 1e-8
+    assert classify_regime(b).constant == pytest.approx(1.6, rel=1e-12)
 
 
-def test_nu1_tail_monotone_decay(diag):
-    b = make_bundle(diag)
-    x = np.linspace(0.5, 8.0, 50)
-    vals = nu1_tail(b, x)
-    assert np.all(np.diff(vals) < 0)
-    with pytest.raises(ValueError):
-        nu1_tail(b, -1.0)
+def test_pole_constant_is_residue(corr, diag, corr_neg, regime1):
+    # the pole sits 0.0015 below theta2_plus for corr; the constant is
+    # the two-sided limit of e phi1(p - e), not the diagonal prefactor
+    assert classify_regime(make_bundle(corr)).constant == pytest.approx(0.096, rel=1e-10)
+    for p in (corr, diag, corr_neg):
+        b = make_bundle(p)
+        assert pole_residue_residual(b) < 1e-10
+        assert pole_residue_residual(b.swapped) < 1e-10
+    with pytest.raises(WrongRegimeError):
+        pole_residue_residual(make_bundle(regime1))
 
 
 def test_nu2_via_swapped_bundle(regime1):

@@ -1,19 +1,11 @@
 import cmath
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rbmq.chebyshev import (
-    cheb_T,
-    cheb_T_deriv,
-    cheb_T_hyp2f1,
-    classify_nature,
-    expansion_at_minus_one,
-    is_integer_order,
-)
+from rbmq.chebyshev import cheb_T, cheb_T_deriv, expansion_at_minus_one, is_integer_order
 from rbmq.errors import AtBranchPointError, OnCutError
 
 
@@ -147,12 +139,12 @@ def test_expansion_is_empirically_first_order():
         assert np.all(rem <= 50 * (1 + abs(a) ** 2) * eps)
 
 
-def test_classify_nature():
-    assert classify_nature(2) == "rational_polynomial"
-    assert classify_nature(Fraction(3, 2)) == "algebraic_nonpolynomial"
-    assert classify_nature(1.5) == "algebraic_nonpolynomial"
-    assert classify_nature(np.pi) == "transcendental_D_finite"
-    assert classify_nature(2.0 + 1e-14) == "rational_polynomial"  # snapped, logged
+def cheb_T_hyp2f1(a, x) -> complex:
+    """Reference route independent of the power-mean evaluation:
+    T_a(x) = 2F1(-a, a; 1/2; (1 - x)/2), in mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    z = mpmath.mpmathify(complex(x))
+    return complex(mpmath.hyp2f1(-a, a, mpmath.mpf(1) / 2, (1 - z) / 2))
 
 
 def test_hypergeometric_cross_check():

@@ -92,6 +92,26 @@ def test_eval_at_pole_exit_code(diag_config, capsys):
     assert "AtPoleError" in err
 
 
+def test_eval_on_cut_needs_a_side(corr_config, capsys):
+    # theta2 = 5 lies on the cut of phi1: a real point is refused, and
+    # the sign of a zero imaginary part picks the side
+    base = ["eval", "--config", corr_config, "--fn", "phi1", "--re", "5"]
+    code, out, err = run_cli(base, capsys)
+    assert code == 3 and out == ""
+    assert "OnCutError" in err
+    sides = {}
+    for im in ("0", "-0"):
+        code, out, _ = run_cli([*base, "--im", im], capsys)
+        assert code == 0
+        sides[im] = json.loads(out)["value"]
+    assert sides["0"]["re"] == sides["-0"]["re"]
+    assert sides["0"]["im"] == -sides["-0"]["im"] != 0.0
+    code, _, err = run_cli(
+        ["eval", "--config", corr_config, "--fn", "phi", "--re1", "-1", "--re2", "5"], capsys
+    )
+    assert code == 3 and "OnCutError" in err
+
+
 def test_bad_config_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"sigma": [[1, 2], [2, 1]], "mu": [-1, -1]}))

@@ -5,19 +5,16 @@ inside an array call."""
 import numpy as np
 import pytest
 
-from rbmq import asymptotics, chebyshev, kernel, make_bundle, transform, uniformization
+from rbmq import chebyshev, kernel, make_bundle, transform, uniformization
 
 _rng = np.random.default_rng(11)
 NATIVE = -_rng.uniform(0.1, 3.0, (2, 3)) + 1j * _rng.uniform(-3.0, 3.0, (2, 3))
 NATIVE2 = -_rng.uniform(0.1, 3.0, (2, 3)) + 1j * _rng.uniform(-3.0, 3.0, (2, 3))
 SPHERE = _rng.uniform(0.2, 5.0, (2, 3)) * np.exp(1j * _rng.uniform(-3.0, 3.0, (2, 3)))
-POSITIVE = _rng.uniform(0.5, 5.0, (2, 3))
 
 # name -> (evaluator of (bundle, *points), points, scalar type)
 EVALUATORS = {
     "gamma": (lambda b, x, y: kernel.gamma(b.params, x, y), (NATIVE, NATIVE2), complex),
-    "disc_d": (lambda b, x: kernel.disc_d(b.params, x), (NATIVE,), complex),
-    "disc_d_tilde": (lambda b, x: kernel.disc_d_tilde(b.params, x), (NATIVE,), complex),
     "theta1_branch": (lambda b, x: kernel.theta1_branch(b.params, x, "minus"), (NATIVE,), complex),
     "theta2_branch": (lambda b, x: kernel.theta2_branch(b.params, x, "plus"), (NATIVE,), complex),
     "cheb_T": (lambda b, x: chebyshev.cheb_T(b.scalars.pi_over_beta, x), (NATIVE,), complex),
@@ -25,9 +22,7 @@ EVALUATORS = {
         lambda b, x: chebyshev.cheb_T_deriv(b.scalars.pi_over_beta, x), (NATIVE,), complex
     ),
     "w_eval": (transform.w_eval, (NATIVE,), complex),
-    "w_deriv": (transform.w_deriv, (NATIVE,), complex),
     "phi1_eval": (transform.phi1_eval, (NATIVE,), complex),
-    "phi1_deriv": (transform.phi1_deriv, (NATIVE,), complex),
     "phi2_eval": (transform.phi2_eval, (NATIVE,), complex),
     "psi1_eval": (transform.psi1_eval, (NATIVE,), complex),
     "psi2_eval": (transform.psi2_eval, (NATIVE,), complex),
@@ -35,7 +30,6 @@ EVALUATORS = {
     "theta_of_s": (uniformization.theta_of_s, (SPHERE,), complex),
     "group_elements": (uniformization.group_elements, (SPHERE,), complex),
     "W_of_s": (uniformization.W_of_s, (SPHERE,), complex),
-    "nu1_tail": (asymptotics.nu1_tail, (POSITIVE,), float),
 }
 
 

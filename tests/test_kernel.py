@@ -5,8 +5,8 @@ from conftest import random_ergodic
 from rbmq import derived_scalars
 from rbmq.checks import branch_root_residual, conjugacy_residual, vieta_residual
 from rbmq.kernel import (
-    disc_d,
-    disc_d_tilde,
+    _disc_d,
+    _disc_d_tilde,
     gamma,
     hyperbola,
     theta1_at_branch_point,
@@ -25,16 +25,16 @@ def test_gamma_values(diag):
 def test_discriminants_diag(diag):
     # d_tilde(t2) = -t2^2 + 2 t2 + 1 for the unit diagonal model
     for t2 in (-1.0, 0.0, 0.7, 2.0):
-        assert disc_d_tilde(diag, t2) == pytest.approx(-t2 * t2 + 2 * t2 + 1, rel=1e-14)
-    assert disc_d_tilde(diag, 1 + SQRT2) == pytest.approx(0.0, abs=1e-13)
-    assert disc_d_tilde(diag, 1 - SQRT2) == pytest.approx(0.0, abs=1e-13)
-    assert disc_d(diag, 0.0) == pytest.approx(1.0)  # mu2^2
+        assert _disc_d_tilde(diag, t2) == pytest.approx(-t2 * t2 + 2 * t2 + 1, rel=1e-14)
+    assert _disc_d_tilde(diag, 1 + SQRT2) == pytest.approx(0.0, abs=1e-13)
+    assert _disc_d_tilde(diag, 1 - SQRT2) == pytest.approx(0.0, abs=1e-13)
+    assert _disc_d(diag, 0.0) == pytest.approx(1.0)  # mu2^2
 
 
 def test_disc_vanishes_at_branch_points(corr):
     sc = derived_scalars(corr)
-    assert abs(disc_d(corr, sc.theta1_minus)) < 1e-12 * corr.scale
-    assert abs(disc_d(corr, sc.theta1_plus)) < 1e-12 * corr.scale
+    assert abs(_disc_d(corr, sc.theta1_minus)) < 1e-12 * corr.scale
+    assert abs(_disc_d(corr, sc.theta1_plus)) < 1e-12 * corr.scale
 
 
 def test_branches_diag(diag):

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -20,12 +22,12 @@ from rbmq.errors import (
 )
 from rbmq.kernel import theta1_branch, theta2_branch
 from rbmq.transform import (
-    phi1_deriv,
+    _phi1_deriv,
+    _w_deriv,
     phi1_eval,
     phi2_eval,
     phi_eval,
     psi1_eval,
-    w_deriv,
     w_eval,
 )
 from rbmq.uniformization import theta_of_s
@@ -52,7 +54,7 @@ def test_w_closed_form_diag(diag):
     got = np.asarray(w_eval(b, z))
     assert np.max(np.abs(got - expected)) < 1e-12 * np.max(1 + np.abs(expected))
     assert w_eval(b, 0.0) == pytest.approx(0.0, abs=1e-14)
-    assert w_deriv(b, 0.5) == pytest.approx(2 * 0.5 - 2, rel=1e-12)
+    assert _w_deriv(b, np.array([0.5 + 0j]))[0] == pytest.approx(2 * 0.5 - 2, rel=1e-12)
 
 
 def test_w_endpoint_values(corr):
@@ -84,7 +86,7 @@ def test_w_cut_side_limits_non_integer_order(corr):
     dn = w_eval(b, complex(x, -0.0))
     assert up == pytest.approx(dn.conjugate(), rel=1e-13)
     assert abs(up.imag) > 1e-3
-    for fn in (w_eval, w_deriv, phi1_deriv):
+    for fn in (w_eval, phi1_eval, psi1_eval):
         with pytest.raises(OnCutError):
             fn(b, x)
 
@@ -109,11 +111,32 @@ def test_phi1_matches_reference_for_random_diagonal_models():
         assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
 
 
+def _near_integer_order(delta):
+    """rho = -0.5 + delta: pi/beta = 3 - 3.3 delta."""
+    rho = -0.5 + delta
+    return validate_parameters([[1.0, rho], [rho, 1.0]], [-1.0, -1.0])
+
+
 def test_phi1_origin_and_limit(corr):
     b = make_bundle(corr)
     assert phi1_eval(b, 0.0) == -corr.m1
-    # limit of the raw ratio approaches the mass: cubic extrapolation
+    # limit of the raw ratio approaches the mass: cubic extrapolation,
+    # also with pi/beta snapped to 3 (+/- 1e-13) or not (+/- 1e-11)
     assert boundary_mass_residual(b) <= 1e-10
+    for delta in (1e-13, -1e-13, 1e-11, -1e-11):
+        assert boundary_mass_residual(make_bundle(_near_integer_order(delta))) <= 1e-10
+
+
+def test_order_snap_logged_once(caplog):
+    with caplog.at_level(logging.INFO, logger="rbmq"):
+        b = make_bundle(_near_integer_order(1e-13))
+        assert b.integer_order and b.swapped.integer_order
+        assert len(caplog.records) == 1 and "treating as integer" in caplog.records[0].getMessage()
+        caplog.clear()
+        phi_eval(b, np.array([-0.5, -1.0 + 0.3j]), np.array([-0.7, -0.2j]))
+        phi_eval(b, -0.5, -0.7)
+        assert caplog.records == []
+    assert not make_bundle(_near_integer_order(1e-11)).integer_order
 
 
 def test_phi1_pole_detection(diag):
@@ -192,7 +215,7 @@ def test_phi1_deriv_matches_finite_differences(corr):
     h = 1e-6
     for z in (-0.7, -2.0 + 0.5j, 0.4 + 0.9j):
         fd = (phi1_eval(b, z + h) - phi1_eval(b, z - h)) / (2 * h)
-        assert phi1_deriv(b, z) == pytest.approx(fd, rel=1e-6)
+        assert _phi1_deriv(b, np.array([z], dtype=complex))[0] == pytest.approx(fd, rel=1e-6)
 
 
 def test_continuation_identity(diag, corr):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_ergodic
-from rbmq import make_bundle
+from rbmq import make_bundle, validate_parameters
 from rbmq.checks import (
     cone_points,
     kernel_zero_residual,
@@ -18,9 +18,18 @@ from rbmq.uniformization import (
     classify_solution_nature,
     group_elements,
     group_order,
-    s0,
     theta_of_s,
 )
+
+
+def s0(b) -> complex:
+    """The unit-circle point over (0, 0): of the two roots of
+    theta1(s) = 0, the one that also kills theta2."""
+    sc = b.scalars
+    # s + 1/s = q with |q| < 2 since theta1_minus < 0 < theta1_plus
+    q = -2.0 * (sc.theta1_plus + sc.theta1_minus) / (sc.theta1_plus - sc.theta1_minus)
+    root = cmath.sqrt(complex(q * q - 4.0))
+    return min(((q + root) / 2.0, (q - root) / 2.0), key=lambda c: abs(theta_of_s(b, c)[1]))
 
 
 def test_branch_points_at_unit_circle_marks(corr):
@@ -164,3 +173,8 @@ def test_solution_nature(diag, beta_third, regime2, corr):
     assert classify_solution_nature(make_bundle(beta_third)) == "rational_polynomial"
     assert classify_solution_nature(make_bundle(regime2)) == "algebraic_nonpolynomial"
     assert classify_solution_nature(make_bundle(corr)) == "transcendental_D_finite"
+    # pi/beta = 3 - 3.3e-13 is snapped to 3; 3 - 3.3e-11 is not
+    cases = ((-0.5 + 1e-13, "rational_polynomial"), (-0.5 + 1e-11, "transcendental_D_finite"))
+    for rho, nature in cases:
+        p = validate_parameters([[1.0, rho], [rho, 1.0]], [-1.0, -1.0])
+        assert classify_solution_nature(make_bundle(p)) == nature
