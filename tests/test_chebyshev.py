@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rbmq import make_bundle, validate_parameters
 from rbmq.chebyshev import cheb_T, cheb_T_deriv, expansion_at_minus_one, is_integer_order
 from rbmq.errors import AtBranchPointError, OnCutError
+from rbmq.uniformization import classify_solution_nature
 
 
 def test_endpoint_values():
@@ -137,6 +139,23 @@ def test_expansion_is_empirically_first_order():
         rem = np.abs(vals - c0 - c1 * np.sqrt(eps))
         # remainder O(eps): bounded by C*eps with a modest constant
         assert np.all(rem <= 50 * (1 + abs(a) ** 2) * eps)
+
+
+def test_classify_nature():
+    # the nature of T_a is decided on the model whose order pi/beta is a:
+    # rho = -cos(pi/a) on a unit-diagonal covariance gives beta = pi/a
+    cases = (
+        (2, "rational_polynomial"),
+        (1.5, "algebraic_nonpolynomial"),
+        (np.pi, "transcendental_D_finite"),
+        (2.0 + 1e-14, "rational_polynomial"),  # snapped, logged
+    )
+    for a, nature in cases:
+        rho = -np.cos(np.pi / a)
+        b = make_bundle(validate_parameters([[1.0, rho], [rho, 1.0]], [-1.0, -1.0]))
+        assert b.order == pytest.approx(a, abs=1e-12)
+        assert b.integer_order == (nature == "rational_polynomial")
+        assert classify_solution_nature(b) == nature
 
 
 def cheb_T_hyp2f1(a, x) -> complex:
