@@ -10,6 +10,14 @@ A scalar is computed as a one-element array: numpy's array loops and
 its scalar arithmetic may round differently in the last bit, and going
 through the same loops makes a scalar call agree bit for bit with the
 same point inside an array call.
+
+An evaluator whose points may need a special branch (the interval of
+the Chebyshev function, the removable origin, the origin of phi) tests
+for such points first.  When there is none, a fast path computes the
+generic formula on the whole array without boolean-mask indexing; the
+masked path runs only for inputs that need it.  The same elementwise
+operations act on every point either way, so both paths give the same
+bits, and a scalar call still equals the same point inside any array.
 """
 from __future__ import annotations
 
@@ -19,7 +27,9 @@ import numpy as np
 def _as_array(x, dtype=complex):
     """(x as an ndarray of dtype with at least one dimension, whether x is 0-d)."""
     arr = np.asarray(x, dtype=dtype)
-    return np.atleast_1d(arr), arr.ndim == 0
+    if arr.ndim == 0:
+        return arr.reshape(1), True
+    return arr, False
 
 
 def _unwrap(out, is_scalar: bool):

@@ -15,6 +15,17 @@ principal logarithm of v (never of the small root 1/v).  The only
 resulting discontinuity is across the real ray x < -1, matching the
 intended cut.  A caller who wants a one-sided value on the cut passes a
 complex x with a signed zero imaginary part (x +/- 0j).
+
+Evaluation path
+---------------
+A non-integer order evaluates cos(a arccos x) on the real points of
+[-1, 1] and the power mean elsewhere.  An array with no real point in
+[-1, 1] (the common case: complex arguments, or real ones on the cut)
+takes a fast path that applies the power mean to the whole array
+without boolean-mask indexing; the mask is built, and the two formulas
+scattered into the output, only when some point needs the interval
+formula.  Both paths run the same elementwise operations on each point,
+so they give the same bits.
 """
 from __future__ import annotations
 
@@ -63,7 +74,7 @@ def _order(a) -> tuple[float, bool]:
 def _raise_on_cut(x, a):
     """Real-typed input strictly below -1 is refused for non-integer order."""
     raw = np.asarray(x)
-    if not np.iscomplexobj(raw) and np.any(raw < -1.0):
+    if not np.iscomplexobj(raw) and (raw < -1.0).any():
         raise OnCutError(
             f"order {a} is not an integer and x < -1 lies on the cut; "
             "pass x +/- 0j to pick a side"
@@ -98,36 +109,56 @@ def _large_root(z: np.ndarray) -> np.ndarray:
     return z + np.sqrt(z - 1.0) * np.sqrt(z + 1.0)
 
 
+def _real_interval(arr: np.ndarray, inside) -> np.ndarray | None:
+    """Mask of the real points with inside(|x|, 1), or None when there is
+    none; an array without real points costs one comparison."""
+    real = arr.imag == 0
+    if not real.any():
+        return None
+    mask = real & inside(np.abs(arr.real), 1.0)
+    return mask if mask.any() else None
+
+
+def _cheb_T_off(af: float, z: np.ndarray) -> np.ndarray:
+    """T_a off [-1, 1]: the power mean of the Joukowski preimages."""
+    lv = np.log(_large_root(z))
+    return 0.5 * (np.exp(af * lv) + np.exp(-af * lv))
+
+
 def _cheb_T(af: float, integer: bool, arr: np.ndarray) -> np.ndarray:
     if integer:
         return _cheb_poly(int(round(af)), arr)
+    on_interval = _real_interval(arr, np.less_equal)
+    if on_interval is None:
+        return _cheb_T_off(af, arr)
     out = np.empty_like(arr)
-    on_interval = (arr.imag == 0) & (np.abs(arr.real) <= 1.0)
-    if np.any(on_interval):
-        out[on_interval] = np.cos(af * np.arccos(arr[on_interval].real))
+    out[on_interval] = np.cos(af * np.arccos(arr[on_interval].real))
     rest = ~on_interval
-    if np.any(rest):
-        lv = np.log(_large_root(arr[rest]))
-        out[rest] = 0.5 * (np.exp(af * lv) + np.exp(-af * lv))
+    if rest.any():
+        out[rest] = _cheb_T_off(af, arr[rest])
     return out
+
+
+def _cheb_T_deriv_off(af: float, z: np.ndarray) -> np.ndarray:
+    s = np.sqrt(z - 1.0) * np.sqrt(z + 1.0)
+    lv = np.log(z + s)
+    return 0.5 * af * (np.exp(af * lv) - np.exp(-af * lv)) / s
 
 
 def _cheb_T_deriv(af: float, integer: bool, arr: np.ndarray) -> np.ndarray:
     if integer:
         return _cheb_poly_deriv(int(round(af)), arr)
-    if np.any((arr.imag == 0) & (np.abs(arr.real) == 1.0)):
+    if _real_interval(arr, np.equal) is not None:
         raise AtBranchPointError(f"derivative of T_{af} is singular at x = +/-1")
+    interior = _real_interval(arr, np.less)
+    if interior is None:
+        return _cheb_T_deriv_off(af, arr)
     out = np.empty_like(arr)
-    interior = (arr.imag == 0) & (np.abs(arr.real) < 1.0)
-    if np.any(interior):
-        t = arr[interior].real
-        out[interior] = af * np.sin(af * np.arccos(t)) / np.sqrt(1.0 - t * t)
+    t = arr[interior].real
+    out[interior] = af * np.sin(af * np.arccos(t)) / np.sqrt(1.0 - t * t)
     rest = ~interior
-    if np.any(rest):
-        z = arr[rest]
-        s = np.sqrt(z - 1.0) * np.sqrt(z + 1.0)
-        lv = np.log(z + s)
-        out[rest] = 0.5 * af * (np.exp(af * lv) - np.exp(-af * lv)) / s
+    if rest.any():
+        out[rest] = _cheb_T_deriv_off(af, arr[rest])
     return out
 
 

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import asymptotics, checks, kernel, oracle, transform, uniformization
-from .errors import ComputationRefused, RBMQError, ValidationError
+from .errors import ComputationRefused, OnCutError, RBMQError, ValidationError
 from .model import derived_scalars, load_config, params_to_dict
 
 __all__ = ["main"]
@@ -121,14 +121,14 @@ def _cmd_eval(p, args, out) -> int:
     if args.fn == "phi":
         if args.re1 is None or args.re2 is None:
             raise ValidationError("--fn phi needs --re1/--im1 and --re2/--im2")
-        t1 = _point(args.re1, args.im1)
-        t2 = _point(args.re2, args.im2)
-        val = transform.phi_eval(b, t1, t2)
-        point = {"theta1": complex(t1), "theta2": complex(t2)}
+        points = (_point(args.re1, args.im1), _point(args.re2, args.im2))
+        fn = transform.phi_eval
+        named = {"theta1": complex(points[0]), "theta2": complex(points[1])}
+        flags = "--im1 0 / --im1 -0 (theta1) or --im2 0 / --im2 -0 (theta2)"
     else:
         if args.re is None:
             raise ValidationError(f"--fn {args.fn} needs --re/--im")
-        z = _point(args.re, args.im)
+        points = (_point(args.re, args.im),)
         fn = {
             "phi1": transform.phi1_eval,
             "phi2": transform.phi2_eval,
@@ -136,9 +136,14 @@ def _cmd_eval(p, args, out) -> int:
             "psi1": transform.psi1_eval,
             "psi2": transform.psi2_eval,
         }[args.fn]
-        val = fn(b, z)
-        point = {"arg": complex(z)}
-    out.write(_fmt({"fn": args.fn, **point, "value": complex(val)}) + "\n")
+        named = {"arg": complex(points[0])}
+        flags = "--im 0 / --im -0"
+    try:
+        val = fn(b, *points)
+    except OnCutError as exc:
+        # the library's hint speaks of signed zeros; name the flags too
+        raise OnCutError(f"{exc}; on the command line, pass {flags}") from exc
+    out.write(_fmt({"fn": args.fn, **named, "value": complex(val)}) + "\n")
     return EXIT_OK
 
 

@@ -117,7 +117,7 @@ def _affine(sc: DerivedScalars, arr: np.ndarray) -> np.ndarray:
 def _raise_if_on_cut(raw, cut_start: float, name: str):
     """Real-typed input strictly beyond the branch point is on the cut."""
     raw = np.asarray(raw)
-    if not np.iscomplexobj(raw) and np.any(raw > cut_start):
+    if not np.iscomplexobj(raw) and (raw > cut_start).any():
         raise OnCutError(
             f"real {name} > {cut_start} lies on the cut; "
             f"pass {name} +/- 0j to pick a side"
@@ -144,12 +144,13 @@ def w_eval(b: TransformBundle, theta2):
 
 def _phi1(b: TransformBundle, arr: np.ndarray) -> np.ndarray:
     den = _w(b, arr) - b.w1_at_0
-    small = np.abs(arr) < _ORIGIN_RADIUS
-    pole = (np.abs(den) < _POLE_REL * np.abs(b.w1_prime0 * arr)) & (
-        np.abs(arr) > _POLE_MIN_ABS
-    )
-    if np.any(pole):
+    r = np.abs(arr)
+    pole = (np.abs(den) < _POLE_REL * np.abs(b.w1_prime0 * arr)) & (r > _POLE_MIN_ABS)
+    if pole.any():
         raise AtPoleError(location=complex(arr[pole][0]), order=1)
+    small = r < _ORIGIN_RADIUS
+    if not small.any():
+        return -b.params.m1 * b.w1_prime0 * arr / den
     out = np.empty_like(arr)
     out[small] = b.phi1_at_0
     ok = ~small
@@ -171,7 +172,7 @@ def phi1_eval(b: TransformBundle, theta2):
 
 def _phi1_deriv(b: TransformBundle, arr: np.ndarray) -> np.ndarray:
     """d(phi1)/d(theta2); valid away from the removable origin."""
-    if np.any(np.abs(arr) < _ORIGIN_RADIUS):
+    if (np.abs(arr) < _ORIGIN_RADIUS).any():
         raise AtZeroError("derivative formula is not stable this close to 0")
     den = _w(b, arr) - b.w1_at_0
     wp = _w_deriv(b, arr)
@@ -187,7 +188,7 @@ def psi1_eval(b: TransformBundle, theta2):
     """phi1(theta2)/theta2: simple pole at 0 with residue -mu1."""
     _raise_if_on_cut(theta2, b.scalars.theta2_plus, "theta2")
     arr, scalar = _as_array(theta2)
-    if np.any(arr == 0):
+    if (arr == 0).any():
         raise AtZeroError("psi1 and psi2 have their pole at 0")
     return _unwrap(_phi1(b, arr) / arr, scalar)
 
@@ -214,17 +215,22 @@ def phi_eval(b: TransformBundle, theta1, theta2, *, direction=None):
     t2, s2 = _as_array(theta2)
     scalar = s1 and s2
     origin = (np.abs(t1) < 1e-12) & (np.abs(t2) < 1e-12)
+    at_origin = origin.any()
     g = kernel._gamma(p, t1, t2)
-    if np.any((np.abs(g) <= 1e-12 * kernel._zero_scale(p, t1, t2)) & ~origin):
+    on_curve = np.abs(g) <= 1e-12 * kernel._zero_scale(p, t1, t2)
+    if at_origin:
+        on_curve &= ~origin
+    if on_curve.any():
         if direction is None or not scalar:
             raise OnKernelCurveError(
                 "gamma vanishes here; pass direction=(u1, u2) for the limit"
             )
         return _unwrap(_phi_limit(b, t1, t2, direction), scalar)
     num = t1 * _phi1(b, t2) + t2 * _phi1(b.swapped, t1)
+    if not at_origin:
+        return _unwrap(-num / g, scalar)
     # gamma vanishes at the origin too; its limit replaces the 0/0 there
-    out = np.where(origin, 1.0, -num / np.where(origin, 1.0, g))
-    return _unwrap(out, scalar)
+    return _unwrap(np.where(origin, 1.0, -num / np.where(origin, 1.0, g)), scalar)
 
 
 def _phi_limit(b: TransformBundle, t1: np.ndarray, t2: np.ndarray, direction) -> np.ndarray:
@@ -239,6 +245,6 @@ def _phi_limit(b: TransformBundle, t1: np.ndarray, t2: np.ndarray, direction) ->
     dg1 = p.s11 * t1 + p.s12 * t2 + p.m1
     dg2 = p.s12 * t1 + p.s22 * t2 + p.m2
     den = u1 * dg1 + u2 * dg2
-    if np.any(den == 0):
+    if (den == 0).any():
         raise OnKernelCurveError("direction is tangent to the kernel curve here")
     return -(u1 * dn1 + u2 * dn2) / den

@@ -3,6 +3,26 @@ import pytest
 
 from rbmq import validate_parameters
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:
+    given = None
+
+
+def float_property(**bounds):
+    """A hypothesis property test over floats in the closed ranges
+    name=(lo, hi), 200 examples, no deadline.  Without hypothesis the
+    test is skipped and the rest of its module still runs."""
+    if given is None:
+        return pytest.mark.skip(reason="hypothesis is not installed")
+    strategies = {name: st.floats(lo, hi) for name, (lo, hi) in bounds.items()}
+
+    def wrap(fn):
+        return settings(max_examples=200, deadline=None)(given(**strategies)(fn))
+
+    return wrap
+
 
 @pytest.fixture
 def diag():

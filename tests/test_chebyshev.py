@@ -2,9 +2,8 @@ import cmath
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from conftest import float_property
 from rbmq import make_bundle, validate_parameters
 from rbmq.chebyshev import cheb_T, cheb_T_deriv, expansion_at_minus_one, is_integer_order
 from rbmq.errors import AtBranchPointError, OnCutError
@@ -40,8 +39,7 @@ def test_composition_law():
         assert cheb_T(a, np.cos(t)) == pytest.approx(np.cos(a * t), abs=1e-12)
 
 
-@given(a=st.floats(0.0, 6.0), t=st.floats(0.0, np.pi))
-@settings(max_examples=200, deadline=None)
+@float_property(a=(0.0, 6.0), t=(0.0, np.pi))
 def test_composition_law_property(a, t):
     assert abs(cheb_T(a, np.cos(t)) - np.cos(a * t)) < 1e-11
 

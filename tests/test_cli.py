@@ -99,6 +99,9 @@ def test_eval_on_cut_needs_a_side(corr_config, capsys):
     code, out, err = run_cli(base, capsys)
     assert code == 3 and out == ""
     assert "OnCutError" in err
+    # the library's message stays, and the flags that pick a side are named
+    assert "pass theta2 +/- 0j to pick a side" in err
+    assert "--im 0 / --im -0" in err
     sides = {}
     for im in ("0", "-0"):
         code, out, _ = run_cli([*base, "--im", im], capsys)
@@ -110,6 +113,7 @@ def test_eval_on_cut_needs_a_side(corr_config, capsys):
         ["eval", "--config", corr_config, "--fn", "phi", "--re1", "-1", "--re2", "5"], capsys
     )
     assert code == 3 and "OnCutError" in err
+    assert "--im1 0 / --im1 -0" in err and "--im2 0 / --im2 -0" in err
 
 
 def test_bad_config_exit_code(tmp_path, capsys):

@@ -59,3 +59,44 @@ def test_mixed_scalar_and_array_broadcast(corr):
     out = transform.phi_eval(b, complex(NATIVE[0, 0]), NATIVE2)
     assert type(out) is np.ndarray and out.shape == NATIVE2.shape
     assert out[1, 2] == transform.phi_eval(b, complex(NATIVE[0, 0]), complex(NATIVE2[1, 2]))
+
+
+def _kinds(lo, hi, cut, generic):
+    """One side's points, grouped by the branches the evaluators take:
+    real-typed complex points inside (lo, hi), whose affine image lies
+    in (-1, 1); points within the origin radius; both sides of the cut
+    beyond `cut`; generic complex points."""
+    return [
+        np.linspace(lo, hi, 6)[1:-1] + 0j,
+        np.array([0.0, 1e-9, -2e-9j, 3e-9 + 4e-9j, -5e-10 + 0j]),
+        np.array([complex(cut + 0.5, 0.0), complex(cut + 2.0, -0.0), complex(cut + 0.5, -0.0)]),
+        generic.ravel(),
+    ]
+
+
+def test_fast_path_matches_masked_path(corr):
+    """An array mixing every kind of point equals, bit for bit, the calls
+    on each homogeneous subset: a subset without special points takes
+    the mask-free path, the mixed array the masked one."""
+    b = make_bundle(corr)
+    assert not b.integer_order
+    sc = b.scalars
+    side2 = _kinds(sc.theta2_minus, sc.theta2_plus, sc.theta2_plus, NATIVE)
+    side1 = _kinds(sc.theta1_minus, sc.theta1_plus, sc.theta1_plus, NATIVE2)
+    assert transform._ORIGIN_RADIUS > 5e-9
+
+    def check(fn, *sides):
+        n = sum(g.size for g in sides[0])
+        perm = np.random.default_rng(n).permutation(n)
+        whole = fn(*(np.concatenate(s)[perm] for s in sides))
+        parts = np.concatenate([fn(*groups) for groups in zip(*sides)])[perm]
+        assert whole.tobytes() == parts.tobytes()
+
+    def image(side):
+        return [transform._affine(sc, g) for g in side]
+
+    check(lambda x: chebyshev.cheb_T(b.order, x), image(side2))
+    check(lambda x: chebyshev.cheb_T_deriv(b.order, x), image(side2))
+    check(lambda t: transform.phi1_eval(b, t), side2)
+    check(lambda t1, t2: transform.phi_eval(b, t1, t2), side1, side2)
+    check(lambda t: transform.psi1_eval(b, t), [g[g != 0] for g in side2])

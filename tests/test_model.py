@@ -3,10 +3,8 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import random_ergodic
+from conftest import float_property, random_ergodic
 from rbmq import (
     ModelParams,
     derived_scalars,
@@ -109,14 +107,9 @@ def test_swap_exchanges_branch_points(corr):
     assert sw.beta == sc.beta
 
 
-@given(
-    s11=st.floats(0.2, 5.0),
-    s22=st.floats(0.2, 5.0),
-    rho=st.floats(-0.95, 0.95),
-    m1=st.floats(-3.0, -0.1),
-    m2=st.floats(-3.0, -0.1),
+@float_property(
+    s11=(0.2, 5.0), s22=(0.2, 5.0), rho=(-0.95, 0.95), m1=(-3.0, -0.1), m2=(-3.0, -0.1)
 )
-@settings(max_examples=200, deadline=None)
 def test_scalars_properties(s11, s22, rho, m1, m2):
     s12 = rho * np.sqrt(s11 * s22)
     p = validate_parameters([[s11, s12], [s12, s22]], [m1, m2])
