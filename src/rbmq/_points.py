@@ -11,13 +11,16 @@ its scalar arithmetic may round differently in the last bit, and going
 through the same loops makes a scalar call agree bit for bit with the
 same point inside an array call.
 
-An evaluator whose points may need a special branch (the interval of
-the Chebyshev function, the removable origin, the origin of phi) tests
-for such points first.  When there is none, a fast path computes the
-generic formula on the whole array without boolean-mask indexing; the
-masked path runs only for inputs that need it.  The same elementwise
-operations act on every point either way, so both paths give the same
-bits, and a scalar call still equals the same point inside any array.
+Some points need a special formula: the interval of the Chebyshev
+function, the removable origin of phi1, the origin of phi.  Where the
+generic formula stays finite on them (the Chebyshev function), it runs
+on the whole array and the special points are overwritten after.  Where
+it is 0/0 there (phi1 and phi at the origin), the evaluator tests for
+such points first: when there is none, the generic formula runs on the
+whole array without boolean-mask indexing, and the masked path runs
+only for inputs that need it.  Either way every point sees the same
+elementwise operations, so a scalar call equals the same point inside
+any array.
 """
 from __future__ import annotations
 

@@ -60,7 +60,7 @@ class TailConstants:
 
 
 def _regime_of(b: TransformBundle) -> tuple[str, float]:
-    v = theta1_at_branch_point(b.params, b.scalars)
+    v = theta1_at_branch_point(b.params)
     tol = 1e-10 * (1.0 + abs(b.params.m1) / b.params.s11)
     if abs(v) < tol:
         logger.warning(

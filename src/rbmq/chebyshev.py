@@ -18,14 +18,15 @@ complex x with a signed zero imaginary part (x +/- 0j).
 
 Evaluation path
 ---------------
-A non-integer order evaluates cos(a arccos x) on the real points of
-[-1, 1] and the power mean elsewhere.  An array with no real point in
-[-1, 1] (the common case: complex arguments, or real ones on the cut)
-takes a fast path that applies the power mean to the whole array
-without boolean-mask indexing; the mask is built, and the two formulas
-scattered into the output, only when some point needs the interval
-formula.  Both paths run the same elementwise operations on each point,
-so they give the same bits.
+A non-integer order evaluates the power mean on the whole array, which
+is finite on [-1, 1] too, and then overwrites the real points of
+[-1, 1] with cos(a arccos x).  The mask of those points is built only
+when the array has a real point, so an array without one (the common
+case: complex arguments, or real ones on the cut) costs one comparison
+beyond the power mean.  Every other point sees the same elementwise
+operations whatever the rest of the array holds, so a point gives the
+same bits alone or inside any array.  The derivative takes the same
+path, with the open interval (-1, 1) and a refusal at x = +/-1.
 """
 from __future__ import annotations
 
@@ -128,14 +129,10 @@ def _cheb_T_off(af: float, z: np.ndarray) -> np.ndarray:
 def _cheb_T(af: float, integer: bool, arr: np.ndarray) -> np.ndarray:
     if integer:
         return _cheb_poly(int(round(af)), arr)
+    out = _cheb_T_off(af, arr)
     on_interval = _real_interval(arr, np.less_equal)
-    if on_interval is None:
-        return _cheb_T_off(af, arr)
-    out = np.empty_like(arr)
-    out[on_interval] = np.cos(af * np.arccos(arr[on_interval].real))
-    rest = ~on_interval
-    if rest.any():
-        out[rest] = _cheb_T_off(af, arr[rest])
+    if on_interval is not None:
+        out[on_interval] = np.cos(af * np.arccos(arr[on_interval].real))
     return out
 
 
@@ -150,15 +147,11 @@ def _cheb_T_deriv(af: float, integer: bool, arr: np.ndarray) -> np.ndarray:
         return _cheb_poly_deriv(int(round(af)), arr)
     if _real_interval(arr, np.equal) is not None:
         raise AtBranchPointError(f"derivative of T_{af} is singular at x = +/-1")
+    out = _cheb_T_deriv_off(af, arr)
     interior = _real_interval(arr, np.less)
-    if interior is None:
-        return _cheb_T_deriv_off(af, arr)
-    out = np.empty_like(arr)
-    t = arr[interior].real
-    out[interior] = af * np.sin(af * np.arccos(t)) / np.sqrt(1.0 - t * t)
-    rest = ~interior
-    if rest.any():
-        out[rest] = _cheb_T_deriv_off(af, arr[rest])
+    if interior is not None:
+        t = arr[interior].real
+        out[interior] = af * np.sin(af * np.arccos(t)) / np.sqrt(1.0 - t * t)
     return out
 
 

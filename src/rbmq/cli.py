@@ -63,7 +63,7 @@ def _analyze_payload(p) -> dict:
         "theta2_minus": sc.theta2_minus,
         "theta2_plus": sc.theta2_plus,
     }
-    hyp = kernel.hyperbola(p, sc)
+    hyp = kernel.hyperbola(p)
     payload["hyperbola"] = {
         "cx2": hyp.cx2,
         "cy2": hyp.cy2,
@@ -72,7 +72,7 @@ def _analyze_payload(p) -> dict:
         "apex": hyp.apex,
         "degenerate": hyp.degenerate,
     }
-    v = kernel.theta1_at_branch_point(p, sc)
+    v = kernel.theta1_at_branch_point(p)
     payload["theta1_at_theta2_plus"] = v
     b = transform.make_bundle(p)
     report = uniformization.group_order(b)

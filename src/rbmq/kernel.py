@@ -8,12 +8,11 @@ square root.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from ._points import _as_array, _unwrap
-from .model import DerivedScalars, ModelParams, derived_scalars
+from .model import ModelParams, derived_scalars
 
 __all__ = [
     "gamma",
@@ -58,15 +57,6 @@ def _disc_d(p: ModelParams, t):
     )
 
 
-def _disc_d_tilde(p: ModelParams, t):
-    """Discriminant of the kernel as a quadratic in theta1, at theta2 = t."""
-    return (
-        t * t * (p.s12 * p.s12 - p.s11 * p.s22)
-        + 2.0 * t * (p.m1 * p.s12 - p.m2 * p.s11)
-        + p.m1 * p.m1
-    )
-
-
 def theta2_branch(p: ModelParams, theta1, sign):
     """Root of gamma(theta1, .) = 0: (-b +/- sqrt(d)) / (2a).
 
@@ -83,21 +73,17 @@ def theta2_branch(p: ModelParams, theta1, sign):
 
 
 def theta1_branch(p: ModelParams, theta2, sign):
-    """Root of gamma(., theta2) = 0 with the same labelling convention."""
-    sg = _SIGN[sign]
-    t, scalar = _as_array(theta2)
-    b = p.s12 * t + p.m1
-    root = np.sqrt(_disc_d_tilde(p, t) + 0j)
-    return _unwrap((-b + sg * root) / p.s11, scalar)
+    """Root of gamma(., theta2) = 0 with the same labelling convention:
+    the theta2-branch of the index-swapped model."""
+    return theta2_branch(p.swapped, theta2, sign)
 
 
-def theta1_at_branch_point(p: ModelParams, scalars: Optional[DerivedScalars] = None) -> float:
+def theta1_at_branch_point(p: ModelParams) -> float:
     """The coinciding double root -(s12 theta2_plus + mu1)/s11.
 
     Its sign selects the tail regime of the first boundary density.
     """
-    sc = scalars if scalars is not None else derived_scalars(p)
-    return -(p.s12 * sc.theta2_plus + p.m1) / p.s11
+    return -(p.s12 * derived_scalars(p).theta2_plus + p.m1) / p.s11
 
 
 @dataclass(frozen=True)
@@ -130,10 +116,9 @@ class HyperbolaR:
         return _unwrap(np.abs(t0 + t1 + t2 + t3) / (scale + 1e-300), scalar)
 
 
-def hyperbola(p: ModelParams, scalars: Optional[DerivedScalars] = None) -> HyperbolaR:
+def hyperbola(p: ModelParams) -> HyperbolaR:
     """Boundary curve data for this model."""
-    sc = scalars if scalars is not None else derived_scalars(p)
-    apex = -(p.s12 * sc.theta1_minus + p.m2) / p.s22
+    apex = -(p.s12 * derived_scalars(p).theta1_minus + p.m2) / p.s22
     if p.s12 == 0.0:
         return HyperbolaR(
             cx2=0.0, cy2=0.0, cx=1.0, rhs=-p.m2 / p.s22, apex=apex, degenerate=True

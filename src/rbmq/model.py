@@ -163,27 +163,27 @@ def validate_parameters(sigma, mu) -> ModelParams:
     return ModelParams(sigma.copy(), mu.copy())
 
 
-def derived_scalars(p: ModelParams) -> DerivedScalars:
-    """Correlation angle beta and branch points from their closed forms."""
+def _theta2_branch_points(p: ModelParams) -> tuple[float, float]:
+    """(theta2_minus, theta2_plus): the roots of the discriminant of the
+    kernel as a quadratic in theta1."""
     det = p.det_sigma
+    b = p.m1 * p.s12 - p.m2 * p.s11
+    root = np.sqrt(b * b + p.m1 * p.m1 * det)
+    return float((b - root) / det), float((b + root) / det)
+
+
+def derived_scalars(p: ModelParams) -> DerivedScalars:
+    """Correlation angle beta and branch points from their closed forms;
+    the theta1 pair is the theta2 pair of the index-swapped model."""
     beta = float(np.arccos(-p.s12 / np.sqrt(p.s11 * p.s22)))
-
-    b2 = p.m1 * p.s12 - p.m2 * p.s11
-    root2 = np.sqrt(b2 * b2 + p.m1 * p.m1 * det)
-    theta2_minus = (b2 - root2) / det
-    theta2_plus = (b2 + root2) / det
-
-    b1 = p.m2 * p.s12 - p.m1 * p.s22
-    root1 = np.sqrt(b1 * b1 + p.m2 * p.m2 * det)
-    theta1_minus = (b1 - root1) / det
-    theta1_plus = (b1 + root1) / det
-
+    theta1_minus, theta1_plus = _theta2_branch_points(p.swapped)
+    theta2_minus, theta2_plus = _theta2_branch_points(p)
     return DerivedScalars(
         beta=beta,
-        theta1_minus=float(theta1_minus),
-        theta1_plus=float(theta1_plus),
-        theta2_minus=float(theta2_minus),
-        theta2_plus=float(theta2_plus),
+        theta1_minus=theta1_minus,
+        theta1_plus=theta1_plus,
+        theta2_minus=theta2_minus,
+        theta2_plus=theta2_plus,
     )
 
 

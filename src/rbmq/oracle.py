@@ -32,14 +32,17 @@ Observables are gathered per chunk in step order, so no result depends
 on the block size.  Batches are independent replicas, each with its own
 burn-in and its own RNG stream spawned from one seed, merged by batch
 index, so output is deterministic for a fixed seed regardless of how
-many worker threads run.
+many worker threads run.  The Laplace transform is estimated on the
+fixed 3x3 grid of theta in {-1, -0.5, -0.1}^2, and each marginal and
+boundary histogram has 60 bins.
 
 Inversion
 ---------
-Fixed-contour Talbot quadrature, applied after shifting the transform
-by its dominant singularity so that the slowly varying factor of the
-density is inverted at full relative accuracy; Gaver-Stehfest (Salzer
-weights, real nodes only) serves as an independent cross-check.
+Fixed-contour Talbot quadrature with 32 nodes (Abate & Whitt 2006),
+applied after shifting the transform by its dominant singularity so
+that the slowly varying factor of the density is inverted at full
+relative accuracy.  Order-14 Gaver-Stehfest (Salzer weights, real nodes
+only) cross-checks every table at three abscissae and must agree to 1%.
 """
 from __future__ import annotations
 
@@ -48,7 +51,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -72,19 +75,16 @@ __all__ = [
     "DiagonalClosedForms",
     "simulate",
     "invert_transform",
-    "talbot_invert",
-    "gaver_stehfest_invert",
     "diagonal_closed_forms",
     "density_table_to_csv",
     "sim_result_to_csv",
-    "DEFAULT_THETA_GRID",
 ]
 
 log = logging.getLogger(__name__)
 
-DEFAULT_THETA_GRID = tuple(
-    (a, c) for a in (-1.0, -0.5, -0.1) for c in (-1.0, -0.5, -0.1)
-)
+# the (theta1, theta2) pairs where simulate estimates the Laplace transform
+_THETA_GRID = tuple((a, c) for a in (-1.0, -0.5, -0.1) for c in (-1.0, -0.5, -0.1))
+_BINS = 60  # bins of each marginal and boundary histogram
 
 # steps per RNG draw: two normal and two exponential buffers, 4 x 16 MB
 # per worker at full size; the split of draws between them fixes the stream
@@ -106,7 +106,8 @@ class SimConfig:
     burn_in time units).  Observables are accumulated every thin_time
     units of simulated time, rounded to a whole number of steps (at
     least one), which is statistically free because the integrands
-    decorrelate on O(1) timescales.
+    decorrelate on O(1) timescales.  The theta grid and the histogram
+    bins are fixed (see SimResult).
     """
 
     step: float = 2e-3
@@ -115,7 +116,6 @@ class SimConfig:
     seed: int = 0
     batches: int = 50
     thin_time: float = 0.01
-    bins: int = 60
 
     def __post_init__(self):
         if not (0 < self.step < math.inf and 0 < self.horizon < math.inf and self.burn_in >= 0):
@@ -133,18 +133,18 @@ class SimConfig:
                 "each batch's measured segment (horizon - burn_in) / batches "
                 "must be at least one step"
             )
-        if self.bins < 2:
-            raise ValidationError("need at least 2 histogram bins")
 
 
 @dataclass(frozen=True)
 class SimResult:
     """Empirical summaries of one simulation run.
 
-    laplace_estimates maps each theta grid pair to (mean, stderr);
-    local_time_rates holds ((rate1, se1), (rate2, se2)); histograms map
-    name -> (bin_edges, density).  Stderr are batch-means estimates
-    over the independent replicas.
+    laplace_estimates maps each (theta1, theta2) of the 3x3 grid
+    {-1, -0.5, -0.1}^2 to (mean, stderr); local_time_rates holds
+    ((rate1, se1), (rate2, se2)); histograms map name -> (bin_edges,
+    density) on 60 bins from 0 to four times the axis' exponential scale
+    s_ii / |mu_i|.  Stderr are batch-means estimates over the independent
+    replicas.
     """
 
     laplace_estimates: dict
@@ -153,7 +153,6 @@ class SimResult:
     boundary_histograms: dict
     measured_time: float
     config: SimConfig
-    theta_grid: tuple = field(default=DEFAULT_THETA_GRID)
 
 
 @dataclass(frozen=True)
@@ -264,16 +263,16 @@ class _Skorokhod:
         return h[keep], dl[keep]
 
 
-def _uniform_hist(vals, inv_width: float, nbins: int, weights=None):
-    """Histogram on uniform [0, nbins/inv_width) bins via bincount."""
+def _uniform_hist(vals, inv_width: float, weights=None):
+    """Histogram on _BINS uniform bins of [0, _BINS/inv_width) via bincount."""
     idx = (vals * inv_width).astype(np.int64)
-    ok = (idx >= 0) & (idx < nbins)
+    ok = (idx >= 0) & (idx < _BINS)
     if weights is None:
-        return np.bincount(idx[ok], minlength=nbins)[:nbins].astype(float)
-    return np.bincount(idx[ok], weights=weights[ok], minlength=nbins)[:nbins]
+        return np.bincount(idx[ok], minlength=_BINS)[:_BINS].astype(float)
+    return np.bincount(idx[ok], weights=weights[ok], minlength=_BINS)[:_BINS]
 
 
-def _run_batch(p, cfg, theta_grid, edges1, edges2, n_burn, n_meas, thin, seed_seq):
+def _run_batch(p, cfg, edges1, edges2, n_burn, n_meas, thin, seed_seq):
     """One replica: burn-in, then accumulate thinned observables.
 
     Each chunk draws its normals, then its exponentials, in one call
@@ -286,19 +285,16 @@ def _run_batch(p, cfg, theta_grid, edges1, edges2, n_burn, n_meas, thin, seed_se
     rt = math.sqrt(cfg.step)
     a11, a21, a22 = chol[0, 0] * rt, chol[1, 0] * rt, chol[1, 1] * rt
 
-    m = len(theta_grid)
-    th1 = np.array([t[0] for t in theta_grid])
-    th2 = np.array([t[1] for t in theta_grid])
-    acc = np.zeros(m)
+    th1, th2 = (np.array(t) for t in zip(*_THETA_GRID))
+    acc = np.zeros(len(_THETA_GRID))
     n_acc = 0
     l1 = l2 = 0.0
-    nb = cfg.bins
-    inv_w1 = nb / edges1[-1]
-    inv_w2 = nb / edges2[-1]
-    mhist1 = np.zeros(nb)
-    mhist2 = np.zeros(nb)
-    bhist1 = np.zeros(nb)
-    bhist2 = np.zeros(nb)
+    inv_w1 = _BINS / edges1[-1]
+    inv_w2 = _BINS / edges2[-1]
+    mhist1 = np.zeros(_BINS)
+    mhist2 = np.zeros(_BINS)
+    bhist1 = np.zeros(_BINS)
+    bhist2 = np.zeros(_BINS)
 
     total = n_burn + n_meas
     xi1 = np.empty(min(_CHUNK, total))
@@ -364,12 +360,12 @@ def _run_batch(p, cfg, theta_grid, edges1, edges2, n_burn, n_meas, thin, seed_se
             if idx.size:
                 acc += np.exp(np.outer(th1, s1) + np.outer(th2, s2)).sum(axis=1)
                 n_acc += idx.size
-                mhist1 += _uniform_hist(s1, inv_w1, nb)
-                mhist2 += _uniform_hist(s2, inv_w2, nb)
+                mhist1 += _uniform_hist(s1, inv_w1)
+                mhist2 += _uniform_hist(s2, inv_w2)
             at, dl = map(np.concatenate, zip(*hits1))
-            bhist1 += _uniform_hist(at, inv_w2, nb, weights=dl)
+            bhist1 += _uniform_hist(at, inv_w2, weights=dl)
             at, dl = map(np.concatenate, zip(*hits2))
-            bhist2 += _uniform_hist(at, inv_w1, nb, weights=dl)
+            bhist2 += _uniform_hist(at, inv_w1, weights=dl)
         done += n
 
     t_meas = n_meas * cfg.step
@@ -408,7 +404,7 @@ def _worker_count(batches: int) -> int:
     return min(asked, cap)
 
 
-def simulate(p: ModelParams, cfg: Optional[SimConfig] = None, theta_grid=None) -> SimResult:
+def simulate(p: ModelParams, cfg: Optional[SimConfig] = None) -> SimResult:
     """Simulate the reflected diffusion and summarise its stationary law.
 
     Because the reflection is orthogonal, each coordinate is reflected
@@ -428,15 +424,12 @@ def simulate(p: ModelParams, cfg: Optional[SimConfig] = None, theta_grid=None) -
             StepSizeWarning,
             stacklevel=2,
         )
-    grid = tuple(tuple(map(float, t)) for t in (theta_grid or DEFAULT_THETA_GRID))
-    if any(a > 0 or c > 0 for a, c in grid):
-        raise ValueError("theta grid must have non-positive real components")
 
     # deterministic histogram ranges: ~8 means of the per-axis exponential scale
     cap1 = 4.0 * p.s11 / abs(p.m1)
     cap2 = 4.0 * p.s22 / abs(p.m2)
-    edges1 = np.linspace(0.0, cap1, cfg.bins + 1)
-    edges2 = np.linspace(0.0, cap2, cfg.bins + 1)
+    edges1 = np.linspace(0.0, cap1, _BINS + 1)
+    edges2 = np.linspace(0.0, cap2, _BINS + 1)
 
     n_burn = int(round(cfg.burn_in / cfg.step))
     t_batch = (cfg.horizon - cfg.burn_in) / cfg.batches
@@ -448,9 +441,7 @@ def simulate(p: ModelParams, cfg: Optional[SimConfig] = None, theta_grid=None) -
     log.debug("simulate: %d worker thread(s) for %d batches", threads, cfg.batches)
 
     def run(batch_index):
-        return _run_batch(
-            p, cfg, grid, edges1, edges2, n_burn, n_meas, thin, seeds[batch_index]
-        )
+        return _run_batch(p, cfg, edges1, edges2, n_burn, n_meas, thin, seeds[batch_index])
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -465,7 +456,7 @@ def simulate(p: ModelParams, cfg: Optional[SimConfig] = None, theta_grid=None) -
     lap_mean = lap.mean(axis=0)
     lap_se = lap.std(axis=0, ddof=1) / math.sqrt(nb)
     laplace = {
-        grid[i]: (float(lap_mean[i]), float(lap_se[i])) for i in range(len(grid))
+        th: (float(lap_mean[i]), float(lap_se[i])) for i, th in enumerate(_THETA_GRID)
     }
     rates = (
         (float(r1.mean()), float(r1.std(ddof=1) / math.sqrt(nb))),
@@ -485,7 +476,6 @@ def simulate(p: ModelParams, cfg: Optional[SimConfig] = None, theta_grid=None) -
         boundary_histograms={"nu1": (edges2, bh1), "nu2": (edges1, bh2)},
         measured_time=t_meas_total,
         config=cfg,
-        theta_grid=grid,
     )
 
 
@@ -494,19 +484,26 @@ def simulate(p: ModelParams, cfg: Optional[SimConfig] = None, theta_grid=None) -
 # ---------------------------------------------------------------------------
 
 
-def talbot_invert(transform: Callable, x, nodes: int = 32) -> np.ndarray:
+# Talbot nodes, Gaver-Stehfest order, and the largest relative
+# difference between the two that the cross-check accepts
+_TALBOT_NODES = 32
+_STEHFEST_ORDER = 14
+_CROSS_CHECK_RTOL = 0.01
+
+
+def _talbot_invert(transform: Callable, x) -> np.ndarray:
     """Fixed-contour Talbot inversion of a standard Laplace transform.
 
     The contour winds around the negative real axis, so singularities
-    must satisfy Re <= 0; node count beyond ~35 buys nothing in double
+    must satisfy Re <= 0; a node count beyond ~35 buys nothing in double
     precision because the e^{2M/5} weight growth amplifies roundoff.
-    The transform is called once, on the len(x) x nodes array of all
-    nodes (Abate & Whitt 2006), so it must broadcast over 2-d input.
+    The transform is called once, on the len(x) x _TALBOT_NODES array of
+    all nodes (Abate & Whitt 2006), so it must broadcast over 2-d input.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs <= 0):
         raise ValueError("inversion abscissae must be positive")
-    mm = nodes
+    mm = _TALBOT_NODES
     theta = np.arange(mm) * np.pi / mm
     cot = np.zeros(mm)
     cot[1:] = 1.0 / np.tan(theta[1:])
@@ -531,10 +528,10 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([np.dot(ra, rb) for ra, rb in zip(a, b)])
 
 
-def _stehfest_weights(order: int) -> np.ndarray:
-    """Salzer summation weights, accumulated exactly before rounding."""
-    if order % 2 or order <= 0:
-        raise ValueError("Gaver-Stehfest order must be a positive even integer")
+def _stehfest_weights() -> np.ndarray:
+    """Salzer summation weights of order _STEHFEST_ORDER, accumulated
+    exactly before rounding."""
+    order = _STEHFEST_ORDER
     half = order // 2
     v = np.empty(order)
     for k in range(1, order + 1):
@@ -549,10 +546,14 @@ def _stehfest_weights(order: int) -> np.ndarray:
                 * math.factorial(2 * j - k),
             )
         v[k - 1] = float((-1) ** (k + half) * total)
+    v.setflags(write=False)
     return v
 
 
-def gaver_stehfest_invert(transform: Callable, x, order: int = 14) -> np.ndarray:
+_STEHFEST_WEIGHTS = _stehfest_weights()
+
+
+def _gaver_stehfest_invert(transform: Callable, x) -> np.ndarray:
     """Gaver-Stehfest inversion (real nodes, Salzer summation weights).
 
     Alternating weights grow like 10^(0.8 order); order 14 is about the
@@ -561,23 +562,13 @@ def gaver_stehfest_invert(transform: Callable, x, order: int = 14) -> np.ndarray
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs <= 0):
         raise ValueError("inversion abscissae must be positive")
-    v = _stehfest_weights(order)
-    k = np.arange(1, order + 1)
+    k = np.arange(1, _STEHFEST_ORDER + 1)
     ln2 = math.log(2.0)
     fp = np.asarray(transform(k * ln2 / xs[:, None]), dtype=float)
-    return ln2 / xs * _row_dots(np.broadcast_to(v, fp.shape), fp)
+    return ln2 / xs * _row_dots(np.broadcast_to(_STEHFEST_WEIGHTS, fp.shape), fp)
 
 
-def invert_transform(
-    b: TransformBundle,
-    side: str,
-    grid,
-    *,
-    nodes: int = 32,
-    stehfest_order: int = 14,
-    cross_check: bool = True,
-    cross_check_rtol: float = 0.01,
-) -> DensityTable:
+def invert_transform(b: TransformBundle, side: str, grid) -> DensityTable:
     """Numerically invert one boundary transform to its density.
 
     The transform in standard Laplace orientation is F(s) = phi(-s);
@@ -585,7 +576,9 @@ def invert_transform(
     singularity), so the integrand is shifted by the dominant
     singularity (known from the asymptotics module) before Talbot
     quadrature: the inverted factor then varies slowly and keeps full
-    relative accuracy even deep in the tail.
+    relative accuracy even deep in the tail.  Gaver-Stehfest inverts
+    the same factor at the first, middle and last abscissae, and a
+    relative difference above 1% raises MethodDisagreementError.
     """
     if side not in ("nu1", "nu2"):
         raise ValueError("side must be 'nu1' or 'nu2'")
@@ -603,20 +596,17 @@ def invert_transform(
     def shifted(s):
         return phi1_eval(side_bundle, shift - np.asarray(s, dtype=complex))
 
-    slow = talbot_invert(shifted, xs, nodes=nodes)
+    slow = _talbot_invert(shifted, xs)
     values = np.exp(-shift * xs) * slow
-    if cross_check:
-        probe = xs[np.unique([0, xs.size // 2, xs.size - 1])]
-        gs = gaver_stehfest_invert(
-            lambda s: np.real(shifted(s)), probe, order=stehfest_order
+    probe = np.unique([0, xs.size // 2, xs.size - 1])
+    gs = _gaver_stehfest_invert(lambda s: np.real(shifted(s)), xs[probe])
+    tal = slow[probe]
+    rel = np.abs(gs - tal) / np.maximum(np.abs(tal), 1e-300)
+    if np.any(rel > _CROSS_CHECK_RTOL):
+        raise MethodDisagreementError(
+            f"Talbot and Gaver-Stehfest disagree by {rel.max():.2%} "
+            f"(tolerance {_CROSS_CHECK_RTOL:.0%})"
         )
-        tal = slow[np.unique([0, xs.size // 2, xs.size - 1])]
-        rel = np.abs(gs - tal) / np.maximum(np.abs(tal), 1e-300)
-        if np.any(rel > cross_check_rtol):
-            raise MethodDisagreementError(
-                f"Talbot and Gaver-Stehfest disagree by {rel.max():.2%} "
-                f"(tolerance {cross_check_rtol:.0%})"
-            )
     return DensityTable(grid=xs.copy(), values=values, method="talbot")
 
 

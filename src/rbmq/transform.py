@@ -180,22 +180,31 @@ def _phi1_deriv(b: TransformBundle, arr: np.ndarray) -> np.ndarray:
 
 
 def phi2_eval(b: TransformBundle, theta1):
-    """Transform of the second boundary measure (index-swapped route)."""
-    return phi1_eval(b.swapped, theta1)
+    """Transform of the second boundary measure (index-swapped route),
+    continued to the plane cut along (theta1_plus, inf)."""
+    _raise_if_on_cut(theta1, b.scalars.theta1_plus, "theta1")
+    arr, scalar = _as_array(theta1)
+    return _unwrap(_phi1(b.swapped, arr), scalar)
+
+
+def _psi1(b: TransformBundle, arr: np.ndarray) -> np.ndarray:
+    if (arr == 0).any():
+        raise AtZeroError("psi1 and psi2 have their pole at 0")
+    return _phi1(b, arr) / arr
 
 
 def psi1_eval(b: TransformBundle, theta2):
     """phi1(theta2)/theta2: simple pole at 0 with residue -mu1."""
     _raise_if_on_cut(theta2, b.scalars.theta2_plus, "theta2")
     arr, scalar = _as_array(theta2)
-    if (arr == 0).any():
-        raise AtZeroError("psi1 and psi2 have their pole at 0")
-    return _unwrap(_phi1(b, arr) / arr, scalar)
+    return _unwrap(_psi1(b, arr), scalar)
 
 
 def psi2_eval(b: TransformBundle, theta1):
     """phi2(theta1)/theta1: simple pole at 0 with residue -mu2."""
-    return psi1_eval(b.swapped, theta1)
+    _raise_if_on_cut(theta1, b.scalars.theta1_plus, "theta1")
+    arr, scalar = _as_array(theta1)
+    return _unwrap(_psi1(b.swapped, arr), scalar)
 
 
 def phi_eval(b: TransformBundle, theta1, theta2, *, direction=None):

@@ -5,11 +5,14 @@ points sit at s = +/-1 and +/- e^{i beta}, the real zeros form the unit
 circle, and the pair (0, 0) lifts to a unit-circle point s0 on the
 lower arc.  The lifted gluing map W and the two involutions generating
 the symmetry group of the surface live here, together with the
-finite-order detection that decides algebraicity of the transforms.
+finite-order detection that decides algebraicity of the transforms:
+pi/beta is read as a rational p/q when a continued-fraction convergent
+with q <= 10^6 lies within 1e-12 / q^2 of it.
 """
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,7 +20,6 @@ import numpy as np
 
 from ._points import _as_array, _unwrap
 from .errors import AtZeroOrInfinityError, OnLogCutError
-from .rational import detect_rational
 from .transform import TransformBundle
 
 __all__ = [
@@ -29,14 +31,19 @@ __all__ = [
     "classify_solution_nature",
 ]
 
+# largest denominator, and residual coefficient, of the rational detection
+_QMAX = 10**6
+_TOL_COEFF = 1e-12
+
 
 @dataclass(frozen=True)
 class GroupReport:
     """Finiteness certificate for the symmetry group <zeta, eta>.
 
     finite=True comes with the rational detection (p, q) of pi/beta in
-    lowest terms and the group order; finite=False only ever means "no
-    rational with denominator <= qmax", recorded in `note`.
+    lowest terms, its residual |pi/beta - p/q| and the group order;
+    finite=False only ever means "no rational with denominator <= 10^6",
+    recorded in `note`.
     """
 
     finite: bool
@@ -44,7 +51,6 @@ class GroupReport:
     p: Optional[int]
     q: Optional[int]
     residual: float
-    qmax: int
     note: str
 
 
@@ -101,14 +107,43 @@ def group_elements(b: TransformBundle, s):
     return _unwrap(zeta, scalar), _unwrap(eta, scalar)
 
 
-def group_order(b: TransformBundle, qmax: int = 10**6) -> GroupReport:
+def _detect_rational(x: float) -> Optional[tuple[int, int, float]]:
+    """Best rational approximation p/q of x with q <= _QMAX, if convincing.
+
+    Walks the continued-fraction convergents of x and returns the first
+    (p, q, |x - p/q|) whose residual is below _TOL_COEFF / q**2.  Returns
+    None when no convergent with denominator <= _QMAX qualifies; callers
+    must read that as "irrational within the bound", never as a proof
+    of irrationality (a float cannot certify one).
+    """
+    # convergents h_k / k_k of the continued fraction of x
+    h_prev, h = 1, int(math.floor(x))
+    k_prev, k = 0, 1
+    frac = x - math.floor(x)
+    for _ in range(64):
+        if k > _QMAX:
+            break
+        residual = abs(x - h / k)
+        if residual < _TOL_COEFF / (k * k):
+            g = math.gcd(abs(h), k)
+            return h // g, k // g, residual
+        if frac == 0.0:
+            break
+        a = math.floor(1.0 / frac)
+        frac = 1.0 / frac - a
+        h_prev, h = h, int(a) * h + h_prev
+        k_prev, k = k, int(a) * k + k_prev
+    return None
+
+
+def group_order(b: TransformBundle) -> GroupReport:
     """Finiteness detection for <zeta, eta> via rationality of pi/beta.
 
     The composition zeta(eta(.)) rotates s by -2 beta; with pi/beta =
     p/q in lowest terms the smallest n with n*beta in pi*Z is n = p
     (computed on exact integers), and the dihedral group order is 2n.
     """
-    hit = detect_rational(b.scalars.pi_over_beta, qmax=qmax)
+    hit = _detect_rational(b.scalars.pi_over_beta)
     if hit is None:
         return GroupReport(
             finite=False,
@@ -116,10 +151,9 @@ def group_order(b: TransformBundle, qmax: int = 10**6) -> GroupReport:
             p=None,
             q=None,
             residual=float("nan"),
-            qmax=qmax,
-            note=f"infinite within bound {qmax}",
+            note=f"infinite within bound {_QMAX}",
         )
-    # detect_rational returns lowest terms; the smallest n >= 1 with
+    # _detect_rational returns lowest terms; the smallest n >= 1 with
     # n*beta in pi*Z makes n*q/p integral, and gcd(p, q) = 1, so n = p
     p, q, residual = hit
     return GroupReport(
@@ -128,12 +162,11 @@ def group_order(b: TransformBundle, qmax: int = 10**6) -> GroupReport:
         p=p,
         q=q,
         residual=residual,
-        qmax=qmax,
         note=f"pi/beta = {p}/{q} (residual {residual:.2e})",
     )
 
 
-def classify_solution_nature(b: TransformBundle, qmax: int = 10**6) -> str:
+def classify_solution_nature(b: TransformBundle) -> str:
     """Nature of the boundary transform: rational / algebraic / D-finite.
 
     Finite group (rational pi/beta) gives an algebraic transform,
@@ -141,7 +174,7 @@ def classify_solution_nature(b: TransformBundle, qmax: int = 10**6) -> str:
     transcendental but still satisfies a linear ODE.  Reads the rational
     detection of `group_order`, so the two always agree.
     """
-    rep = group_order(b, qmax)
+    rep = group_order(b)
     if not rep.finite:
         return "transcendental_D_finite"
     return "rational_polynomial" if rep.q == 1 else "algebraic_nonpolynomial"

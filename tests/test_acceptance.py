@@ -129,7 +129,7 @@ def test_criterion_06_group_and_nature():
     )
     # generic correlation: no small rational, D-finite
     gen = validate_parameters([[1.0, 0.4], [0.4, 1.5]], [-0.7, -1.2])
-    repg = uniformization.group_order(make_bundle(gen), qmax=10**6)
+    repg = uniformization.group_order(make_bundle(gen))
     ok &= (not repg.finite) and "infinite within bound 1000000" in repg.note
     ok &= (
         uniformization.classify_solution_nature(make_bundle(gen))
@@ -203,7 +203,7 @@ def test_criterion_09_asymptotics():
     assert rep.regime == REGIME_SADDLE
     top = b1.scalars.theta2_plus
     xs = np.geomspace(5.0, 50.0, 10)
-    slow = oracle.talbot_invert(
+    slow = oracle._talbot_invert(
         lambda s: transform.phi1_eval(b1, top - np.asarray(s, dtype=complex)), xs
     )
     comp = slow * xs**1.5

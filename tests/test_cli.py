@@ -114,6 +114,14 @@ def test_eval_on_cut_needs_a_side(corr_config, capsys):
     )
     assert code == 3 and "OnCutError" in err
     assert "--im1 0 / --im1 -0" in err and "--im2 0 / --im2 -0" in err
+    # phi2 and psi2 take theta1, so their refusal names theta1 and theta1_plus
+    for fn in ("phi2", "psi2"):
+        code, out, err = run_cli(
+            ["eval", "--config", corr_config, "--fn", fn, "--re", "5"], capsys
+        )
+        assert code == 3 and out == "" and "theta2" not in err
+        assert "real theta1 > 1.5458949632455699 lies on the cut; pass theta1 +/- 0j" in err
+        assert "--im 0 / --im -0" in err
 
 
 def test_bad_config_exit_code(tmp_path, capsys):

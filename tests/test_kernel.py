@@ -6,7 +6,6 @@ from rbmq import derived_scalars
 from rbmq.checks import branch_root_residual, conjugacy_residual, vieta_residual
 from rbmq.kernel import (
     _disc_d,
-    _disc_d_tilde,
     gamma,
     hyperbola,
     theta1_at_branch_point,
@@ -25,9 +24,9 @@ def test_gamma_values(diag):
 def test_discriminants_diag(diag):
     # d_tilde(t2) = -t2^2 + 2 t2 + 1 for the unit diagonal model
     for t2 in (-1.0, 0.0, 0.7, 2.0):
-        assert _disc_d_tilde(diag, t2) == pytest.approx(-t2 * t2 + 2 * t2 + 1, rel=1e-14)
-    assert _disc_d_tilde(diag, 1 + SQRT2) == pytest.approx(0.0, abs=1e-13)
-    assert _disc_d_tilde(diag, 1 - SQRT2) == pytest.approx(0.0, abs=1e-13)
+        assert _disc_d(diag.swapped, t2) == pytest.approx(-t2 * t2 + 2 * t2 + 1, rel=1e-14)
+    assert _disc_d(diag.swapped, 1 + SQRT2) == pytest.approx(0.0, abs=1e-13)
+    assert _disc_d(diag.swapped, 1 - SQRT2) == pytest.approx(0.0, abs=1e-13)
     assert _disc_d(diag, 0.0) == pytest.approx(1.0)  # mu2^2
 
 

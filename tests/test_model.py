@@ -118,11 +118,11 @@ def test_scalars_properties(s11, s22, rho, m1, m2):
     assert sc.theta2_minus < 0.0 < sc.theta2_plus
     assert sc.theta1_minus < 0.0 < sc.theta1_plus
     # branch points are the roots of the discriminants
-    from rbmq.kernel import _disc_d, _disc_d_tilde
+    from rbmq.kernel import _disc_d
 
     scale = p.scale * (1.0 + sc.theta2_plus**2)
-    assert abs(_disc_d_tilde(p, sc.theta2_plus)) < 1e-10 * scale
-    assert abs(_disc_d_tilde(p, sc.theta2_minus)) < 1e-10 * scale
+    assert abs(_disc_d(p.swapped, sc.theta2_plus)) < 1e-10 * scale
+    assert abs(_disc_d(p.swapped, sc.theta2_minus)) < 1e-10 * scale
     assert abs(_disc_d(p, sc.theta1_plus)) < 1e-10 * scale
     assert abs(_disc_d(p, sc.theta1_minus)) < 1e-10 * scale
 

@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from rbmq.transform import (
     phi2_eval,
     phi_eval,
     psi1_eval,
+    psi2_eval,
     w_eval,
 )
 from rbmq.uniformization import theta_of_s
@@ -208,6 +210,25 @@ def test_phi2_is_swapped_phi1(corr):
     b_swapped = make_bundle(validate_parameters(corr.sigma[::-1, ::-1], corr.mu[::-1]))
     for z in (-0.5, -1.3 + 0.4j, 0.2 + 1j):
         assert phi2_eval(b, z) == pytest.approx(phi1_eval(b_swapped, z), rel=1e-14)
+
+
+def test_phi2_psi2_cut_refusal_names_theta1(corr):
+    # phi2 and psi2 take theta1, cut along (theta1_plus, inf); the
+    # refusal names that variable and that branch point
+    b = make_bundle(corr)
+    top = b.scalars.theta1_plus
+    assert top != b.scalars.theta2_plus
+    msg = re.escape(f"real theta1 > {top} lies on the cut; pass theta1 +/- 0j")
+    for fn in (phi2_eval, psi2_eval):
+        with pytest.raises(OnCutError, match=msg):
+            fn(b, 5.0)
+        with pytest.raises(OnCutError, match=msg):
+            fn(b, np.array([-1.0, 5.0]))
+        up, down = fn(b, 5.0 + 0j), fn(b, complex(5.0, -0.0))
+        assert up == down.conjugate() and up.imag != 0.0
+        fn(b, top)  # the branch point itself is not on the cut
+    with pytest.raises(AtZeroError):
+        psi2_eval(b, 0.0)
 
 
 def test_phi1_deriv_matches_finite_differences(corr):
