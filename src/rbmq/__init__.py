@@ -6,7 +6,7 @@ machinery behind them, and two independent numerical oracles (diffusion
 simulation and Laplace inversion) that cross-check every closed form.
 """
 
-from .asymptotics import AsymptoticReport, classify_regime, constants_C1_C2
+from .asymptotics import AsymptoticReport, classify_regime
 from .chebyshev import cheb_T
 from .checks import CheckResult, run_checks
 from .kernel import (
@@ -14,8 +14,8 @@ from .kernel import (
     gamma,
     hyperbola,
     theta1_at_branch_point,
-    theta1_branch,
-    theta2_branch,
+    theta1_branches,
+    theta2_branches,
 )
 from .model import (
     DerivedScalars,

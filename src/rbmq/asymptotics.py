@@ -14,16 +14,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import IntegerExponentError, WrongRegimeError
+from .errors import IntegerExponentError
 from .kernel import theta1_at_branch_point
 from .transform import TransformBundle, _w_deriv, phi1_eval, w_eval
 
-__all__ = [
-    "AsymptoticReport",
-    "TailConstants",
-    "classify_regime",
-    "constants_C1_C2",
-]
+__all__ = ["AsymptoticReport", "classify_regime"]
 
 logger = logging.getLogger(__name__)
 
@@ -38,7 +33,12 @@ class AsymptoticReport:
 
     nu1(x) ~ constant * x^power * exp(-decay_rate * x); decay_rate is
     positive in every regime (integrability).  pole_location is set only
-    when the pole is the dominant singularity.
+    when the pole is the dominant singularity.  c1 and c2 are the
+    branch-point constants of the local expansion of phi1: c1 multiplies
+    sqrt(theta2_plus - theta2) when the gluing map separates the branch
+    point from the origin, c2 is the coefficient of the inverse square
+    root when it does not.  Both are None in the pole regime, and c1
+    also in the boundary regime or when w(theta2_plus) - w(0) collapses.
     """
 
     regime: str
@@ -47,16 +47,8 @@ class AsymptoticReport:
     constant: float
     pole_location: Optional[float]
     theta1_at_theta2_plus: float
-
-
-@dataclass(frozen=True)
-class TailConstants:
-    """The two branch-point constants; `applicable` names the one that
-    belongs to the current regime."""
-
-    c1: Optional[float]
-    c2: float
-    applicable: str
+    c1: Optional[float] = None
+    c2: Optional[float] = None
 
 
 def _regime_of(b: TransformBundle) -> tuple[str, float]:
@@ -73,25 +65,11 @@ def _regime_of(b: TransformBundle) -> tuple[str, float]:
     return (REGIME_SADDLE, v) if v < 0 else (REGIME_POLE, v)
 
 
-def constants_C1_C2(b: TransformBundle) -> TailConstants:
-    """Branch-point constants of the local expansion of phi1.
-
-    c1 multiplies sqrt(theta2_plus - theta2) when the gluing map
-    separates the branch point from the origin; c2 is the coefficient
-    of the inverse square root when it does not.  Undefined for integer
-    pi/beta (the gluing map is then a polynomial with no branch point)
-    and meaningless in the pole regime.
-    """
-    return _constants(b, _regime_of(b)[0])
-
-
-def _constants(b: TransformBundle, regime: str) -> TailConstants:
+def _constants(b: TransformBundle, regime: str) -> tuple[Optional[float], float]:
+    """(c1, c2) outside the pole regime.  Undefined for integer pi/beta
+    (the gluing map is then a polynomial with no branch point)."""
     sc = b.scalars
     a = b.order
-    if regime == REGIME_POLE:
-        raise WrongRegimeError(
-            "the pole dominates the tail here; branch-point constants do not apply"
-        )
     if b.integer_order:
         raise IntegerExponentError(
             f"pi/beta = {a} is an integer: the branch-point expansion degenerates "
@@ -104,16 +82,14 @@ def _constants(b: TransformBundle, regime: str) -> TailConstants:
     c2 = float(-b.params.m1 * b.w1_prime0 * sc.theta2_plus * root_spread / sin_factor)
     wdiff = complex(w_eval(b, sc.theta2_plus)) - b.w1_at_0
     if regime == REGIME_BOUNDARY or abs(wdiff) < 1e-10 * (1.0 + abs(b.w1_at_0)):
-        c1 = None
-    else:
-        phi1_top = complex(phi1_eval(b, sc.theta2_plus))
-        c1 = float((-phi1_top * sin_factor / (wdiff * root_spread)).real)
-    applicable = "C1" if regime == REGIME_SADDLE else "C2"
-    return TailConstants(c1=c1, c2=c2, applicable=applicable)
+        return None, c2
+    phi1_top = complex(phi1_eval(b, sc.theta2_plus))
+    return float((-phi1_top * sin_factor / (wdiff * root_spread)).real), c2
 
 
 def classify_regime(b: TransformBundle) -> AsymptoticReport:
-    """Regime tag plus the filled leading-order tail data."""
+    """Regime tag, the filled leading-order tail data and, outside the
+    pole regime, the branch-point constants."""
     p = b.params
     sc = b.scalars
     regime, v = _regime_of(b)
@@ -130,12 +106,12 @@ def classify_regime(b: TransformBundle) -> AsymptoticReport:
             pole_location=rate,
             theta1_at_theta2_plus=v,
         )
-    consts = _constants(b, regime)
+    c1, c2 = _constants(b, regime)
     if regime == REGIME_SADDLE:
-        constant = -consts.c1 / (2.0 * np.sqrt(np.pi))
+        constant = -c1 / (2.0 * np.sqrt(np.pi))
         power = -1.5
     else:
-        constant = consts.c2 / np.sqrt(np.pi)
+        constant = c2 / np.sqrt(np.pi)
         power = -0.5
     return AsymptoticReport(
         regime=regime,
@@ -144,4 +120,6 @@ def classify_regime(b: TransformBundle) -> AsymptoticReport:
         constant=float(constant),
         pole_location=None,
         theta1_at_theta2_plus=v,
+        c1=c1,
+        c2=c2,
     )

@@ -74,14 +74,13 @@ def curve_points(p: ModelParams, n: int) -> np.ndarray:
     t = np.concatenate(
         [np.linspace(1e-4, 3.0, n // 2), np.geomspace(3.0, 100.0, n - n // 2)]
     )
-    return kernel.theta2_branch(p, sc.theta1_minus - t, "plus")
+    return kernel.theta2_branches(p, sc.theta1_minus - t)[0]
 
 
 def real_kernel_zeros(p: ModelParams, theta1: np.ndarray):
     """Kernel zeros over real theta1 on both theta2-branches, as
     (theta1, theta2) with theta1 repeated once per branch."""
-    branches = [kernel.theta2_branch(p, theta1, sign) for sign in ("plus", "minus")]
-    return np.concatenate([theta1, theta1]), np.concatenate(branches)
+    return np.concatenate([theta1, theta1]), np.concatenate(kernel.theta2_branches(p, theta1))
 
 
 def native_kernel_zeros(b: TransformBundle, n: int, rng):
@@ -125,11 +124,8 @@ def kernel_zero_residual(p: ModelParams, theta1, theta2) -> float:
 def branch_root_residual(p: ModelParams, points) -> float:
     """Both branches in both variables are kernel zeros at `points`."""
     return max(
-        max(
-            kernel_zero_residual(p, points, kernel.theta2_branch(p, points, sign)),
-            kernel_zero_residual(p, kernel.theta1_branch(p, points, sign), points),
-        )
-        for sign in ("plus", "minus")
+        *(kernel_zero_residual(p, points, t2) for t2 in kernel.theta2_branches(p, points)),
+        *(kernel_zero_residual(p, t1, points) for t1 in kernel.theta1_branches(p, points)),
     )
 
 
@@ -267,7 +263,7 @@ def run_checks(p: ModelParams, seed: int = 0) -> list[CheckResult]:
     left = sc.theta1_minus - np.concatenate(
         [np.linspace(1e-3, 5.0, 100), np.geomspace(5.0, 100.0, 100)]
     )
-    plus, minus = (kernel.theta2_branch(p, left, sign) for sign in ("plus", "minus"))
+    plus, minus = kernel.theta2_branches(p, left)
     out = [
         _result("kernel_branch_roots", branch_root_residual(p, pts), 1e-10),
         _result("branch_conjugacy_on_curve", conjugacy_residual(p, plus, minus), 1e-10),
@@ -303,7 +299,7 @@ def run_checks(p: ModelParams, seed: int = 0) -> list[CheckResult]:
         )
     )
     # total mass of the bivariate transform at the origin
-    phi00 = transform.phi_eval(b, 0.0, 0.0, direction=(1.0, 1.0))
+    phi00 = transform.phi_eval(b, 0.0, 0.0)
     out.append(_result("total_mass", abs(phi00 - 1.0), 1e-12))
     if p.s12 == 0.0:
         grid = -np.linspace(0.1, 3.0, 10)

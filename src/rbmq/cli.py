@@ -11,6 +11,7 @@ usage, 3 computation refused (pole, cut, wrong regime, ...).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import math
@@ -63,18 +64,10 @@ def _analyze_payload(p) -> dict:
         "theta2_minus": sc.theta2_minus,
         "theta2_plus": sc.theta2_plus,
     }
-    hyp = kernel.hyperbola(p)
-    payload["hyperbola"] = {
-        "cx2": hyp.cx2,
-        "cy2": hyp.cy2,
-        "cx": hyp.cx,
-        "rhs": hyp.rhs,
-        "apex": hyp.apex,
-        "degenerate": hyp.degenerate,
-    }
-    v = kernel.theta1_at_branch_point(p)
-    payload["theta1_at_theta2_plus"] = v
+    payload["hyperbola"] = dataclasses.asdict(kernel.hyperbola(p))
     b = transform.make_bundle(p)
+    regime = asymptotics.classify_regime(b)
+    payload["theta1_at_theta2_plus"] = regime.theta1_at_theta2_plus
     report = uniformization.group_order(b)
     payload["group"] = {
         "finite": report.finite,
@@ -84,7 +77,6 @@ def _analyze_payload(p) -> dict:
         "note": report.note,
     }
     payload["nature"] = uniformization.classify_solution_nature(b)
-    regime = asymptotics.classify_regime(b)
     payload["regime"] = regime.regime
     payload["decay_rate"] = regime.decay_rate
     payload["w_prime_at_0"] = b.w1_prime0
@@ -159,10 +151,9 @@ def _cmd_asympt(p, args, out) -> int:
         "theta1_at_theta2_plus": report.theta1_at_theta2_plus,
     }
     if report.regime != asymptotics.REGIME_POLE:
-        consts = asymptotics.constants_C1_C2(b)
-        payload["C1"] = consts.c1
-        payload["C2"] = consts.c2
-        payload["applicable"] = consts.applicable
+        payload["C1"] = report.c1
+        payload["C2"] = report.c2
+        payload["applicable"] = "C1" if report.regime == asymptotics.REGIME_SADDLE else "C2"
     out.write(_fmt(payload) + "\n")
     return EXIT_OK
 

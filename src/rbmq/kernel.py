@@ -2,8 +2,8 @@
 two-valued branches, and the boundary hyperbola.
 
 All evaluators accept scalars or numpy arrays and broadcast; scalar in,
-scalar out.  Branch labels (plus/minus) are attached to the principal
-square root.
+scalar out.  The two roots of the kernel in one variable come as one
+(plus, minus) pair, labelled by the principal square root.
 """
 from __future__ import annotations
 
@@ -16,14 +16,12 @@ from .model import ModelParams, derived_scalars
 
 __all__ = [
     "gamma",
-    "theta2_branch",
-    "theta1_branch",
+    "theta2_branches",
+    "theta1_branches",
     "theta1_at_branch_point",
     "HyperbolaR",
     "hyperbola",
 ]
-
-_SIGN = {"plus": 1.0, "minus": -1.0}
 
 
 def _gamma(p: ModelParams, t1, t2):
@@ -57,25 +55,24 @@ def _disc_d(p: ModelParams, t):
     )
 
 
-def theta2_branch(p: ModelParams, theta1, sign):
-    """Root of gamma(theta1, .) = 0: (-b +/- sqrt(d)) / (2a).
+def theta2_branches(p: ModelParams, theta1):
+    """The two roots (plus, minus) of gamma(theta1, .) = 0:
+    (-b +/- sqrt(d)) / (2a).
 
-    sign is "plus" or "minus".  The label is attached to the principal
-    square root of d, so for real theta1 outside the branch-point
-    interval the two labels give complex-conjugate values (plus = upper
-    half-plane).
+    The labels are attached to the principal square root of d, so for
+    real theta1 outside the branch-point interval the pair is
+    complex-conjugate (plus = upper half-plane).
     """
-    sg = _SIGN[sign]
     t, scalar = _as_array(theta1)
     b = p.s12 * t + p.m2
     root = np.sqrt(_disc_d(p, t) + 0j)
-    return _unwrap((-b + sg * root) / p.s22, scalar)
+    return _unwrap((-b + root) / p.s22, scalar), _unwrap((-b - root) / p.s22, scalar)
 
 
-def theta1_branch(p: ModelParams, theta2, sign):
-    """Root of gamma(., theta2) = 0 with the same labelling convention:
-    the theta2-branch of the index-swapped model."""
-    return theta2_branch(p.swapped, theta2, sign)
+def theta1_branches(p: ModelParams, theta2):
+    """The two roots (plus, minus) of gamma(., theta2) = 0 with the same
+    labelling convention: the theta2-branches of the index-swapped model."""
+    return theta2_branches(p.swapped, theta2)
 
 
 def theta1_at_branch_point(p: ModelParams) -> float:

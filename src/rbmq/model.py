@@ -163,21 +163,22 @@ def validate_parameters(sigma, mu) -> ModelParams:
     return ModelParams(sigma.copy(), mu.copy())
 
 
-def _theta2_branch_points(p: ModelParams) -> tuple[float, float]:
-    """(theta2_minus, theta2_plus): the roots of the discriminant of the
-    kernel as a quadratic in theta1."""
-    det = p.det_sigma
-    b = p.m1 * p.s12 - p.m2 * p.s11
-    root = np.sqrt(b * b + p.m1 * p.m1 * det)
+def _branch_points(det, s12, s11, m1, m2) -> tuple[float, float]:
+    """(minus, plus): the roots of the discriminant of the kernel as a
+    quadratic in the other variable.  Called as (det, s12, s11, m1, m2)
+    it gives the theta2 pair; with the indices exchanged, the theta1
+    pair."""
+    b = m1 * s12 - m2 * s11
+    root = np.sqrt(b * b + m1 * m1 * det)
     return float((b - root) / det), float((b + root) / det)
 
 
 def derived_scalars(p: ModelParams) -> DerivedScalars:
-    """Correlation angle beta and branch points from their closed forms;
-    the theta1 pair is the theta2 pair of the index-swapped model."""
+    """Correlation angle beta and branch points from their closed forms."""
     beta = float(np.arccos(-p.s12 / np.sqrt(p.s11 * p.s22)))
-    theta1_minus, theta1_plus = _theta2_branch_points(p.swapped)
-    theta2_minus, theta2_plus = _theta2_branch_points(p)
+    det = p.det_sigma
+    theta1_minus, theta1_plus = _branch_points(det, p.s12, p.s22, p.m2, p.m1)
+    theta2_minus, theta2_plus = _branch_points(det, p.s12, p.s11, p.m1, p.m2)
     return DerivedScalars(
         beta=beta,
         theta1_minus=theta1_minus,

@@ -87,9 +87,17 @@ class TransformBundle:
 
     @cached_property
     def swapped(self) -> "TransformBundle":
-        # the swap leaves beta, hence the order and its snap, unchanged
-        p = self.params.swapped
-        return TransformBundle(p, derived_scalars(p), self.order, self.integer_order)
+        # the swap leaves beta, hence the order and its snap, unchanged,
+        # and exchanges the theta1 and theta2 branch-point pairs
+        sc = self.scalars
+        swapped = DerivedScalars(
+            beta=sc.beta,
+            theta1_minus=sc.theta2_minus,
+            theta1_plus=sc.theta2_plus,
+            theta2_minus=sc.theta1_minus,
+            theta2_plus=sc.theta1_plus,
+        )
+        return TransformBundle(self.params.swapped, swapped, self.order, self.integer_order)
 
 
 def make_bundle(p: ModelParams) -> TransformBundle:

@@ -210,7 +210,7 @@ def test_criterion_09_asymptotics():
     dev_b = float(np.max(np.abs(comp / rep.constant - 1.0)))
     ok_b = dev_b < 0.10
     # (c) local expansion of the transform at the branch point recovers C1
-    c1 = asymptotics.constants_C1_C2(b1).c1
+    c1 = rep.c1
     phi_top = complex(transform.phi1_eval(b1, top)).real
     eps = np.geomspace(1e-6, 1e-3, 12)
     slopes = [

@@ -10,9 +10,7 @@ from rbmq.asymptotics import (
     REGIME_POLE,
     REGIME_SADDLE,
     classify_regime,
-    constants_C1_C2,
 )
-from rbmq import asymptotics
 from rbmq.checks import pole_residue_residual
 from rbmq.errors import IntegerExponentError, WrongRegimeError
 from rbmq.oracle import diagonal_closed_forms, invert_transform
@@ -78,35 +76,36 @@ def test_boundary_regime_warning_logged_once(regime2, caplog):
 
 
 def test_constants_c1_c2(regime1, regime2):
-    b1 = make_bundle(regime1)
-    c = constants_C1_C2(b1)
-    assert c.applicable == "C1"
+    c = classify_regime(make_bundle(regime1))
+    assert c.regime == REGIME_SADDLE
     assert c.c1 is not None and np.isfinite(c.c1)
-    b2 = make_bundle(regime2)
-    c = constants_C1_C2(b2)
-    assert c.applicable == "C2"
+    c = classify_regime(make_bundle(regime2))
+    assert c.regime == REGIME_BOUNDARY
     assert c.c1 is None  # w-difference vanishes: C1 formula is 0/0
     assert np.isfinite(c.c2)
 
 
 def test_constants_wrong_regime(diag):
-    with pytest.raises(WrongRegimeError):
-        constants_C1_C2(make_bundle(diag))
+    # the pole decides the tail: the branch-point constants do not apply
+    rep = classify_regime(make_bundle(diag))
+    assert rep.regime == REGIME_POLE
+    assert rep.c1 is None and rep.c2 is None
 
 
-def test_integer_exponent_guard(diag, monkeypatch):
-    # the error path needs a saddle regime with integer pi/beta, which no
-    # genuine model produces; force the regime label to exercise the guard
-    monkeypatch.setattr(
-        asymptotics, "_regime_of", lambda b: (REGIME_SADDLE, -1.0)
-    )
+def test_integer_exponent_guard():
+    # pi/beta = 1.9999999999998725 snaps to the integer 2, and theta1 at
+    # the branch point (-1.9e-13) is within tolerance of 0: a boundary
+    # regime whose branch-point constants are withheld
+    p = validate_parameters([[1.0, 1e-13], [1e-13, 1.0]], [-1e-14, -1.0])
+    b = make_bundle(p)
+    assert b.integer_order
     with pytest.raises(IntegerExponentError):
-        constants_C1_C2(make_bundle(diag))
+        classify_regime(b)
 
 
 def test_c1_matches_local_expansion_slope(regime1):
     b = make_bundle(regime1)
-    c1 = constants_C1_C2(b).c1
+    c1 = classify_regime(b).c1
     top = b.scalars.theta2_plus
     phi_top = complex(phi1_eval(b, top)).real
     eps = np.geomspace(1e-6, 1e-3, 12)
@@ -120,7 +119,7 @@ def test_c1_matches_local_expansion_slope(regime1):
 
 def test_c2_matches_blowup_rate(regime2):
     b = make_bundle(regime2)
-    c2 = constants_C1_C2(b).c2
+    c2 = classify_regime(b).c2
     top = b.scalars.theta2_plus
     eps = np.geomspace(1e-8, 1e-5, 8)
     vals = np.array([complex(phi1_eval(b, top - e)).real * np.sqrt(e) for e in eps])

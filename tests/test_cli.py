@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rbmq
 from rbmq.cli import main
 
 
@@ -179,6 +183,22 @@ def test_asympt(diag_config, capsys):
     doc = json.loads(out)
     assert doc["regime"] == "pole_dominant"
     assert doc["constant"] == pytest.approx(2.0)
+
+
+def test_asympt_boundary_warning_once(tmp_path):
+    # a process of its own: the warning reaches stderr through logging's
+    # last-resort handler, which pytest's log capture would replace
+    path = tmp_path / "boundary.json"
+    path.write_text(json.dumps({"sigma": [[1, 0.5], [0.5, 1]], "mu": [-1, -1]}))
+    src = os.path.dirname(os.path.dirname(rbmq.__file__))
+    path_dirs = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_dirs))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "rbmq.cli", "asympt", "--config", str(path)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert json.loads(proc.stdout)["regime"] == "boundary_zero"
+    assert proc.stderr.count("classifying as the boundary regime") == 1
 
 
 def test_invert_csv(diag_config, capsys):

@@ -15,8 +15,8 @@ SPHERE = _rng.uniform(0.2, 5.0, (2, 3)) * np.exp(1j * _rng.uniform(-3.0, 3.0, (2
 # name -> (evaluator of (bundle, *points), points, scalar type)
 EVALUATORS = {
     "gamma": (lambda b, x, y: kernel.gamma(b.params, x, y), (NATIVE, NATIVE2), complex),
-    "theta1_branch": (lambda b, x: kernel.theta1_branch(b.params, x, "minus"), (NATIVE,), complex),
-    "theta2_branch": (lambda b, x: kernel.theta2_branch(b.params, x, "plus"), (NATIVE,), complex),
+    "theta1_branch": (lambda b, x: kernel.theta1_branches(b.params, x), (NATIVE,), complex),
+    "theta2_branch": (lambda b, x: kernel.theta2_branches(b.params, x), (NATIVE,), complex),
     "cheb_T": (lambda b, x: chebyshev.cheb_T(b.scalars.pi_over_beta, x), (NATIVE,), complex),
     "cheb_T_deriv": (
         lambda b, x: chebyshev.cheb_T_deriv(b.scalars.pi_over_beta, x), (NATIVE,), complex

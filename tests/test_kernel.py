@@ -9,7 +9,7 @@ from rbmq.kernel import (
     gamma,
     hyperbola,
     theta1_at_branch_point,
-    theta2_branch,
+    theta2_branches,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -37,18 +37,19 @@ def test_disc_vanishes_at_branch_points(corr):
 
 
 def test_branches_diag(diag):
-    assert theta2_branch(diag, 0.0, "plus") == pytest.approx(2.0)
-    assert theta2_branch(diag, 0.0, "minus") == pytest.approx(0.0, abs=1e-15)
+    plus, minus = theta2_branches(diag, 0.0)
+    assert plus == pytest.approx(2.0)
+    assert minus == pytest.approx(0.0, abs=1e-15)
     # coinciding value at the branch point
     sc = derived_scalars(diag)
-    both = [theta2_branch(diag, sc.theta1_plus, s) for s in ("plus", "minus")]
+    both = theta2_branches(diag, sc.theta1_plus)
     merged = -(diag.s12 * sc.theta1_plus + diag.m2) / diag.s22  # -b / (2a)
     assert both[0] == pytest.approx(both[1], abs=1e-7)
     assert both[0] == pytest.approx(merged, abs=1e-7)
     # conjugate pair with unit real part left of theta1_minus
-    v = theta2_branch(diag, -1.0, "plus")
-    assert v == pytest.approx(1 + 1j * SQRT2, rel=1e-14)
-    assert theta2_branch(diag, -1.0, "minus") == pytest.approx(1 - 1j * SQRT2, rel=1e-14)
+    plus, minus = theta2_branches(diag, -1.0)
+    assert plus == pytest.approx(1 + 1j * SQRT2, rel=1e-14)
+    assert minus == pytest.approx(1 - 1j * SQRT2, rel=1e-14)
 
 
 def test_branch_roots_random_complex(corr):
@@ -60,7 +61,7 @@ def test_branch_roots_random_complex(corr):
 def test_conjugacy_and_vieta_on_curve(corr):
     sc = derived_scalars(corr)
     t1 = sc.theta1_minus - np.geomspace(1e-3, 50, 200)
-    plus, minus = (theta2_branch(corr, t1, sign) for sign in ("plus", "minus"))
+    plus, minus = theta2_branches(corr, t1)
     assert conjugacy_residual(corr, plus, minus) < 1e-10
     assert vieta_residual(corr, t1, plus, minus) < 1e-10
 
@@ -110,7 +111,7 @@ def test_hyperbola_parametric_membership(corr, corr_neg):
         h = hyperbola(p)
         assert not h.degenerate
         t1 = sc.theta1_minus - np.geomspace(1e-4, 30, 100)
-        curve = theta2_branch(p, t1, "plus")
+        curve = theta2_branches(p, t1)[0]
         res = h.residual(curve)
         assert np.max(res) < 1e-10
         assert [_residual_loop(h, z) for z in curve] == list(res)

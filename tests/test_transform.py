@@ -21,7 +21,7 @@ from rbmq.errors import (
     OnCutError,
     OnKernelCurveError,
 )
-from rbmq.kernel import theta1_branch, theta2_branch
+from rbmq.kernel import theta1_branches, theta2_branches
 from rbmq.transform import (
     _phi1_deriv,
     _w_deriv,
@@ -242,17 +242,17 @@ def test_phi1_deriv_matches_finite_differences(corr):
 def test_continuation_identity(diag, corr):
     # phi1(t2) = -(t2/Theta1_minus) phi2(Theta1_minus) continues phi1
     # through the minus preimage: the cross-transform identity there
-    theta1 = theta1_branch(diag, -1.0, "minus")
+    theta1 = theta1_branches(diag, -1.0)[1]
     assert cross_transform_residual(make_bundle(diag), theta1, -1.0) < 1e-9
     rng = np.random.default_rng(3)
     z = np.array([complex(-rng.uniform(0.05, 4.0), rng.uniform(-3.0, 3.0)) for _ in range(100)])
-    assert cross_transform_residual(make_bundle(corr), theta1_branch(corr, z, "minus"), z) < 1e-9
+    assert cross_transform_residual(make_bundle(corr), theta1_branches(corr, z)[1], z) < 1e-9
 
 
 def test_gluing_and_boundary_condition_on_curve(corr):
     b = make_bundle(corr)
     sc = b.scalars
-    curve = theta2_branch(corr, sc.theta1_minus - np.geomspace(1e-3, 80, 200), "plus")
+    curve = theta2_branches(corr, sc.theta1_minus - np.geomspace(1e-3, 80, 200))[0]
     assert gluing_residual(b, curve) < 1e-10
     assert boundary_condition_residual(b, curve) < 1e-9
 
@@ -267,5 +267,6 @@ def test_injectivity_witness(corr):
 
 def test_theta1_branch_principal_label(diag):
     # minus branch at the origin is the small root
-    assert theta1_branch(diag, 0.0, "minus") == pytest.approx(0.0, abs=1e-15)
-    assert theta1_branch(diag, 0.0, "plus") == pytest.approx(2.0, rel=1e-14)
+    plus, minus = theta1_branches(diag, 0.0)
+    assert minus == pytest.approx(0.0, abs=1e-15)
+    assert plus == pytest.approx(2.0, rel=1e-14)
