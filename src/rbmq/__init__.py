@@ -20,7 +20,6 @@ from .kernel import (
 from .model import (
     DerivedScalars,
     ModelParams,
-    derived_scalars,
     load_config,
     params_from_dict,
     params_to_dict,

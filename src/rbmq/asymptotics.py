@@ -14,9 +14,10 @@ from typing import Optional
 
 import numpy as np
 
+from .chebyshev import expansion_at_minus_one
 from .errors import IntegerExponentError
 from .kernel import theta1_at_branch_point
-from .transform import TransformBundle, _w_deriv, phi1_eval, w_eval
+from .transform import TransformBundle, _w_deriv
 
 __all__ = ["AsymptoticReport", "classify_regime"]
 
@@ -66,25 +67,26 @@ def _regime_of(b: TransformBundle) -> tuple[str, float]:
 
 
 def _constants(b: TransformBundle, regime: str) -> tuple[Optional[float], float]:
-    """(c1, c2) outside the pole regime.  Undefined for integer pi/beta
-    (the gluing map is then a polynomial with no branch point)."""
+    """(c1, c2) outside the pole regime, from the expansion of T_a at -1
+    through the affine map: w(theta2_plus - d) = w_top + k sqrt(d).
+    Undefined for integer pi/beta (the gluing map is then a polynomial
+    with no branch point)."""
     sc = b.scalars
-    a = b.order
     if b.integer_order:
         raise IntegerExponentError(
-            f"pi/beta = {a} is an integer: the branch-point expansion degenerates "
+            f"pi/beta = {b.order} is an integer: the branch-point expansion degenerates "
             "and the constants are withheld"
         )
     spread = sc.theta2_plus - sc.theta2_minus
     assert spread > 0
-    root_spread = float(np.sqrt(spread))
-    sin_factor = 2.0 * a * np.sin(a * np.pi)
-    c2 = float(-b.params.m1 * b.w1_prime0 * sc.theta2_plus * root_spread / sin_factor)
-    wdiff = complex(w_eval(b, sc.theta2_plus)) - b.w1_at_0
+    w_top, slope = expansion_at_minus_one(b.order)
+    k = slope * np.sqrt(2.0 / spread)
+    num = -b.params.m1 * b.w1_prime0 * sc.theta2_plus
+    c2 = float(num / k)
+    wdiff = w_top - b.w1_at_0
     if regime == REGIME_BOUNDARY or abs(wdiff) < 1e-10 * (1.0 + abs(b.w1_at_0)):
         return None, c2
-    phi1_top = complex(phi1_eval(b, sc.theta2_plus))
-    return float((-phi1_top * sin_factor / (wdiff * root_spread)).real), c2
+    return float(-num * k / wdiff**2), c2
 
 
 def classify_regime(b: TransformBundle) -> AsymptoticReport:

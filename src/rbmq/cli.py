@@ -21,7 +21,7 @@ import numpy as np
 
 from . import asymptotics, checks, kernel, oracle, transform, uniformization
 from .errors import ComputationRefused, OnCutError, RBMQError, ValidationError
-from .model import derived_scalars, load_config, params_to_dict
+from .model import load_config, params_to_dict
 
 __all__ = ["main"]
 
@@ -54,7 +54,7 @@ def _fmt(value) -> str:
 
 
 def _analyze_payload(p) -> dict:
-    sc = derived_scalars(p)
+    sc = p.scalars
     payload = {
         **params_to_dict(p),
         "beta": sc.beta,
@@ -173,6 +173,8 @@ def _cmd_simulate(p, args, out) -> int:
 
 def _cmd_invert(p, args, out) -> int:
     _require_finite(args, "x_min", "x_max")
+    if args.points < 1:
+        raise ValidationError(f"density grid needs --points >= 1, got {args.points}")
     b = transform.make_bundle(p)
     grid = np.linspace(args.x_min, args.x_max, args.points)
     table = oracle.invert_transform(b, args.side, grid)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._points import _as_array, _unwrap
-from .model import ModelParams, derived_scalars
+from .model import ModelParams
 
 __all__ = [
     "gamma",
@@ -80,7 +80,7 @@ def theta1_at_branch_point(p: ModelParams) -> float:
 
     Its sign selects the tail regime of the first boundary density.
     """
-    return -(p.s12 * derived_scalars(p).theta2_plus + p.m1) / p.s11
+    return -(p.s12 * p.scalars.theta2_plus + p.m1) / p.s11
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ class HyperbolaR:
 
 def hyperbola(p: ModelParams) -> HyperbolaR:
     """Boundary curve data for this model."""
-    apex = -(p.s12 * derived_scalars(p).theta1_minus + p.m2) / p.s22
+    apex = -(p.s12 * p.scalars.theta1_minus + p.m2) / p.s22
     if p.s12 == 0.0:
         return HyperbolaR(
             cx2=0.0, cy2=0.0, cx=1.0, rhs=-p.m2 / p.s22, apex=apex, degenerate=True

@@ -24,7 +24,6 @@ __all__ = [
     "ModelParams",
     "DerivedScalars",
     "validate_parameters",
-    "derived_scalars",
     "params_from_dict",
     "params_to_dict",
     "load_config",
@@ -82,6 +81,21 @@ class ModelParams:
     def scale(self) -> float:
         """Magnitude used to normalise residual tolerances."""
         return max(float(np.abs(self.sigma).max()), float(np.abs(self.mu).max()))
+
+    @cached_property
+    def scalars(self) -> DerivedScalars:
+        """Correlation angle beta and branch points from their closed forms."""
+        beta = float(np.arccos(-self.s12 / np.sqrt(self.s11 * self.s22)))
+        det = self.det_sigma
+        theta1_minus, theta1_plus = _branch_points(det, self.s12, self.s22, self.m2, self.m1)
+        theta2_minus, theta2_plus = _branch_points(det, self.s12, self.s11, self.m1, self.m2)
+        return DerivedScalars(
+            beta=beta,
+            theta1_minus=theta1_minus,
+            theta1_plus=theta1_plus,
+            theta2_minus=theta2_minus,
+            theta2_plus=theta2_plus,
+        )
 
     @cached_property
     def swapped(self) -> "ModelParams":
@@ -171,21 +185,6 @@ def _branch_points(det, s12, s11, m1, m2) -> tuple[float, float]:
     b = m1 * s12 - m2 * s11
     root = np.sqrt(b * b + m1 * m1 * det)
     return float((b - root) / det), float((b + root) / det)
-
-
-def derived_scalars(p: ModelParams) -> DerivedScalars:
-    """Correlation angle beta and branch points from their closed forms."""
-    beta = float(np.arccos(-p.s12 / np.sqrt(p.s11 * p.s22)))
-    det = p.det_sigma
-    theta1_minus, theta1_plus = _branch_points(det, p.s12, p.s22, p.m2, p.m1)
-    theta2_minus, theta2_plus = _branch_points(det, p.s12, p.s11, p.m1, p.m2)
-    return DerivedScalars(
-        beta=beta,
-        theta1_minus=theta1_minus,
-        theta1_plus=theta1_plus,
-        theta2_minus=theta2_minus,
-        theta2_plus=theta2_plus,
-    )
 
 
 def params_from_dict(d: dict) -> ModelParams:

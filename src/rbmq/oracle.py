@@ -90,6 +90,10 @@ _BINS = 60  # bins of each marginal and boundary histogram
 # per worker at full size; the split of draws between them fixes the stream
 _CHUNK = 1 << 21
 _BLOCK = 1 << 15  # steps per cache-resident block of the reflection recursion
+# observables are accumulated every _THIN_TIME units of simulated time,
+# rounded to a whole number of steps (at least one); statistically free
+# because the integrands decorrelate on O(1) timescales
+_THIN_TIME = 0.01
 
 
 @dataclass(frozen=True)
@@ -103,11 +107,9 @@ class SimConfig:
     coordinates' in-step minima.  horizon is the total time budget, of
     which (horizon - burn_in) is split evenly across `batches`
     independent replicas (each replica additionally burns in for
-    burn_in time units).  Observables are accumulated every thin_time
-    units of simulated time, rounded to a whole number of steps (at
-    least one), which is statistically free because the integrands
-    decorrelate on O(1) timescales.  The theta grid and the histogram
-    bins are fixed (see SimResult).
+    burn_in time units).  seed is a non-negative integer.  The thinning
+    interval (_THIN_TIME), the theta grid and the histogram bins are
+    fixed (see SimResult).
     """
 
     step: float = 2e-3
@@ -115,15 +117,14 @@ class SimConfig:
     burn_in: float = 100.0
     seed: int = 0
     batches: int = 50
-    thin_time: float = 0.01
 
     def __post_init__(self):
         if not (0 < self.step < math.inf and 0 < self.horizon < math.inf and self.burn_in >= 0):
             raise ValidationError(
                 "step and horizon must be positive and finite, burn_in non-negative"
             )
-        if not 0 < self.thin_time < math.inf:
-            raise ValidationError("thin_time must be positive and finite")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
         if self.burn_in >= self.horizon:
             raise ValidationError("burn_in must be smaller than horizon")
         if self.batches < 2:
@@ -434,7 +435,7 @@ def simulate(p: ModelParams, cfg: Optional[SimConfig] = None) -> SimResult:
     n_burn = int(round(cfg.burn_in / cfg.step))
     t_batch = (cfg.horizon - cfg.burn_in) / cfg.batches
     n_meas = int(round(t_batch / cfg.step))
-    thin = max(1, int(round(cfg.thin_time / cfg.step)))
+    thin = max(1, int(round(_THIN_TIME / cfg.step)))
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.batches)
 
     threads = _worker_count(cfg.batches)

@@ -30,7 +30,7 @@ from .errors import (
     OnCutError,
     OnKernelCurveError,
 )
-from .model import DerivedScalars, ModelParams, derived_scalars
+from .model import DerivedScalars, ModelParams
 
 __all__ = [
     "TransformBundle",
@@ -87,24 +87,15 @@ class TransformBundle:
 
     @cached_property
     def swapped(self) -> "TransformBundle":
-        # the swap leaves beta, hence the order and its snap, unchanged,
-        # and exchanges the theta1 and theta2 branch-point pairs
-        sc = self.scalars
-        swapped = DerivedScalars(
-            beta=sc.beta,
-            theta1_minus=sc.theta2_minus,
-            theta1_plus=sc.theta2_plus,
-            theta2_minus=sc.theta1_minus,
-            theta2_plus=sc.theta1_plus,
-        )
-        return TransformBundle(self.params.swapped, swapped, self.order, self.integer_order)
+        # the swap leaves beta, hence the order and its snap, unchanged
+        sp = self.params.swapped
+        return TransformBundle(sp, sp.scalars, self.order, self.integer_order)
 
 
 def make_bundle(p: ModelParams) -> TransformBundle:
     """Build the evaluator bundle; the order pi/beta is resolved (and a
     snap to an integer logged) here, once per model."""
-    sc = derived_scalars(p)
-    return TransformBundle(p, sc, *_order(sc.pi_over_beta))
+    return TransformBundle(p, p.scalars, *_order(p.scalars.pi_over_beta))
 
 
 def _affine(sc: DerivedScalars, arr: np.ndarray) -> np.ndarray:

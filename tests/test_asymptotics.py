@@ -117,6 +117,19 @@ def test_c1_matches_local_expansion_slope(regime1):
     assert fit[-1] == pytest.approx(c1, rel=0.02)
 
 
+def test_c1_from_branch_point_expansion():
+    # the affine map sends theta2_plus one ulp short of -1, where the
+    # square root of T_a magnifies the miss; the constant comes from the
+    # exact expansion instead (reference: 50-digit evaluation)
+    p = validate_parameters(
+        [[2.6633669638565918, 0.7164769388010739], [0.7164769388010739, 2.7688025264570184]],
+        [-0.6205132152172969, -1.3388205823230281],
+    )
+    rep = classify_regime(make_bundle(p))
+    assert rep.regime == REGIME_SADDLE
+    assert rep.c1 == pytest.approx(-1718.2081478101598, rel=1e-12)
+
+
 def test_c2_matches_blowup_rate(regime2):
     b = make_bundle(regime2)
     c2 = classify_regime(b).c2

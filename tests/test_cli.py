@@ -238,6 +238,7 @@ SIM_ARGS = ["--step", "2e-4", "--horizon", "30", "--burn-in", "2", "--seed", "1"
             ["--batches", "2", "--step", "2e-3", "--horizon", "1e-3", "--burn-in", "0"],
             "at least one step",
         ),
+        (["--batches", "2", "--seed", "-1"], "seed must be non-negative"),
     ],
 )
 def test_simulate_bad_config_exit_code(diag_config, capsys, extra, message):
@@ -282,6 +283,7 @@ def test_refused_command_leaves_out_file_unchanged(diag_config, tmp_path, capsys
         (["--x-min", "-1"], "density grid"),
         (["--x-max", "nan"], "--x-max must be finite"),
         (["--x-min", "inf"], "--x-min must be finite"),
+        (["--points", "-3"], "density grid"),
     ],
 )
 def test_invert_bad_grid_exit_code(diag_config, capsys, extra, message):
@@ -323,6 +325,13 @@ def test_check_exit_codes(diag_config, capsys):
     assert "checks passed" in out
     assert all(line.startswith(("PASS", "FAIL")) or "checks passed" in line
                for line in out.strip().splitlines())
+
+
+def test_check_negative_seed_exit_code(diag_config, capsys):
+    code, out, err = run_cli(["check", "--config", diag_config, "--seed", "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "seed must be non-negative" in err
 
 
 def test_out_file(diag_config, tmp_path, capsys):

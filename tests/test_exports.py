@@ -1,12 +1,25 @@
 """Public names: every module's __all__ and every top-level export of
-rbmq resolve, so a deletion cannot leave a stale export behind."""
+rbmq resolve, so a deletion cannot leave a stale export behind, and
+README's list of top-level exports is the package's."""
 import importlib
 import inspect
 import pkgutil
+import re
+from collections import defaultdict
+from pathlib import Path
 
 import rbmq
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(rbmq.__path__))
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _top_level_exports() -> dict:
+    return {
+        sym: obj
+        for sym, obj in vars(rbmq).items()
+        if not sym.startswith("_") and not inspect.ismodule(obj)
+    }
 
 
 def test_every_module_all_resolves():
@@ -19,13 +32,25 @@ def test_every_module_all_resolves():
 
 
 def test_every_top_level_export_is_public_in_its_module():
-    exports = {
-        sym: obj
-        for sym, obj in vars(rbmq).items()
-        if not sym.startswith("_") and not inspect.ismodule(obj)
-    }
+    exports = _top_level_exports()
     assert exports
     for sym, obj in exports.items():
         mod = importlib.import_module(obj.__module__)
         assert sym in mod.__all__, (sym, mod.__name__)
         assert getattr(mod, sym) is obj
+
+
+def test_readme_export_list_matches_package():
+    # the bullet list after "Top-level exports of `rbmq`, by module:",
+    # one "- `module`: `name`, ..." item per module, up to a blank line
+    text = README.read_text(encoding="utf-8")
+    section = text.split("Top-level exports of `rbmq`, by module:\n\n", 1)[1]
+    section = section.split("\n\n", 1)[0]
+    listed = {}
+    for item in re.split(r"^- ", section, flags=re.M)[1:]:
+        module, names = item.split(":", 1)
+        listed[module.strip("` ")] = set(re.findall(r"`(\w+)`", names))
+    actual = defaultdict(set)
+    for sym, obj in _top_level_exports().items():
+        actual[obj.__module__.rsplit(".", 1)[1]].add(sym)
+    assert listed == dict(actual)

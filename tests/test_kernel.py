@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from conftest import random_ergodic
-from rbmq import derived_scalars
 from rbmq.checks import branch_root_residual, conjugacy_residual, vieta_residual
 from rbmq.kernel import (
     _disc_d,
@@ -31,7 +30,7 @@ def test_discriminants_diag(diag):
 
 
 def test_disc_vanishes_at_branch_points(corr):
-    sc = derived_scalars(corr)
+    sc = corr.scalars
     assert abs(_disc_d(corr, sc.theta1_minus)) < 1e-12 * corr.scale
     assert abs(_disc_d(corr, sc.theta1_plus)) < 1e-12 * corr.scale
 
@@ -41,7 +40,7 @@ def test_branches_diag(diag):
     assert plus == pytest.approx(2.0)
     assert minus == pytest.approx(0.0, abs=1e-15)
     # coinciding value at the branch point
-    sc = derived_scalars(diag)
+    sc = diag.scalars
     both = theta2_branches(diag, sc.theta1_plus)
     merged = -(diag.s12 * sc.theta1_plus + diag.m2) / diag.s22  # -b / (2a)
     assert both[0] == pytest.approx(both[1], abs=1e-7)
@@ -59,7 +58,7 @@ def test_branch_roots_random_complex(corr):
 
 
 def test_conjugacy_and_vieta_on_curve(corr):
-    sc = derived_scalars(corr)
+    sc = corr.scalars
     t1 = sc.theta1_minus - np.geomspace(1e-3, 50, 200)
     plus, minus = theta2_branches(corr, t1)
     assert conjugacy_residual(corr, plus, minus) < 1e-10
@@ -107,7 +106,7 @@ def _residual_loop(h, z):
 
 def test_hyperbola_parametric_membership(corr, corr_neg):
     for p in (corr, corr_neg):
-        sc = derived_scalars(p)
+        sc = p.scalars
         h = hyperbola(p)
         assert not h.degenerate
         t1 = sc.theta1_minus - np.geomspace(1e-4, 30, 100)

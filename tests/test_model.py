@@ -7,7 +7,6 @@ import pytest
 from conftest import float_property, random_ergodic
 from rbmq import (
     ModelParams,
-    derived_scalars,
     params_from_dict,
     params_to_dict,
     validate_parameters,
@@ -81,8 +80,9 @@ def test_general_reflection_ergodic():
             params_from_dict({"sigma": [[1, 0], [0, 1]], "mu": [-1, -1], "r": r})
 
 
-def test_derived_scalars_diag(diag):
-    sc = derived_scalars(diag)
+def test_scalars_diag(diag):
+    sc = diag.scalars
+    assert diag.scalars is sc  # computed once per model
     assert sc.beta == pytest.approx(np.pi / 2, abs=1e-15)
     assert sc.theta2_plus == pytest.approx(1 + SQRT2, rel=1e-15)
     assert sc.theta2_minus == pytest.approx(1 - SQRT2, rel=1e-15)
@@ -95,15 +95,15 @@ def test_derived_scalars_diag(diag):
 
 def test_beta_arccos_half():
     p = validate_parameters([[1, -0.5], [-0.5, 1]], [-1, -1])
-    assert derived_scalars(p).beta == pytest.approx(np.pi / 3, rel=1e-15)
+    assert p.scalars.beta == pytest.approx(np.pi / 3, rel=1e-15)
 
 
 def test_swap_exchanges_branch_points(corr):
-    sc = derived_scalars(corr)
-    sw = derived_scalars(corr.swapped)
-    assert sw.theta1_minus == pytest.approx(sc.theta2_minus, rel=1e-14)
-    assert sw.theta1_plus == pytest.approx(sc.theta2_plus, rel=1e-14)
-    assert sw.theta2_minus == pytest.approx(sc.theta1_minus, rel=1e-14)
+    sc = corr.scalars
+    sw = corr.swapped.scalars
+    # bit for bit: the swapped bundle takes its scalars from the swapped model
+    assert (sw.theta1_minus, sw.theta1_plus) == (sc.theta2_minus, sc.theta2_plus)
+    assert (sw.theta2_minus, sw.theta2_plus) == (sc.theta1_minus, sc.theta1_plus)
     assert sw.beta == sc.beta
 
 
@@ -113,7 +113,7 @@ def test_swap_exchanges_branch_points(corr):
 def test_scalars_properties(s11, s22, rho, m1, m2):
     s12 = rho * np.sqrt(s11 * s22)
     p = validate_parameters([[s11, s12], [s12, s22]], [m1, m2])
-    sc = derived_scalars(p)
+    sc = p.scalars
     assert 0.0 < sc.beta < np.pi
     assert sc.theta2_minus < 0.0 < sc.theta2_plus
     assert sc.theta1_minus < 0.0 < sc.theta1_plus

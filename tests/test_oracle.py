@@ -143,10 +143,7 @@ def test_simconfig_validation():
         {"burn_in": -1.0},
         {"burn_in": 10.0, "horizon": 5.0},
         {"batches": 1},
-        {"thin_time": math.nan},
-        {"thin_time": math.inf},
-        {"thin_time": 0.0},
-        {"thin_time": -0.01},
+        {"seed": -1},
         # a measured segment per batch shorter than one step
         {"step": 2e-3, "horizon": 1e-3, "burn_in": 0.0},
         {"step": 1.0, "horizon": 10.0, "burn_in": 9.0, "batches": 2},
@@ -211,8 +208,8 @@ def test_simulate_block_invariant(corr, monkeypatch, burn_in):
     # 1000-step chunks; burn-in ends at step 234 of the second chunk,
     # inside a 97-step block (or at step 194, on a block edge), and the
     # 7-step thinning phase shifts from chunk to chunk
-    cfg = SimConfig(step=1e-3, horizon=20.0 + burn_in, burn_in=burn_in, seed=4,
-                    batches=4, thin_time=0.007)
+    cfg = SimConfig(step=1e-3, horizon=20.0 + burn_in, burn_in=burn_in, seed=4, batches=4)
+    monkeypatch.setattr(oracle, "_THIN_TIME", 0.007)
     monkeypatch.setattr(oracle, "_CHUNK", 1000)
     whole = simulate(corr, cfg)
     monkeypatch.setattr(oracle, "_BLOCK", 97)
