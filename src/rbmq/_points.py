@@ -21,6 +21,15 @@ whole array without boolean-mask indexing, and the masked path runs
 only for inputs that need it.  Either way every point sees the same
 elementwise operations, so a scalar call equals the same point inside
 any array.
+
+Some evaluators reuse their temporaries with in-place sums and
+differences.  A complex product that writes over one of its own inputs
+takes a loop without fused multiply-adds on a one-element array, so a
+scalar call would round differently from the same point inside an
+array; no evaluator multiplies a complex array in place (numpy's own
+reuse of large temporaries never applies to one element).  A complex
+array is scaled by a real in place through its real view (`_scale`),
+which rounds like the complex product.
 """
 from __future__ import annotations
 
@@ -38,3 +47,10 @@ def _as_array(x, dtype=complex):
 def _unwrap(out, is_scalar: bool):
     """Python scalar for scalar calls, the array otherwise."""
     return np.asarray(out).item() if is_scalar else out
+
+
+def _scale(z: np.ndarray, c: float) -> np.ndarray:
+    """z *= c in place, for a complex array z and a real c."""
+    view = z.view(np.float64)
+    view *= c
+    return z

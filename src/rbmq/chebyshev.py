@@ -23,10 +23,12 @@ is finite on [-1, 1] too, and then overwrites the real points of
 [-1, 1] with cos(a arccos x).  The mask of those points is built only
 when the array has a real point, so an array without one (the common
 case: complex arguments, or real ones on the cut) costs one comparison
-beyond the power mean.  Every other point sees the same elementwise
-operations whatever the rest of the array holds, so a point gives the
-same bits alone or inside any array.  The derivative takes the same
-path, with the open interval (-1, 1) and a refusal at x = +/-1.
+beyond the power mean, and an array whose points all lie on [-1, 1]
+(the one-point calls at the origin's image, say) skips the power mean.
+Every other point sees the same elementwise operations whatever the
+rest of the array holds, so a point gives the same bits alone or inside
+any array.  The derivative takes the same path, with the open interval
+(-1, 1) and a refusal at x = +/-1.
 """
 from __future__ import annotations
 
@@ -126,13 +128,21 @@ def _cheb_T_off(af: float, z: np.ndarray) -> np.ndarray:
     return 0.5 * (np.exp(af * lv) + np.exp(-af * lv))
 
 
+def _cheb_T_on(af: float, x: np.ndarray) -> np.ndarray:
+    """T_a on [-1, 1]: cos(a arccos x) of the real parts."""
+    return np.cos(af * np.arccos(x.real))
+
+
 def _cheb_T(af: float, integer: bool, arr: np.ndarray) -> np.ndarray:
     if integer:
         return _cheb_poly(int(round(af)), arr)
-    out = _cheb_T_off(af, arr)
     on_interval = _real_interval(arr, np.less_equal)
-    if on_interval is not None:
-        out[on_interval] = np.cos(af * np.arccos(arr[on_interval].real))
+    if on_interval is None:
+        return _cheb_T_off(af, arr)
+    if on_interval.all():
+        return _cheb_T_on(af, arr).astype(complex)
+    out = _cheb_T_off(af, arr)
+    out[on_interval] = _cheb_T_on(af, arr[on_interval])
     return out
 
 
@@ -142,16 +152,24 @@ def _cheb_T_deriv_off(af: float, z: np.ndarray) -> np.ndarray:
     return 0.5 * af * (np.exp(af * lv) - np.exp(-af * lv)) / s
 
 
+def _cheb_T_deriv_on(af: float, x: np.ndarray) -> np.ndarray:
+    """The derivative on (-1, 1): a sin(a arccos x) / sqrt(1 - x^2)."""
+    t = x.real
+    return af * np.sin(af * np.arccos(t)) / np.sqrt(1.0 - t * t)
+
+
 def _cheb_T_deriv(af: float, integer: bool, arr: np.ndarray) -> np.ndarray:
     if integer:
         return _cheb_poly_deriv(int(round(af)), arr)
     if _real_interval(arr, np.equal) is not None:
         raise AtBranchPointError(f"derivative of T_{af} is singular at x = +/-1")
-    out = _cheb_T_deriv_off(af, arr)
     interior = _real_interval(arr, np.less)
-    if interior is not None:
-        t = arr[interior].real
-        out[interior] = af * np.sin(af * np.arccos(t)) / np.sqrt(1.0 - t * t)
+    if interior is None:
+        return _cheb_T_deriv_off(af, arr)
+    if interior.all():
+        return _cheb_T_deriv_on(af, arr).astype(complex)
+    out = _cheb_T_deriv_off(af, arr)
+    out[interior] = _cheb_T_deriv_on(af, arr[interior])
     return out
 
 

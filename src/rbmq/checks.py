@@ -6,6 +6,15 @@ tolerances are fixed here, not configurable, so a green run means the
 same thing everywhere.  Every identity is one residual function of the
 model (or bundle) and the points, shared by `run_checks` and the test
 suite, which pass their own samples and tolerances.
+
+`run_checks` draws, from one generator seeded by its `seed` and in this
+order: 10k plane points in [-4, 4]^2 (the kernel roots in both
+variables), 200 kernel zeros in the native domain (for the cross
+identity), 10k sphere points (the zero set and the two involutions),
+200 cone points (the lifted gluing map) and 2 x 1000 cone points (the
+injectivity of w).  Each 10k-point identity passes over its sample once:
+the branch roots share 1 + |point|^2, and each side of the two-sheet
+identity evaluates only the coordinate its involution fixes.
 """
 from __future__ import annotations
 
@@ -82,22 +91,38 @@ def real_kernel_zeros(p: ModelParams, theta1: np.ndarray):
     return np.concatenate([theta1, theta1]), np.concatenate(kernel.theta2_branches(p, theta1))
 
 
+def _sphere_points(rng, n: int) -> np.ndarray:
+    """n sphere points with modulus uniform on [0.05, 20] and a uniform
+    argument."""
+    radius = rng.uniform(0.05, 20.0, n)
+    s = 1j * rng.uniform(-np.pi, np.pi, n)
+    np.exp(s, out=s)
+    s *= radius
+    return s
+
+
 def native_kernel_zeros(b: TransformBundle, n: int, rng):
     """Kernel zeros with both coordinates in the left half-plane."""
-    t1_out, t2_out = [], []
+    t1_out, t2_out, count = [], [], 0
     for _ in range(200):
-        if len(t1_out) >= n:
+        if count >= n:
             break
-        s = rng.uniform(0.05, 20.0, 4 * n) * np.exp(1j * rng.uniform(-np.pi, np.pi, 4 * n))
-        th1, th2 = uniformization.theta_of_s(b, s)
+        th1, th2 = uniformization.theta_of_s(b, _sphere_points(rng, 4 * n))
         keep = (th1.real < -1e-3) & (th2.real < -1e-3) & (np.abs(th1) > 1e-6) & (
             np.abs(th2) > 1e-6
         )
-        t1_out.extend(th1[keep])
-        t2_out.extend(th2[keep])
-    if len(t1_out) < n:
+        t1_out.append(th1[keep])
+        t2_out.append(th2[keep])
+        count += t1_out[-1].size
+    if count < n:
         raise RuntimeError("could not sample enough kernel zeros in the left half-plane")
-    return np.array(t1_out[:n]), np.array(t2_out[:n])
+    return np.concatenate(t1_out)[:n], np.concatenate(t2_out)[:n]
+
+
+def _theta2(b: TransformBundle, s) -> np.ndarray:
+    """theta2 alone at sphere points known to be finite and non-zero."""
+    arr, _ = _as_array(s)
+    return uniformization._theta2_of_s(b, arr, 1.0 / arr)
 
 
 def cone_points(b: TransformBundle, n: int, rng, max_log_radius: float = 2.0) -> np.ndarray:
@@ -113,18 +138,48 @@ def cone_points(b: TransformBundle, n: int, rng, max_log_radius: float = 2.0) ->
 # ---------------------------------------------------------------------------
 
 
+def _norm(z, base) -> np.ndarray:
+    """base + |z|^2 as a fresh real array."""
+    out = np.abs(z)
+    out *= out
+    out += base
+    return out
+
+
+def _rel_gap(z: np.ndarray, ref) -> float:
+    """max |z - ref| / (1 + |ref|); overwrites z, which the caller owns."""
+    z -= ref
+    gap = np.abs(z)
+    den = np.abs(ref)
+    den += 1.0
+    gap /= den
+    return float(gap.max())
+
+
+def _zero_residual(p: ModelParams, t1, t2, norm: np.ndarray) -> float:
+    """max |gamma(t1, t2)| / (norm scale), where norm = 1 + |t1|^2 + |t2|^2
+    is overwritten; the caller owns it."""
+    res = np.abs(kernel._gamma(p, t1, t2))
+    norm *= p.scale
+    res /= norm
+    return float(res.max())
+
+
 def kernel_zero_residual(p: ModelParams, theta1, theta2) -> float:
-    """|gamma| at points that should be kernel zeros, scale-normalised."""
-    t1, _ = _as_array(theta1)
-    t2, _ = _as_array(theta2)
-    return float(np.max(np.abs(kernel._gamma(p, t1, t2)) / kernel._zero_scale(p, t1, t2)))
+    """|gamma| at points that should be kernel zeros, normalised by
+    (1 + |theta1|^2 + |theta2|^2) times the model's scale."""
+    t1, t2 = np.broadcast_arrays(_as_array(theta1)[0], _as_array(theta2)[0])
+    return _zero_residual(p, t1, t2, _norm(t2, _norm(t1, 1.0)))
 
 
 def branch_root_residual(p: ModelParams, points) -> float:
-    """Both branches in both variables are kernel zeros at `points`."""
+    """Both branches in both variables are kernel zeros at `points`;
+    1 + |points|^2 is computed once for the four roots."""
+    pts, _ = _as_array(points)
+    base = _norm(pts, 1.0)
     return max(
-        *(kernel_zero_residual(p, points, t2) for t2 in kernel.theta2_branches(p, points)),
-        *(kernel_zero_residual(p, t1, points) for t1 in kernel.theta1_branches(p, points)),
+        *(_zero_residual(p, pts, t2, _norm(t2, base)) for t2 in kernel.theta2_branches(p, pts)),
+        *(_zero_residual(p, t1, pts, _norm(t1, base)) for t1 in kernel.theta1_branches(p, pts)),
     )
 
 
@@ -170,13 +225,10 @@ def cross_transform_residual(b: TransformBundle, theta1, theta2) -> float:
 def two_sheet_residual(b: TransformBundle, s, th1, th2) -> float:
     """zeta fixes theta1(s) and eta fixes theta2(s), given
     (th1, th2) = theta_of_s(b, s)."""
-    zeta, eta = uniformization.group_elements(b, s)
-    z1, _ = uniformization.theta_of_s(b, zeta)
-    _, z2 = uniformization.theta_of_s(b, eta)
-    return max(
-        float(np.max(np.abs(z1 - th1) / (1.0 + np.abs(th1)))),
-        float(np.max(np.abs(z2 - th2) / (1.0 + np.abs(th2)))),
-    )
+    zeta, eta = uniformization._involutions(b, _as_array(s)[0])
+    z1 = uniformization._theta1_of_s(b, zeta, 1.0 / zeta)
+    z2 = uniformization._theta2_of_s(b, eta, 1.0 / eta)
+    return max(_rel_gap(z1, th1), _rel_gap(z2, th2))
 
 
 def reflection_residual(b: TransformBundle, radii) -> float:
@@ -198,8 +250,7 @@ def reflection_residual(b: TransformBundle, radii) -> float:
 def lift_residual(b: TransformBundle, cone) -> float:
     """W agrees with w(theta2(s)) on the cone lifting the interior domain."""
     w_cone = uniformization.W_of_s(b, cone)
-    _, th2 = uniformization.theta_of_s(b, cone)
-    w_down = transform.w_eval(b, th2)
+    w_down = transform.w_eval(b, _theta2(b, cone))
     return float(np.max(np.abs(w_down - w_cone) / (1.0 + np.abs(w_cone))))
 
 
@@ -280,7 +331,7 @@ def run_checks(p: ModelParams, seed: int = 0) -> list[CheckResult]:
     cross = cross_transform_residual(b, *real_zeros)
     cross = max(cross, cross_transform_residual(b, *native_kernel_zeros(b, 200, rng)))
     out.append(_result("cross_transform_identity", cross, 1e-9))
-    s = rng.uniform(0.05, 20.0, 10_000) * np.exp(1j * rng.uniform(-np.pi, np.pi, 10_000))
+    s = _sphere_points(rng, 10_000)
     th1, th2 = uniformization.theta_of_s(b, s)
     out.append(_result("uniformization_zero_set", kernel_zero_residual(p, th1, th2), 1e-10))
     out.append(_result("two_sheet_identities", two_sheet_residual(b, s, th1, th2), 1e-10))
@@ -288,8 +339,8 @@ def run_checks(p: ModelParams, seed: int = 0) -> list[CheckResult]:
     lifted = max(lifted, lift_residual(b, cone_points(b, 200, rng)))
     out.append(_result("lifted_gluing", lifted, 1e-9))
     out.append(_result("boundary_masses", boundary_mass_residual(b), 1e-10))
-    _, za = uniformization.theta_of_s(b, cone_points(b, 1000, rng, 1.5))
-    _, zb = uniformization.theta_of_s(b, cone_points(b, 1000, rng, 1.5))
+    za = _theta2(b, cone_points(b, 1000, rng, 1.5))
+    zb = _theta2(b, cone_points(b, 1000, rng, 1.5))
     collisions = injectivity_collisions(b, za, zb)
     out.append(
         CheckResult(

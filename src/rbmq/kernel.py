@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._points import _as_array, _unwrap
+from ._points import _as_array, _scale, _unwrap
 from .model import ModelParams
 
 __all__ = [
@@ -25,11 +25,8 @@ __all__ = [
 
 
 def _gamma(p: ModelParams, t1, t2):
-    return (
-        0.5 * (p.s11 * t1 * t1 + 2.0 * p.s12 * t1 * t2 + p.s22 * t2 * t2)
-        + p.m1 * t1
-        + p.m2 * t2
-    )
+    """The kernel in Horner form t1 (s11 t1/2 + s12 t2 + m1) + t2 (s22 t2/2 + m2)."""
+    return t1 * (0.5 * p.s11 * t1 + p.s12 * t2 + p.m1) + t2 * (0.5 * p.s22 * t2 + p.m2)
 
 
 def gamma(p: ModelParams, theta1, theta2):
@@ -47,12 +44,10 @@ def _zero_scale(p: ModelParams, t1, t2):
 
 def _disc_d(p: ModelParams, t):
     """Discriminant b^2 - 4ac of the kernel as a quadratic in theta2,
-    at theta1 = t."""
-    return (
-        t * t * (p.s12 * p.s12 - p.s11 * p.s22)
-        + 2.0 * t * (p.m2 * p.s12 - p.m1 * p.s22)
-        + p.m2 * p.m2
-    )
+    at theta1 = t, in Horner form."""
+    c2 = p.s12 * p.s12 - p.s11 * p.s22  # coefficient of t^2
+    c1 = p.m2 * p.s12 - p.m1 * p.s22  # half the coefficient of t
+    return (c2 * t + 2.0 * c1) * t + p.m2 * p.m2
 
 
 def theta2_branches(p: ModelParams, theta1):
@@ -64,9 +59,16 @@ def theta2_branches(p: ModelParams, theta1):
     complex-conjugate (plus = upper half-plane).
     """
     t, scalar = _as_array(theta1)
-    b = p.s12 * t + p.m2
-    root = np.sqrt(_disc_d(p, t) + 0j)
-    return _unwrap((-b + root) / p.s22, scalar), _unwrap((-b - root) / p.s22, scalar)
+    root = _disc_d(p, t)
+    np.sqrt(root, out=root)
+    neg_b = t * -p.s12
+    neg_b -= p.m2
+    # a complex quotient by the real s22 is the product with 1/s22
+    inv = 1.0 / p.s22
+    plus = _scale(neg_b + root, inv)
+    neg_b -= root
+    minus = _scale(neg_b, inv)
+    return _unwrap(plus, scalar), _unwrap(minus, scalar)
 
 
 def theta1_branches(p: ModelParams, theta2):

@@ -42,7 +42,8 @@ Fixed-contour Talbot quadrature with 32 nodes (Abate & Whitt 2006),
 applied after shifting the transform by its dominant singularity so
 that the slowly varying factor of the density is inverted at full
 relative accuracy.  Order-14 Gaver-Stehfest (Salzer weights, real nodes
-only) cross-checks every table at three abscissae and must agree to 1%.
+only) cross-checks every table at three abscissae and must agree to 1%;
+a non-finite value of either method is refused the same way.
 """
 from __future__ import annotations
 
@@ -83,7 +84,8 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 # the (theta1, theta2) pairs where simulate estimates the Laplace transform
-_THETA_GRID = tuple((a, c) for a in (-1.0, -0.5, -0.1) for c in (-1.0, -0.5, -0.1))
+_THETA_AXIS = (-1.0, -0.5, -0.1)
+_THETA_GRID = tuple((a, c) for a in _THETA_AXIS for c in _THETA_AXIS)
 _BINS = 60  # bins of each marginal and boundary histogram
 
 # steps per RNG draw: two normal and two exponential buffers, 4 x 16 MB
@@ -286,7 +288,9 @@ def _run_batch(p, cfg, edges1, edges2, n_burn, n_meas, thin, seed_seq):
     rt = math.sqrt(cfg.step)
     a11, a21, a22 = chol[0, 0] * rt, chol[1, 0] * rt, chol[1, 1] * rt
 
-    th1, th2 = (np.array(t) for t in zip(*_THETA_GRID))
+    # exp(th1 s1 + th2 s2) = exp(th1 s1) exp(th2 s2): one exponential per
+    # axis value and coordinate, then one product per cell
+    axis = np.array(_THETA_AXIS)[:, None]
     acc = np.zeros(len(_THETA_GRID))
     n_acc = 0
     l1 = l2 = 0.0
@@ -359,7 +363,11 @@ def _run_batch(p, cfg, edges1, edges2, n_burn, n_meas, thin, seed_seq):
             l1 += w1.l_end - l_lo1
             l2 += w2.l_end - l_lo2
             if idx.size:
-                acc += np.exp(np.outer(th1, s1) + np.outer(th2, s2)).sum(axis=1)
+                ex1 = np.exp(axis * s1)
+                ex2 = np.exp(axis * s2)
+                # the cells in _THETA_GRID's order, each a pairwise sum:
+                # a BLAS product's order could depend on its thread count
+                acc += (ex1[:, None] * ex2).sum(axis=-1).ravel()
                 n_acc += idx.size
                 mhist1 += _uniform_hist(s1, inv_w1)
                 mhist2 += _uniform_hist(s2, inv_w2)
@@ -579,7 +587,8 @@ def invert_transform(b: TransformBundle, side: str, grid) -> DensityTable:
     quadrature: the inverted factor then varies slowly and keeps full
     relative accuracy even deep in the tail.  Gaver-Stehfest inverts
     the same factor at the first, middle and last abscissae, and a
-    relative difference above 1% raises MethodDisagreementError.
+    relative difference above 1%, or a non-finite value of either
+    method, raises MethodDisagreementError.
     """
     if side not in ("nu1", "nu2"):
         raise ValueError("side must be 'nu1' or 'nu2'")
@@ -597,10 +606,20 @@ def invert_transform(b: TransformBundle, side: str, grid) -> DensityTable:
     def shifted(s):
         return phi1_eval(side_bundle, shift - np.asarray(s, dtype=complex))
 
-    slow = _talbot_invert(shifted, xs)
-    values = np.exp(-shift * xs) * slow
     probe = np.unique([0, xs.size // 2, xs.size - 1])
-    gs = _gaver_stehfest_invert(lambda s: np.real(shifted(s)), xs[probe])
+    # an overflow inside the closed form shows as a non-finite value,
+    # which is refused below; numpy's warnings about it would add nothing
+    with np.errstate(all="ignore"):
+        slow = _talbot_invert(shifted, xs)
+        gs = _gaver_stehfest_invert(lambda s: np.real(shifted(s)), xs[probe])
+    bad_tal = int(np.count_nonzero(~np.isfinite(slow)))
+    bad_gs = int(np.count_nonzero(~np.isfinite(gs)))
+    if bad_tal or bad_gs:
+        raise MethodDisagreementError(
+            f"non-finite inversion: {bad_tal} of {slow.size} Talbot values and "
+            f"{bad_gs} of {gs.size} Gaver-Stehfest probes"
+        )
+    values = np.exp(-shift * xs) * slow
     tal = slow[probe]
     rel = np.abs(gs - tal) / np.maximum(np.abs(tal), 1e-300)
     if np.any(rel > _CROSS_CHECK_RTOL):

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._points import _as_array, _unwrap
+from ._points import _as_array, _scale, _unwrap
 from .errors import AtZeroOrInfinityError, OnLogCutError
 from .transform import TransformBundle
 
@@ -61,22 +61,38 @@ def _check_s(s) -> tuple[np.ndarray, bool]:
     return arr, scalar
 
 
+def _theta1_of_s(b: TransformBundle, s: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """theta1 at the sphere points s, given inv = 1/s."""
+    sc = b.scalars
+    th1 = _scale(s + inv, (sc.theta1_plus - sc.theta1_minus) / 4.0)
+    th1 += (sc.theta1_plus + sc.theta1_minus) / 2.0
+    return th1
+
+
+def _theta2_of_s(b: TransformBundle, s: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """theta2 at the sphere points s, given inv = 1/s: s/e + e/s with
+    e = e^{i beta} is s conj(e) + e inv, since |e| = 1."""
+    sc = b.scalars
+    e = cmath.exp(1j * sc.beta)
+    th2 = s * e.conjugate()
+    th2 += inv * e
+    _scale(th2, (sc.theta2_plus - sc.theta2_minus) / 4.0)
+    th2 += (sc.theta2_plus + sc.theta2_minus) / 2.0
+    return th2
+
+
 def theta_of_s(b: TransformBundle, s):
     """Coordinates (theta1(s), theta2(s)) of the sphere point s.
 
     s = 0 and s = infinity both map to the point at infinity of the
     zero set and are refused.
     """
-    sc = b.scalars
     arr, scalar = _check_s(s)
-    e = cmath.exp(1j * sc.beta)
-    th1 = (sc.theta1_plus + sc.theta1_minus) / 2.0 + (
-        sc.theta1_plus - sc.theta1_minus
-    ) / 4.0 * (arr + 1.0 / arr)
-    th2 = (sc.theta2_plus + sc.theta2_minus) / 2.0 + (
-        sc.theta2_plus - sc.theta2_minus
-    ) / 4.0 * (arr / e + e / arr)
-    return _unwrap(th1, scalar), _unwrap(th2, scalar)
+    inv = 1.0 / arr
+    return (
+        _unwrap(_theta1_of_s(b, arr, inv), scalar),
+        _unwrap(_theta2_of_s(b, arr, inv), scalar),
+    )
 
 
 def W_of_s(b: TransformBundle, s):
@@ -98,12 +114,17 @@ def W_of_s(b: TransformBundle, s):
     return _unwrap(-0.5 * (np.exp(a * lg) + np.exp(-a * lg)), scalar)
 
 
+def _involutions(b: TransformBundle, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(zeta(s), eta(s)) on arrays, from the one reciprocal 1/s."""
+    zeta = 1.0 / s
+    return zeta, zeta * cmath.exp(2j * b.scalars.beta)
+
+
 def group_elements(b: TransformBundle, s):
     """The two involutions at s: zeta(s) = 1/s fixes theta1, and
     eta(s) = e^{2 i beta}/s fixes theta2."""
     arr, scalar = _check_s(s)
-    zeta = 1.0 / arr
-    eta = cmath.exp(2j * b.scalars.beta) / arr
+    zeta, eta = _involutions(b, arr)
     return _unwrap(zeta, scalar), _unwrap(eta, scalar)
 
 

@@ -293,6 +293,17 @@ def test_invert_bad_grid_exit_code(diag_config, capsys, extra, message):
     assert err.startswith("error: ") and message in err
 
 
+def test_invert_non_finite_table_exit_code(tmp_path, capsys):
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps({"sigma": [[1, -0.9999], [-0.9999, 1]], "mu": [-1, -1]}))
+    args = ["invert", "--config", str(path), "--x-min", "1e-5", "--x-max", "1e-4", "--points", "3"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: MethodDisagreementError: non-finite")
+    assert err.count("\n") == 1  # no warning lines
+
+
 @pytest.mark.parametrize(
     "point",
     [

@@ -430,6 +430,14 @@ def test_invert_method_disagreement_guard(diag):
         oracle._talbot_invert = good
 
 
+def test_invert_refuses_non_finite_values():
+    # pi/beta is about 70 here, and the closed form overflows to nan on
+    # the Talbot contour of these small abscissae
+    p = validate_parameters([[1.0, -0.9999], [-0.9999, 1.0]], [-1.0, -1.0])
+    with pytest.raises(MethodDisagreementError, match="non-finite"):
+        invert_transform(make_bundle(p), "nu1", np.geomspace(1e-5, 1e-4, 3))
+
+
 def test_diagonal_closed_forms_values(diag):
     forms = diagonal_closed_forms(diag)
     assert forms.pi(0.0, 0.0) == pytest.approx(4.0)
