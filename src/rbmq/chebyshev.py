@@ -133,17 +133,22 @@ def _cheb_T_on(af: float, x: np.ndarray) -> np.ndarray:
     return np.cos(af * np.arccos(x.real))
 
 
+def _by_interval(af: float, arr: np.ndarray, mask, off, on) -> np.ndarray:
+    """off(af, arr), with on(af, .) at the points of `mask` (None when
+    there is none); a mask that holds every point skips off."""
+    if mask is None:
+        return off(af, arr)
+    if mask.all():
+        return on(af, arr).astype(complex)
+    out = off(af, arr)
+    out[mask] = on(af, arr[mask])
+    return out
+
+
 def _cheb_T(af: float, integer: bool, arr: np.ndarray) -> np.ndarray:
     if integer:
         return _cheb_poly(int(round(af)), arr)
-    on_interval = _real_interval(arr, np.less_equal)
-    if on_interval is None:
-        return _cheb_T_off(af, arr)
-    if on_interval.all():
-        return _cheb_T_on(af, arr).astype(complex)
-    out = _cheb_T_off(af, arr)
-    out[on_interval] = _cheb_T_on(af, arr[on_interval])
-    return out
+    return _by_interval(af, arr, _real_interval(arr, np.less_equal), _cheb_T_off, _cheb_T_on)
 
 
 def _cheb_T_deriv_off(af: float, z: np.ndarray) -> np.ndarray:
@@ -164,13 +169,7 @@ def _cheb_T_deriv(af: float, integer: bool, arr: np.ndarray) -> np.ndarray:
     if _real_interval(arr, np.equal) is not None:
         raise AtBranchPointError(f"derivative of T_{af} is singular at x = +/-1")
     interior = _real_interval(arr, np.less)
-    if interior is None:
-        return _cheb_T_deriv_off(af, arr)
-    if interior.all():
-        return _cheb_T_deriv_on(af, arr).astype(complex)
-    out = _cheb_T_deriv_off(af, arr)
-    out[interior] = _cheb_T_deriv_on(af, arr[interior])
-    return out
+    return _by_interval(af, arr, interior, _cheb_T_deriv_off, _cheb_T_deriv_on)
 
 
 def cheb_T(a, x):

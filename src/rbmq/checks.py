@@ -186,7 +186,7 @@ def branch_root_residual(p: ModelParams, points) -> float:
 def conjugacy_residual(p: ModelParams, plus, minus) -> float:
     """Left of theta1_minus the two theta2-branches `plus` and `minus`
     are conjugate and lie on the boundary curve."""
-    conj = float(np.max(np.abs(plus - np.conj(minus)) / (1.0 + np.abs(plus))))
+    conj = _rel_gap(np.conj(minus), plus)
     return max(conj, float(np.max(kernel.hyperbola(p).residual(plus))))
 
 
@@ -205,7 +205,7 @@ def gluing_residual(b: TransformBundle, curve) -> float:
     """w takes conjugate curve points to the same value."""
     w_up = transform.w_eval(b, curve)
     w_dn = transform.w_eval(b, np.conj(curve))
-    return float(np.max(np.abs(w_up - w_dn) / (1.0 + np.abs(w_up))))
+    return _rel_gap(w_dn, w_up)
 
 
 def boundary_condition_residual(b: TransformBundle, curve) -> float:
@@ -241,17 +241,14 @@ def reflection_residual(b: TransformBundle, radii) -> float:
     w_inv = uniformization.W_of_s(b, uniformization.group_elements(b, neg)[0])
     w_ray = uniformization.W_of_s(b, ray)
     w_eta = uniformization.W_of_s(b, uniformization.group_elements(b, ray)[1])
-    return max(
-        float(np.max(np.abs(w_neg - w_inv) / (1.0 + np.abs(w_neg)))),
-        float(np.max(np.abs(w_ray - w_eta) / (1.0 + np.abs(w_ray)))),
-    )
+    return max(_rel_gap(w_inv, w_neg), _rel_gap(w_eta, w_ray))
 
 
 def lift_residual(b: TransformBundle, cone) -> float:
     """W agrees with w(theta2(s)) on the cone lifting the interior domain."""
     w_cone = uniformization.W_of_s(b, cone)
     w_down = transform.w_eval(b, _theta2(b, cone))
-    return float(np.max(np.abs(w_down - w_cone) / (1.0 + np.abs(w_cone))))
+    return _rel_gap(w_down, w_cone)
 
 
 def boundary_mass_residual(b: TransformBundle) -> float:

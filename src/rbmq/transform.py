@@ -13,6 +13,8 @@ from the kernel identity
 
 phi1 is meromorphic on the plane cut along (theta2_plus, inf); the
 origin is a removable point with value -mu1 (the total boundary mass).
+phi is refused on the kernel zero set gamma = 0, where the identity is
+0/0, except at the origin, whose limit is 1 (the total mass).
 """
 from __future__ import annotations
 
@@ -53,7 +55,7 @@ _POLE_MIN_ABS = 1e-6
 
 @dataclass(frozen=True)
 class TransformBundle:
-    """Evaluator state for one model: scalars and gluing-map constants.
+    """Evaluator state for one model: the model and gluing-map constants.
 
     order is pi/beta, validated once; integer_order records whether it
     is (snapped to) an integer, which sends every evaluation of the
@@ -65,9 +67,12 @@ class TransformBundle:
     """
 
     params: ModelParams
-    scalars: DerivedScalars
     order: float
     integer_order: bool
+
+    @property
+    def scalars(self) -> DerivedScalars:
+        return self.params.scalars
 
     @property
     def phi1_at_0(self) -> float:
@@ -88,14 +93,13 @@ class TransformBundle:
     @cached_property
     def swapped(self) -> "TransformBundle":
         # the swap leaves beta, hence the order and its snap, unchanged
-        sp = self.params.swapped
-        return TransformBundle(sp, sp.scalars, self.order, self.integer_order)
+        return TransformBundle(self.params.swapped, self.order, self.integer_order)
 
 
 def make_bundle(p: ModelParams) -> TransformBundle:
     """Build the evaluator bundle; the order pi/beta is resolved (and a
     snap to an integer logged) here, once per model."""
-    return TransformBundle(p, p.scalars, *_order(p.scalars.pi_over_beta))
+    return TransformBundle(p, *_order(p.scalars.pi_over_beta))
 
 
 def _affine(sc: DerivedScalars, arr: np.ndarray) -> np.ndarray:
@@ -169,15 +173,6 @@ def phi1_eval(b: TransformBundle, theta2):
     return _unwrap(_phi1(b, arr), scalar)
 
 
-def _phi1_deriv(b: TransformBundle, arr: np.ndarray) -> np.ndarray:
-    """d(phi1)/d(theta2); valid away from the removable origin."""
-    if (np.abs(arr) < _ORIGIN_RADIUS).any():
-        raise AtZeroError("derivative formula is not stable this close to 0")
-    den = _w(b, arr) - b.w1_at_0
-    wp = _w_deriv(b, arr)
-    return -b.params.m1 * b.w1_prime0 * (den - arr * wp) / (den * den)
-
-
 def phi2_eval(b: TransformBundle, theta1):
     """Transform of the second boundary measure (index-swapped route),
     continued to the plane cut along (theta1_plus, inf)."""
@@ -206,15 +201,15 @@ def psi2_eval(b: TransformBundle, theta1):
     return _unwrap(_psi1(b.swapped, arr), scalar)
 
 
-def phi_eval(b: TransformBundle, theta1, theta2, *, direction=None):
+def phi_eval(b: TransformBundle, theta1, theta2):
     """Bivariate transform via the kernel identity.
 
     Off the kernel zero set:
         phi = -(theta1 phi1(theta2) + theta2 phi2(theta1)) / gamma.
-    On it the expression is 0/0; evaluation is refused unless the caller
-    supplies a direction vector, in which case the directional limit is
-    taken analytically (both gradients are available in closed form).
-    The origin is the direction-independent limit 1 (total mass).
+    On it the expression is 0/0 and OnKernelCurveError is raised, for a
+    scalar point or an array holding one (phi has a pole there unless
+    grad N = -phi grad gamma fixes a limit for the numerator N).  The
+    origin, where gamma vanishes too, returns its limit 1 (total mass).
     """
     p = b.params
     _raise_if_on_cut(theta2, b.scalars.theta2_plus, "theta2")
@@ -229,30 +224,9 @@ def phi_eval(b: TransformBundle, theta1, theta2, *, direction=None):
     if at_origin:
         on_curve &= ~origin
     if on_curve.any():
-        if direction is None or not scalar:
-            raise OnKernelCurveError(
-                "gamma vanishes here; pass direction=(u1, u2) for the limit"
-            )
-        return _unwrap(_phi_limit(b, t1, t2, direction), scalar)
+        raise OnKernelCurveError("gamma vanishes here: phi is 0/0 on the kernel zero set")
     num = t1 * _phi1(b, t2) + t2 * _phi1(b.swapped, t1)
     if not at_origin:
         return _unwrap(-num / g, scalar)
     # gamma vanishes at the origin too; its limit replaces the 0/0 there
     return _unwrap(np.where(origin, 1.0, -num / np.where(origin, 1.0, g)), scalar)
-
-
-def _phi_limit(b: TransformBundle, t1: np.ndarray, t2: np.ndarray, direction) -> np.ndarray:
-    """Directional limit of phi at a kernel zero (l'Hopital)."""
-    p = b.params
-    u1, u2 = complex(direction[0]), complex(direction[1])
-    if u1 == 0 and u2 == 0:
-        raise ValueError("direction must be non-zero")
-    # gradient of the numerator theta1 phi1 + theta2 phi2
-    dn1 = _phi1(b, t2) + t2 * _phi1_deriv(b.swapped, t1)
-    dn2 = t1 * _phi1_deriv(b, t2) + _phi1(b.swapped, t1)
-    dg1 = p.s11 * t1 + p.s12 * t2 + p.m1
-    dg2 = p.s12 * t1 + p.s22 * t2 + p.m2
-    den = u1 * dg1 + u2 * dg2
-    if (den == 0).any():
-        raise OnKernelCurveError("direction is tangent to the kernel curve here")
-    return -(u1 * dn1 + u2 * dn2) / den

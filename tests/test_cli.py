@@ -96,6 +96,18 @@ def test_eval_at_pole_exit_code(diag_config, capsys):
     assert "AtPoleError" in err
 
 
+def test_eval_phi_on_kernel_curve_is_refused(diag_config, capsys):
+    # (0.5, 1 - sqrt(1.75)) is a kernel zero of the diagonal model; the
+    # refusal names no library keyword the command line cannot pass
+    args = ["eval", "--config", diag_config, "--fn", "phi", "--re1", "0.5", "--im1", "0"]
+    args += ["--re2", "-0.32287565553229536", "--im2", "0"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 3 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("refused: OnKernelCurveError: ")
+    assert "direction" not in err
+
+
 def test_eval_on_cut_needs_a_side(corr_config, capsys):
     # theta2 = 5 lies on the cut of phi1: a real point is refused, and
     # the sign of a zero imaginary part picks the side

@@ -1,6 +1,8 @@
 """Public names: every module's __all__ and every top-level export of
 rbmq resolve, so a deletion cannot leave a stale export behind, and
-README's list of top-level exports is the package's."""
+README's list of top-level exports is the package's.  The public values
+a caller may set but need not are pinned, so a new one shows as a diff."""
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -9,6 +11,7 @@ from collections import defaultdict
 from pathlib import Path
 
 import rbmq
+from rbmq import oracle
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(rbmq.__path__))
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -54,3 +57,32 @@ def test_readme_export_list_matches_package():
     for sym, obj in _top_level_exports().items():
         actual[obj.__module__.rsplit(".", 1)[1]].add(sym)
     assert listed == dict(actual)
+
+
+def test_public_settable_values():
+    # defaulted parameters of every public function, with cli.main's argv
+    # left out, plus the simulator settings; the defaults of result
+    # records (AsymptoticReport.c1/c2, CheckResult.detail) are not settings
+    found = set()
+    for name in MODULES:
+        mod = importlib.import_module(f"rbmq.{name}")
+        for sym in getattr(mod, "__all__", ()):
+            obj = getattr(mod, sym)
+            if not inspect.isfunction(obj) or (name, sym) == ("cli", "main"):
+                continue
+            for par in inspect.signature(obj).parameters.values():
+                if par.default is not inspect.Parameter.empty:
+                    found.add(f"{name}.{sym}({par.name})")
+    for field in dataclasses.fields(oracle.SimConfig):
+        if field.default is not dataclasses.MISSING:
+            found.add(f"oracle.SimConfig.{field.name}")
+    assert found == {
+        "checks.run_checks(seed)",
+        "checks.cone_points(max_log_radius)",
+        "oracle.simulate(cfg)",
+        "oracle.SimConfig.step",
+        "oracle.SimConfig.horizon",
+        "oracle.SimConfig.burn_in",
+        "oracle.SimConfig.seed",
+        "oracle.SimConfig.batches",
+    }

@@ -13,6 +13,7 @@ from rbmq.checks import (
     cross_transform_residual,
     gluing_residual,
     injectivity_collisions,
+    kernel_zero_residual,
     real_kernel_zeros,
 )
 from rbmq.errors import (
@@ -23,7 +24,6 @@ from rbmq.errors import (
 )
 from rbmq.kernel import theta1_branches, theta2_branches
 from rbmq.transform import (
-    _phi1_deriv,
     _w_deriv,
     phi1_eval,
     phi2_eval,
@@ -173,17 +173,28 @@ def test_phi_product_form_diag(diag):
     assert vals[-1] < 1e-6
 
 
-def test_phi_kernel_refusal_and_limit(diag):
-    with pytest.raises(OnKernelCurveError):
-        phi_eval(make_bundle(diag), 0.0, 2.0)
+def test_phi_kernel_refusal(diag, corr):
     b = make_bundle(diag)
-    # kernel zero away from the transform poles
-    t2 = 1 - np.sqrt(1.75)
-    lim1 = phi_eval(b, 0.5, t2, direction=(1.0, 1.0))
-    lim2 = phi_eval(b, 0.5, t2, direction=(0.3, -1.0))
-    want = 4.0 / ((2 - 0.5) * (2 - t2))
-    assert lim1 == pytest.approx(want, rel=1e-9)
-    assert lim2 == pytest.approx(want, rel=1e-9)
+    # kernel zeros, the second away from the transform poles
+    for t1, t2 in ((0.0, 2.0), (0.5, 1 - np.sqrt(1.75))):
+        with pytest.raises(OnKernelCurveError):
+            phi_eval(b, t1, t2)
+    b = make_bundle(corr)
+    regular = (-0.5 + 0.25j, -1.0 + 0.3j)
+    assert np.isfinite(phi_eval(b, *regular))
+    for t2 in (0.5 + 1j, -0.8 + 0.3j, -2.0 + 0j, 0.3 - 0.6j):
+        # both theta1-sheets; the plus sheet at 0.5 + 1j is a pole of phi
+        # (psi1 + psi2 = 0.297 - 1.097i there), the others are 0/0
+        for t1 in theta1_branches(corr, t2):
+            with pytest.raises(OnKernelCurveError, match="kernel zero set"):
+                phi_eval(b, complex(t1), t2)
+            with pytest.raises(OnKernelCurveError):
+                phi_eval(b, np.array([regular[0], t1]), np.array([regular[1], t2]))
+    pole = (2.0622446572552326 - 0.23997384862929566j, 0.5 + 1j)
+    assert kernel_zero_residual(corr, *pole) < 1e-15
+    assert abs(phi_eval(b, pole[0] + 1e-7, pole[1])) > 1e6
+    with pytest.raises(OnKernelCurveError):
+        phi_eval(b, *pole)
 
 
 def test_psi_values_and_residue(diag):
@@ -229,14 +240,6 @@ def test_phi2_psi2_cut_refusal_names_theta1(corr):
         fn(b, top)  # the branch point itself is not on the cut
     with pytest.raises(AtZeroError):
         psi2_eval(b, 0.0)
-
-
-def test_phi1_deriv_matches_finite_differences(corr):
-    b = make_bundle(corr)
-    h = 1e-6
-    for z in (-0.7, -2.0 + 0.5j, 0.4 + 0.9j):
-        fd = (phi1_eval(b, z + h) - phi1_eval(b, z - h)) / (2 * h)
-        assert _phi1_deriv(b, np.array([z], dtype=complex))[0] == pytest.approx(fd, rel=1e-6)
 
 
 def test_continuation_identity(diag, corr):
