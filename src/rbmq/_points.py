@@ -11,16 +11,14 @@ its scalar arithmetic may round differently in the last bit, and going
 through the same loops makes a scalar call agree bit for bit with the
 same point inside an array call.
 
-Some points need a special formula: the interval of the Chebyshev
-function, the removable origin of phi1, the origin of phi.  Where the
-generic formula stays finite on them (the Chebyshev function), it runs
-on the whole array and the special points are overwritten after.  Where
-it is 0/0 there (phi1 and phi at the origin), the evaluator tests for
-such points first: when there is none, the generic formula runs on the
-whole array without boolean-mask indexing, and the masked path runs
-only for inputs that need it.  Either way every point sees the same
-elementwise operations, so a scalar call equals the same point inside
-any array.
+Some points need a special formula: the removable origin of phi1 and
+the origin of phi, where the generic formula is 0/0.  The evaluator
+tests for such points first: when there is none, the generic formula
+runs on the whole array without boolean-mask indexing, and the masked
+path runs only for inputs that need it.  Every point sees the same
+elementwise operations either way, so a scalar call equals the same
+point inside any array.  The Chebyshev function needs no special
+point: one formula covers its whole cut plane.
 
 Some evaluators reuse their temporaries with in-place sums and
 differences.  A complex product that writes over one of its own inputs

@@ -3,32 +3,29 @@
 For integer a this is the classical polynomial, evaluated by the
 three-term recurrence and valid on all of C.  For non-integer a the
 function is cos(a arccos x) on [-1, 1], continued analytically to
-C \\ (-inf, -1) as the symmetric power mean of the two Joukowski
-preimages of x.
+C \\ (-inf, -1) as cosh(a arccosh x).
 
 Branch conventions
 ------------------
-sqrt(x^2 - 1) is computed as sqrt(x - 1) * sqrt(x + 1) with principal
-factors, which is analytic off [-1, 1]; then v = x + sqrt(x^2 - 1) is
-the Joukowski preimage with |v| >= 1 and T_a = (v^a + v^-a)/2 uses the
-principal logarithm of v (never of the small root 1/v).  The only
-resulting discontinuity is across the real ray x < -1, matching the
-intended cut.  A caller who wants a one-sided value on the cut passes a
-complex x with a signed zero imaginary part (x +/- 0j).
+arccosh is the principal branch, log(x + sqrt(x - 1) sqrt(x + 1)) with
+principal square roots (Kahan, "Branch cuts for complex elementary
+functions", 1987): x + sqrt(x - 1) sqrt(x + 1) is the Joukowski
+preimage of x with modulus >= 1, so T_a is the power mean
+(v^a + v^-a)/2 of the two preimages taken through the principal
+logarithm of the large one.  The only discontinuity is across the real
+ray x < -1, matching the intended cut.  A caller who wants a one-sided
+value on the cut passes a complex x with a signed zero imaginary part
+(x +/- 0j); the sign of that zero picks the side of arccosh's cut.
 
 Evaluation path
 ---------------
-A non-integer order evaluates the power mean on the whole array, which
-is finite on [-1, 1] too, and then overwrites the real points of
-[-1, 1] with cos(a arccos x).  The mask of those points is built only
-when the array has a real point, so an array without one (the common
-case: complex arguments, or real ones on the cut) costs one comparison
-beyond the power mean, and an array whose points all lie on [-1, 1]
-(the one-point calls at the origin's image, say) skips the power mean.
-Every other point sees the same elementwise operations whatever the
-rest of the array holds, so a point gives the same bits alone or inside
-any array.  The derivative takes the same path, with the open interval
-(-1, 1) and a refusal at x = +/-1.
+A non-integer order evaluates one formula on the whole array, with no
+mask: on (-1, 1), arccosh(x +/- 0j) = +/- i arccos x, so cosh returns
+cos(a arccos x) with imaginary part +/-0.  Every point sees the same
+elementwise operations whatever the rest of the array holds, so a point
+gives the same bits alone or inside any array.  The derivative is
+a sinh(a arccosh x) / (sqrt(x - 1) sqrt(x + 1)), refused at x = +/-1
+where that denominator vanishes.
 """
 from __future__ import annotations
 
@@ -107,69 +104,24 @@ def _cheb_poly_deriv(n: int, x: np.ndarray) -> np.ndarray:
     return d
 
 
-def _large_root(z: np.ndarray) -> np.ndarray:
-    """Joukowski preimage with modulus >= 1."""
-    return z + np.sqrt(z - 1.0) * np.sqrt(z + 1.0)
-
-
-def _real_interval(arr: np.ndarray, inside) -> np.ndarray | None:
-    """Mask of the real points with inside(|x|, 1), or None when there is
-    none; an array without real points costs one comparison."""
-    real = arr.imag == 0
-    if not real.any():
-        return None
-    mask = real & inside(np.abs(arr.real), 1.0)
-    return mask if mask.any() else None
-
-
-def _cheb_T_off(af: float, z: np.ndarray) -> np.ndarray:
-    """T_a off [-1, 1]: the power mean of the Joukowski preimages."""
-    lv = np.log(_large_root(z))
-    return 0.5 * (np.exp(af * lv) + np.exp(-af * lv))
-
-
-def _cheb_T_on(af: float, x: np.ndarray) -> np.ndarray:
-    """T_a on [-1, 1]: cos(a arccos x) of the real parts."""
-    return np.cos(af * np.arccos(x.real))
-
-
-def _by_interval(af: float, arr: np.ndarray, mask, off, on) -> np.ndarray:
-    """off(af, arr), with on(af, .) at the points of `mask` (None when
-    there is none); a mask that holds every point skips off."""
-    if mask is None:
-        return off(af, arr)
-    if mask.all():
-        return on(af, arr).astype(complex)
-    out = off(af, arr)
-    out[mask] = on(af, arr[mask])
-    return out
-
-
 def _cheb_T(af: float, integer: bool, arr: np.ndarray) -> np.ndarray:
     if integer:
         return _cheb_poly(int(round(af)), arr)
-    return _by_interval(af, arr, _real_interval(arr, np.less_equal), _cheb_T_off, _cheb_T_on)
-
-
-def _cheb_T_deriv_off(af: float, z: np.ndarray) -> np.ndarray:
-    s = np.sqrt(z - 1.0) * np.sqrt(z + 1.0)
-    lv = np.log(z + s)
-    return 0.5 * af * (np.exp(af * lv) - np.exp(-af * lv)) / s
-
-
-def _cheb_T_deriv_on(af: float, x: np.ndarray) -> np.ndarray:
-    """The derivative on (-1, 1): a sin(a arccos x) / sqrt(1 - x^2)."""
-    t = x.real
-    return af * np.sin(af * np.arccos(t)) / np.sqrt(1.0 - t * t)
+    # arccosh x is log v, v the Joukowski preimage with |v| >= 1
+    lv = np.arccosh(arr)
+    lv *= af
+    return np.cosh(lv, out=lv)
 
 
 def _cheb_T_deriv(af: float, integer: bool, arr: np.ndarray) -> np.ndarray:
     if integer:
         return _cheb_poly_deriv(int(round(af)), arr)
-    if _real_interval(arr, np.equal) is not None:
+    # sqrt(x^2 - 1), zero exactly at x = +/-1 and nowhere else; x - (-1)
+    # rather than x + 1 keeps the signed zero of x - 0j (-0 + 0 is +0)
+    s = np.sqrt(arr - 1.0) * np.sqrt(arr - -1.0)
+    if (s == 0).any():
         raise AtBranchPointError(f"derivative of T_{af} is singular at x = +/-1")
-    interior = _real_interval(arr, np.less)
-    return _by_interval(af, arr, interior, _cheb_T_deriv_off, _cheb_T_deriv_on)
+    return af * np.sinh(af * np.arccosh(arr)) / s
 
 
 def cheb_T(a, x):
@@ -189,8 +141,10 @@ def cheb_T(a, x):
 def cheb_T_deriv(a, x):
     """Derivative of T_a; refuses x = +/-1 for non-integer order.
 
-    On (-1, 1) it is a sin(a arccos x)/sqrt(1 - x^2); elsewhere
-    a (v^a - v^-a) / (2 sqrt(x^2 - 1)) with the module's branch.
+    a sinh(a arccosh x) / (sqrt(x - 1) sqrt(x + 1)) with the module's
+    branch, which is a sin(a arccos x)/sqrt(1 - x^2) on (-1, 1).  The
+    denominator is the product of square roots rather than
+    sinh(arccosh x), which loses digits near x = -1.
     """
     af, integer = _order(a)
     if not integer:

@@ -95,9 +95,13 @@ def _sphere_points(rng, n: int) -> np.ndarray:
     """n sphere points with modulus uniform on [0.05, 20] and a uniform
     argument."""
     radius = rng.uniform(0.05, 20.0, n)
-    s = 1j * rng.uniform(-np.pi, np.pi, n)
-    np.exp(s, out=s)
-    s *= radius
+    angle = rng.uniform(-np.pi, np.pi, n)
+    s = np.empty(n, dtype=complex)
+    re, im = s.real, s.imag
+    np.cos(angle, out=re)
+    re *= radius
+    np.sin(angle, out=im)
+    im *= radius
     return s
 
 

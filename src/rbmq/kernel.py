@@ -36,10 +36,11 @@ def gamma(p: ModelParams, theta1, theta2):
     return _unwrap(_gamma(p, t1, t2), s1 and s2)
 
 
-def _zero_scale(p: ModelParams, t1, t2):
-    """Pointwise normaliser of |gamma|: (t1, t2) is a kernel zero to
-    relative accuracy eps where |gamma| <= eps * _zero_scale."""
-    return (1.0 + np.abs(t1) ** 2 + np.abs(t2) ** 2) * p.scale
+def _zero_scale(p: ModelParams, r1, r2):
+    """Pointwise normaliser of |gamma| from the moduli r1 = |t1|, r2 = |t2|:
+    (t1, t2) is a kernel zero to relative accuracy eps where
+    |gamma| <= eps * _zero_scale."""
+    return (1.0 + r1 * r1 + r2 * r2) * p.scale
 
 
 def _disc_d(p: ModelParams, t):

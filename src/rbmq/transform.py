@@ -145,10 +145,12 @@ def w_eval(b: TransformBundle, theta2):
     return _unwrap(_w(b, arr), scalar)
 
 
-def _phi1(b: TransformBundle, arr: np.ndarray) -> np.ndarray:
+def _phi1(b: TransformBundle, arr: np.ndarray, r: np.ndarray | None = None) -> np.ndarray:
+    """phi1 on an array; r is |arr| when the caller has it already."""
+    if r is None:
+        r = np.abs(arr)
     den = _w(b, arr) - b.w1_at_0
-    r = np.abs(arr)
-    pole = (np.abs(den) < _POLE_REL * np.abs(b.w1_prime0 * arr)) & (r > _POLE_MIN_ABS)
+    pole = (np.abs(den) < (_POLE_REL * abs(b.w1_prime0)) * r) & (r > _POLE_MIN_ABS)
     if pole.any():
         raise AtPoleError(location=complex(arr[pole][0]), order=1)
     small = r < _ORIGIN_RADIUS
@@ -217,15 +219,16 @@ def phi_eval(b: TransformBundle, theta1, theta2):
     t1, s1 = _as_array(theta1)
     t2, s2 = _as_array(theta2)
     scalar = s1 and s2
-    origin = (np.abs(t1) < 1e-12) & (np.abs(t2) < 1e-12)
+    r1, r2 = np.abs(t1), np.abs(t2)
+    origin = (r1 < 1e-12) & (r2 < 1e-12)
     at_origin = origin.any()
     g = kernel._gamma(p, t1, t2)
-    on_curve = np.abs(g) <= 1e-12 * kernel._zero_scale(p, t1, t2)
+    on_curve = np.abs(g) <= 1e-12 * kernel._zero_scale(p, r1, r2)
     if at_origin:
         on_curve &= ~origin
     if on_curve.any():
         raise OnKernelCurveError("gamma vanishes here: phi is 0/0 on the kernel zero set")
-    num = t1 * _phi1(b, t2) + t2 * _phi1(b.swapped, t1)
+    num = t1 * _phi1(b, t2, r2) + t2 * _phi1(b.swapped, t1, r1)
     if not at_origin:
         return _unwrap(-num / g, scalar)
     # gamma vanishes at the origin too; its limit replaces the 0/0 there

@@ -96,7 +96,8 @@ def theta_of_s(b: TransformBundle, s):
 
 
 def W_of_s(b: TransformBundle, s):
-    """Lifted gluing map -((-s)^a + (-s)^-a)/2 with a = pi/beta.
+    """Lifted gluing map -((-s)^a + (-s)^-a)/2 = -cosh(a log(-s)) with
+    a = pi/beta.
 
     Principal logarithm of -s; refuses s on [0, inf) where the log cut
     makes the power ambiguous.
@@ -111,7 +112,7 @@ def W_of_s(b: TransformBundle, s):
     arr, scalar = _check_s(s)
     a = b.order
     lg = np.log(-arr)
-    return _unwrap(-0.5 * (np.exp(a * lg) + np.exp(-a * lg)), scalar)
+    return _unwrap(-np.cosh(a * lg), scalar)
 
 
 def _involutions(b: TransformBundle, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -170,3 +170,49 @@ def test_hypergeometric_cross_check():
         a = rng.uniform(0.3, 3.5)
         x = rng.uniform(-0.9, 3.0)
         assert cheb_T(a, complex(x)) == pytest.approx(cheb_T_hyp2f1(a, x), abs=1e-10)
+
+
+def test_mpmath_reference_on_the_cut_plane():
+    """T_a and T_a' at a = 1.37 against 40-digit cosh(a L) and
+    a sinh(a L)/sinh(L), L = acosh z: the box, the neighbourhoods of both
+    branch points, the interval (up to 1e-15 from its ends) and both
+    sides of the cut."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    a = 1.37
+    am = mpmath.mpf(a)
+
+    def reference(z):
+        ell = mpmath.acosh(mpmath.mpc(z))
+        return complex(mpmath.cosh(am * ell)), complex(am * mpmath.sinh(am * ell) / mpmath.sinh(ell))
+
+    rng = np.random.default_rng(9)
+    n = 100
+    noise = 1e-6 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    upper = -1.0 - rng.exponential(2.0, n) + 0j
+    gap = 10.0 ** rng.uniform(-15, -1, n)
+    interval = np.concatenate([rng.uniform(-1, 1, n), 1.0 - gap, gap - 1.0]) + 0j
+    regions = {
+        "box": rng.uniform(-5, 5, n) + 1j * rng.uniform(-5, 5, n),
+        "near +1": 1.0 + noise,
+        "near -1": -1.0 + noise,
+        "interval": interval,
+        "cut, upper side": upper,
+    }
+    refs = {name: np.array([reference(v) for v in z]) for name, z in regions.items()}
+    # mpmath has no signed zero and takes the upper side of the cut; the
+    # lower side is the conjugate by symmetry
+    regions["cut, lower side"] = upper.conj()
+    refs["cut, lower side"] = refs["cut, upper side"].conj()
+    for name, z in regions.items():
+        ref = refs[name]
+        for got, want, what in ((cheb_T(a, z), ref[:, 0], "T"), (cheb_T_deriv(a, z), ref[:, 1], "T'")):
+            err = np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0))
+            assert err < 1e-14, (name, what, err)
+
+    # on (-1, 1) the two signed zeros give the same real value
+    x = rng.uniform(-1, 1, n)
+    above = cheb_T(a, x + 0j)
+    below = cheb_T(a, x.astype(complex).conj())
+    assert above.real.tobytes() == below.real.tobytes()
+    assert np.all(above.imag == 0) and np.all(below.imag == 0)

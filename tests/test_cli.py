@@ -197,18 +197,24 @@ def test_asympt(diag_config, capsys):
     assert doc["constant"] == pytest.approx(2.0)
 
 
+def run_cli_process(args):
+    """The CLI in a fresh interpreter on this checkout's rbmq; raises
+    CalledProcessError on a non-zero exit."""
+    src = os.path.dirname(os.path.dirname(rbmq.__file__))
+    path_dirs = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_dirs))}
+    return subprocess.run(
+        [sys.executable, "-m", "rbmq.cli", *args],
+        capture_output=True, text=True, env=env, check=True,
+    )
+
+
 def test_asympt_boundary_warning_once(tmp_path):
     # a process of its own: the warning reaches stderr through logging's
     # last-resort handler, which pytest's log capture would replace
     path = tmp_path / "boundary.json"
     path.write_text(json.dumps({"sigma": [[1, 0.5], [0.5, 1]], "mu": [-1, -1]}))
-    src = os.path.dirname(os.path.dirname(rbmq.__file__))
-    path_dirs = [src, os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_dirs))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "rbmq.cli", "asympt", "--config", str(path)],
-        capture_output=True, text=True, env=env, check=True,
-    )
+    proc = run_cli_process(["asympt", "--config", str(path)])
     assert json.loads(proc.stdout)["regime"] == "boundary_zero"
     assert proc.stderr.count("classifying as the boundary regime") == 1
 
@@ -314,6 +320,18 @@ def test_invert_non_finite_table_exit_code(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: MethodDisagreementError: non-finite")
     assert err.count("\n") == 1  # no warning lines
+
+
+def test_eval_phi1_far_out_at_large_order(tmp_path):
+    # pi/beta is about 70 here and T_a overflows at theta2 = -2e5, while
+    # phi1 there underflows to zero.  A process of its own: the overflow
+    # warning goes to stderr, which the suite's RuntimeWarning filter
+    # would turn into an exception in process.
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps({"sigma": [[1, -0.9999], [-0.9999, 1]], "mu": [-1, -1]}))
+    proc = run_cli_process(["eval", "--config", str(path), "--fn", "phi1", "--re=-2e5"])
+    value = json.loads(proc.stdout)["value"]
+    assert np.isfinite(value["re"]) and np.isfinite(value["im"])
 
 
 @pytest.mark.parametrize(
