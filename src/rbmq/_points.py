@@ -13,21 +13,21 @@ same point inside an array call.
 
 Some points need a special formula: the removable origin of phi1 and
 the origin of phi, where the generic formula is 0/0.  The evaluator
-tests for such points first: when there is none, the generic formula
-runs on the whole array without boolean-mask indexing, and the masked
-path runs only for inputs that need it.  Every point sees the same
+counts such points first: when there is none, the generic formula runs
+on the whole array without boolean-mask indexing, and the masked path
+runs only for inputs that need it.  Every point sees the same
 elementwise operations either way, so a scalar call equals the same
-point inside any array.  The Chebyshev function needs no special
-point: one formula covers its whole cut plane.
+point inside any array.
 
-Some evaluators reuse their temporaries with in-place sums and
-differences.  A complex product that writes over one of its own inputs
-takes a loop without fused multiply-adds on a one-element array, so a
-scalar call would round differently from the same point inside an
-array; no evaluator multiplies a complex array in place (numpy's own
-reuse of large temporaries never applies to one element).  A complex
-array is scaled by a real in place through its real view (`_scale`),
-which rounds like the complex product.
+A product of two complex arrays never writes into one of its own
+operands: on a one-element array the in-place product takes a loop
+without fused multiply-adds.  Nor may it go to a temporary that numpy
+can reuse: above 256 KiB (16,384 complex points) numpy writes `a * (b +
+c)` into the temporary b + c, as the product with its operands swapped,
+which rounds differently; such products are written `np.multiply(a, b +
+c)`.  Quotients take fresh outputs too.  Sums, differences, negations
+and products with a real factor round each part once and may run in
+place; `_scale` multiplies through the real view.
 """
 from __future__ import annotations
 

@@ -77,12 +77,16 @@ def _result(name, residual, tol, detail="") -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def curve_points(p: ModelParams, n: int) -> np.ndarray:
-    """Points on the boundary curve via its real parametrization."""
-    t = np.concatenate(
-        [np.linspace(1e-4, 3.0, n // 2), np.geomspace(3.0, 100.0, n - n // 2)]
-    )
-    return kernel.theta2_branches(p, p.scalars.theta1_minus - t)[0]
+# run_checks' fixed grids, built once: offsets from theta1_minus, radii
+_CURVE_OFFSETS = np.concatenate([np.linspace(1e-4, 3.0, 100), np.geomspace(3.0, 100.0, 100)])
+_LEFT_OFFSETS = np.concatenate([np.linspace(1e-3, 5.0, 100), np.geomspace(5.0, 100.0, 100)])
+_REAL_ZERO_OFFSETS = np.geomspace(1e-3, 50.0, 100)
+_REFLECTION_RADII = np.geomspace(1e-2, 100.0, 100)
+
+
+def curve_points(p: ModelParams) -> np.ndarray:
+    """200 points on the boundary curve over theta1 = theta1_minus - t."""
+    return kernel.theta2_branches(p, p.scalars.theta1_minus - _CURVE_OFFSETS)[0]
 
 
 def real_kernel_zeros(p: ModelParams, theta1: np.ndarray):
@@ -314,9 +318,7 @@ def run_checks(p: ModelParams, seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     sc = p.scalars
     pts = rng.uniform(-4, 4, 10_000) + 1j * rng.uniform(-4, 4, 10_000)
-    left = sc.theta1_minus - np.concatenate(
-        [np.linspace(1e-3, 5.0, 100), np.geomspace(5.0, 100.0, 100)]
-    )
+    left = sc.theta1_minus - _LEFT_OFFSETS
     plus, minus = kernel.theta2_branches(p, left)
     out = [
         _result("kernel_branch_roots", branch_root_residual(p, pts), 1e-10),
@@ -324,11 +326,11 @@ def run_checks(p: ModelParams, seed: int = 0) -> list[CheckResult]:
         _result("vieta", vieta_residual(p, left, plus, minus), 1e-10),
     ]
     b = transform.make_bundle(p)
-    curve = curve_points(p, 200)
+    curve = curve_points(p)
     out.append(_result("gluing_symmetry", gluing_residual(b, curve), 1e-10))
     out.append(_result("boundary_condition", boundary_condition_residual(b, curve), 1e-9))
     # on the real locus and at sphere-sampled zeros in the native domain
-    real_zeros = real_kernel_zeros(p, sc.theta1_minus - np.geomspace(1e-3, 50.0, 100))
+    real_zeros = real_kernel_zeros(p, sc.theta1_minus - _REAL_ZERO_OFFSETS)
     cross = cross_transform_residual(b, *real_zeros)
     cross = max(cross, cross_transform_residual(b, *native_kernel_zeros(b, 200, rng)))
     out.append(_result("cross_transform_identity", cross, 1e-9))
@@ -336,7 +338,7 @@ def run_checks(p: ModelParams, seed: int = 0) -> list[CheckResult]:
     th1, th2 = uniformization.theta_of_s(b, s)
     out.append(_result("uniformization_zero_set", kernel_zero_residual(p, th1, th2), 1e-10))
     out.append(_result("two_sheet_identities", two_sheet_residual(b, s, th1, th2), 1e-10))
-    lifted = reflection_residual(b, np.geomspace(1e-2, 100.0, 100))
+    lifted = reflection_residual(b, _REFLECTION_RADII)
     lifted = max(lifted, lift_residual(b, cone_points(b, 200, rng)))
     out.append(_result("lifted_gluing", lifted, 1e-9))
     out.append(_result("boundary_masses", boundary_mass_residual(b), 1e-10))

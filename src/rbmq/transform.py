@@ -15,6 +15,10 @@ phi1 is meromorphic on the plane cut along (theta2_plus, inf); the
 origin is a removable point with value -mu1 (the total boundary mass).
 phi is refused on the kernel zero set gamma = 0, where the identity is
 0/0, except at the origin, whose limit is 1 (the total mass).
+
+One kernel, `_boundary`, evaluates phi1's formula on a stack of rows, each
+with its side's constants: phi passes (theta2, theta1) as two rows, so one
+affine map, Chebyshev evaluation and special-point test serve both terms.
 """
 from __future__ import annotations
 
@@ -51,6 +55,8 @@ _ORIGIN = np.zeros(1, dtype=complex)
 # pole report thresholds: w-difference collapse at a not-small argument
 _POLE_REL = 1e-12
 _POLE_MIN_ABS = 1e-6
+# the rows of `_boundary`: phi1's side (theta2), phi2's (theta1), both
+_PHI1, _PHI2, _BOTH = range(3)
 
 
 @dataclass(frozen=True)
@@ -95,6 +101,20 @@ class TransformBundle:
         # the swap leaves beta, hence the order and its snap, unchanged
         return TransformBundle(self.params.swapped, self.order, self.integer_order)
 
+    @cached_property
+    def _rows(self) -> tuple:
+        """`_boundary`'s constants for _PHI1, _PHI2 and _BOTH: `_map`'s, w(0),
+        _POLE_REL |w'(0)|, -mu1 w'(0) and the boundary mass, as (1,) arrays
+        for one row and (2, 1) columns for both."""
+        one = [
+            tuple(np.array([v]) for v in (
+                *_map(s.scalars), complex(s.w1_at_0), _POLE_REL * abs(s.w1_prime0),
+                complex(-s.params.m1 * s.w1_prime0), complex(s.phi1_at_0),
+            ))
+            for s in (self, self.swapped)
+        ]
+        return (*one, tuple(map(np.stack, zip(*one))))
+
 
 def make_bundle(p: ModelParams) -> TransformBundle:
     """Build the evaluator bundle; the order pi/beta is resolved (and a
@@ -102,23 +122,31 @@ def make_bundle(p: ModelParams) -> TransformBundle:
     return TransformBundle(p, *_order(p.scalars.pi_over_beta))
 
 
-def _affine(sc: DerivedScalars, arr: np.ndarray) -> np.ndarray:
-    """Map [theta2_minus, theta2_plus] onto [1, -1].
-
-    Real and imaginary parts are transformed separately: complex
-    multiplication mixes in +0.0 terms that would erase the signed zero
-    a caller uses to pick a side of the cut (the map has negative
-    slope, so the side flips, which real-float products get right).
-    """
+def _map(sc: DerivedScalars) -> tuple[float, float, float]:
+    """`_affine`'s constants: the centre theta2_plus + theta2_minus, the
+    negated spread and the slope -2 / spread."""
     spread = sc.theta2_plus - sc.theta2_minus
+    return sc.theta2_plus + sc.theta2_minus, -spread, -2.0 / spread
+
+
+def _affine(centre, nspread, slope, arr: np.ndarray) -> np.ndarray:
+    """Map [theta2_minus, theta2_plus] onto [1, -1] with `_map`'s constants
+    (or columns of them, one row per side).  The parts are mapped as real
+    floats: a complex product would mix in +0.0 terms and erase the signed
+    zero that picks a side of the cut (the negative slope flips the side)."""
     out = np.empty_like(arr)
-    out.real = -(2.0 * arr.real - (sc.theta2_plus + sc.theta2_minus)) / spread
-    out.imag = (-2.0 / spread) * arr.imag
+    re = out.real
+    np.add(arr.real, arr.real, out=re)
+    re -= centre
+    re /= nspread
+    np.multiply(arr.imag, slope, out=out.imag)
     return out
 
 
 def _raise_if_on_cut(raw, cut_start: float, name: str):
     """Real-typed input strictly beyond the branch point is on the cut."""
+    if type(raw) is complex:
+        return
     raw = np.asarray(raw)
     if not np.iscomplexobj(raw) and (raw > cut_start).any():
         raise OnCutError(
@@ -128,14 +156,14 @@ def _raise_if_on_cut(raw, cut_start: float, name: str):
 
 
 def _w(b: TransformBundle, arr: np.ndarray) -> np.ndarray:
-    return _cheb_T(b.order, b.integer_order, _affine(b.scalars, arr))
+    return _cheb_T(b.order, b.integer_order, _affine(*_map(b.scalars), arr))
 
 
 def _w_deriv(b: TransformBundle, arr: np.ndarray) -> np.ndarray:
     """Derivative of the gluing map (chain rule through the affine map)."""
-    sc = b.scalars
-    xp = -2.0 / (sc.theta2_plus - sc.theta2_minus)
-    return xp * _cheb_T_deriv(b.order, b.integer_order, _affine(sc, arr))
+    centre, nspread, slope = _map(b.scalars)
+    x = _affine(centre, nspread, slope, arr)
+    return slope * _cheb_T_deriv(b.order, b.integer_order, x)
 
 
 def w_eval(b: TransformBundle, theta2):
@@ -145,22 +173,40 @@ def w_eval(b: TransformBundle, theta2):
     return _unwrap(_w(b, arr), scalar)
 
 
-def _phi1(b: TransformBundle, arr: np.ndarray, r: np.ndarray | None = None) -> np.ndarray:
-    """phi1 on an array; r is |arr| when the caller has it already."""
-    if r is None:
-        r = np.abs(arr)
-    den = _w(b, arr) - b.w1_at_0
-    pole = (np.abs(den) < (_POLE_REL * abs(b.w1_prime0)) * r) & (r > _POLE_MIN_ABS)
+def _boundary(b: TransformBundle, rows: int, z: np.ndarray, r=None, zero=None):
+    """phi1 on z for the side `rows` names (_BOTH: theta2's row over
+    theta1's), with r = |z|; returns (values, origin).
+
+    One count finds every special point: a pole, a point within the
+    origin radius and, for phi, a kernel zero (`zero`, one per column).
+    Only then does the masked path run.  It refuses a kernel zero off
+    phi's origin before the first pole in array order.  origin marks the
+    columns whose rows are all within 1e-12 of 0; it is None on the fast
+    path and without `zero`.
+    """
+    centre, nspread, slope, w0, tol, coef, mass = b._rows[rows]
+    r = np.abs(z) if r is None else r
+    x = _affine(centre, nspread, slope, z)
+    den = _cheb_T(b.order, b.integer_order, x)
+    den -= w0
+    near = np.abs(den) < tol * r
+    special = near | (r < _ORIGIN_RADIUS)
+    if zero is not None:
+        special |= zero
+    if not np.count_nonzero(special):
+        # the product goes to x, free once den is formed
+        return np.divide(np.multiply(coef, z, out=x), den), None
+    origin = None if zero is None else (r < 1e-12).all(axis=0)
+    if origin is not None and (zero & ~origin).any():
+        raise OnKernelCurveError("gamma vanishes here: phi is 0/0 on the kernel zero set")
+    pole = near & (r > _POLE_MIN_ABS)
     if pole.any():
-        raise AtPoleError(location=complex(arr[pole][0]), order=1)
+        raise AtPoleError(location=complex(z[pole][0]), order=1)
     small = r < _ORIGIN_RADIUS
-    if not small.any():
-        return -b.params.m1 * b.w1_prime0 * arr / den
-    out = np.empty_like(arr)
-    out[small] = b.phi1_at_0
-    ok = ~small
-    out[ok] = -b.params.m1 * b.w1_prime0 * arr[ok] / den[ok]
-    return out
+    den[small] = 1.0
+    out = np.divide(np.multiply(coef, z, out=x), den)
+    out[small] = np.broadcast_to(mass, z.shape)[small]
+    return out, origin
 
 
 def phi1_eval(b: TransformBundle, theta2):
@@ -172,7 +218,7 @@ def phi1_eval(b: TransformBundle, theta2):
     """
     _raise_if_on_cut(theta2, b.scalars.theta2_plus, "theta2")
     arr, scalar = _as_array(theta2)
-    return _unwrap(_phi1(b, arr), scalar)
+    return _unwrap(_boundary(b, _PHI1, arr)[0], scalar)
 
 
 def phi2_eval(b: TransformBundle, theta1):
@@ -180,27 +226,27 @@ def phi2_eval(b: TransformBundle, theta1):
     continued to the plane cut along (theta1_plus, inf)."""
     _raise_if_on_cut(theta1, b.scalars.theta1_plus, "theta1")
     arr, scalar = _as_array(theta1)
-    return _unwrap(_phi1(b.swapped, arr), scalar)
+    return _unwrap(_boundary(b, _PHI2, arr)[0], scalar)
 
 
-def _psi1(b: TransformBundle, arr: np.ndarray) -> np.ndarray:
-    if (arr == 0).any():
+def _psi1(b: TransformBundle, rows: int, arr: np.ndarray) -> np.ndarray:
+    if np.count_nonzero(arr == 0):
         raise AtZeroError("psi1 and psi2 have their pole at 0")
-    return _phi1(b, arr) / arr
+    return np.divide(_boundary(b, rows, arr)[0], arr)
 
 
 def psi1_eval(b: TransformBundle, theta2):
     """phi1(theta2)/theta2: simple pole at 0 with residue -mu1."""
     _raise_if_on_cut(theta2, b.scalars.theta2_plus, "theta2")
     arr, scalar = _as_array(theta2)
-    return _unwrap(_psi1(b, arr), scalar)
+    return _unwrap(_psi1(b, _PHI1, arr), scalar)
 
 
 def psi2_eval(b: TransformBundle, theta1):
     """phi2(theta1)/theta1: simple pole at 0 with residue -mu2."""
     _raise_if_on_cut(theta1, b.scalars.theta1_plus, "theta1")
     arr, scalar = _as_array(theta1)
-    return _unwrap(_psi1(b.swapped, arr), scalar)
+    return _unwrap(_psi1(b, _PHI2, arr), scalar)
 
 
 def phi_eval(b: TransformBundle, theta1, theta2):
@@ -218,18 +264,19 @@ def phi_eval(b: TransformBundle, theta1, theta2):
     _raise_if_on_cut(theta1, b.scalars.theta1_plus, "theta1")
     t1, s1 = _as_array(theta1)
     t2, s2 = _as_array(theta2)
-    scalar = s1 and s2
-    r1, r2 = np.abs(t1), np.abs(t2)
-    origin = (r1 < 1e-12) & (r2 < 1e-12)
-    at_origin = origin.any()
-    g = kernel._gamma(p, t1, t2)
-    on_curve = np.abs(g) <= 1e-12 * kernel._zero_scale(p, r1, r2)
-    if at_origin:
-        on_curve &= ~origin
-    if on_curve.any():
-        raise OnKernelCurveError("gamma vanishes here: phi is 0/0 on the kernel zero set")
-    num = t1 * _phi1(b, t2, r2) + t2 * _phi1(b.swapped, t1, r1)
-    if not at_origin:
-        return _unwrap(-num / g, scalar)
-    # gamma vanishes at the origin too; its limit replaces the 0/0 there
-    return _unwrap(np.where(origin, 1.0, -num / np.where(origin, 1.0, g)), scalar)
+    if t1.shape != t2.shape:
+        t1, t2 = np.broadcast_arrays(t1, t2)
+    shape = t1.shape
+    # rows (theta2, theta1): the arguments of phi1 and phi2
+    z = np.array((t2, t1)).reshape(2, -1)
+    r = np.abs(z)
+    g = kernel._gamma(p, z[1], z[0])
+    zero = np.abs(g) <= 1e-12 * kernel._zero_scale(p, r[1], r[0])
+    vals, origin = _boundary(b, _BOTH, z, r, zero)
+    # rows theta1 phi1(theta2) and theta2 phi2(theta1)
+    terms = np.multiply(z[::-1], vals)
+    num = -(terms[0] + terms[1])
+    if origin is not None:
+        # gamma vanishes at the origin too: 1/1 there gives its limit 1
+        num[origin] = g[origin] = 1.0
+    return _unwrap(np.divide(num, g).reshape(shape), s1 and s2)

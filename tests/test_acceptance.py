@@ -61,7 +61,7 @@ def test_criterion_03_boundary_gluing_identities():
     worst_psi = worst_w = 0.0
     for _ in range(20):
         b = make_bundle(random_ergodic(rng))
-        curve = checks.curve_points(b.params, 200)
+        curve = checks.curve_points(b.params)
         worst_w = max(worst_w, checks.gluing_residual(b, curve))
         worst_psi = max(worst_psi, checks.boundary_condition_residual(b, curve))
     _report(3, "boundary/gluing identities", worst_psi < 1e-9 and worst_w < 1e-9,

@@ -54,6 +54,31 @@ def test_scalar_array_convention(name, model, request):
                 assert np.asarray(value).tobytes() == arr[idx].tobytes()
 
 
+# 2^15-point counterparts of the point sets, keyed by the set's identity:
+# above numpy's threshold for reusing a temporary operand in place
+# (256 KiB, 2^14 complex points), which no one-element call meets
+_LARGE = 2**15
+_big_rng = np.random.default_rng(12)
+_BIG = {
+    id(NATIVE): -_big_rng.uniform(0.1, 3.0, _LARGE) + 1j * _big_rng.uniform(-3.0, 3.0, _LARGE),
+    id(NATIVE2): -_big_rng.uniform(0.1, 3.0, _LARGE) + 1j * _big_rng.uniform(-3.0, 3.0, _LARGE),
+    id(SPHERE): _big_rng.uniform(0.2, 5.0, _LARGE) * np.exp(1j * _big_rng.uniform(-3.0, 3.0, _LARGE)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATORS))
+def test_scalar_array_convention_large(name, corr):
+    """A large array gives each point the bits of its scalar call."""
+    fn, points, kind = EVALUATORS[name]
+    b = make_bundle(corr)
+    big = [_BIG[id(p)] for p in points]
+    arrays = _components(fn(b, *big))
+    for idx in np.random.default_rng(13).choice(_LARGE, 200, replace=False):
+        got = _components(fn(b, *(kind(p[idx]) for p in big)))
+        for value, arr in zip(got, arrays):
+            assert np.asarray(value).tobytes() == arr[idx].tobytes()
+
+
 def test_mixed_scalar_and_array_broadcast(corr):
     b = make_bundle(corr)
     out = transform.phi_eval(b, complex(NATIVE[0, 0]), NATIVE2)
@@ -93,7 +118,7 @@ def test_fast_path_matches_masked_path(corr):
         assert whole.tobytes() == parts.tobytes()
 
     def image(side):
-        return [transform._affine(sc, g) for g in side]
+        return [transform._affine(*transform._map(sc), g) for g in side]
 
     check(lambda x: chebyshev.cheb_T(b.order, x), image(side2))
     check(lambda x: chebyshev.cheb_T_deriv(b.order, x), image(side2))

@@ -22,7 +22,7 @@ from rbmq.errors import (
     OnCutError,
     OnKernelCurveError,
 )
-from rbmq.kernel import theta1_branches, theta2_branches
+from rbmq.kernel import gamma, theta1_branches, theta2_branches
 from rbmq.transform import (
     _w_deriv,
     phi1_eval,
@@ -195,6 +195,50 @@ def test_phi_kernel_refusal(diag, corr):
     assert abs(phi_eval(b, pole[0] + 1e-7, pole[1])) > 1e6
     with pytest.raises(OnKernelCurveError):
         phi_eval(b, *pole)
+
+
+def test_special_point_precedence(diag):
+    """A kernel zero is refused before a pole; the pole reported is the
+    first in array order, phi1's argument theta2 before phi2's theta1."""
+    b = make_bundle(diag)
+    # w = t^2 - 2t takes w(0) again at 2: phi1 and phi2 have their pole there
+    near = 2.0 + 1e-13
+    with pytest.raises(AtPoleError) as err:
+        phi1_eval(b, np.array([-1.0, near, 0.5j, 2.0]))
+    assert complex(err.value.location) == near
+    with pytest.raises(AtPoleError) as err:
+        phi_eval(b, np.array([2.0, -1.0, -1.0]), np.array([-1.0, -0.5j, near]))
+    assert complex(err.value.location) == near
+    kernel_zero = (0.5, 1 - np.sqrt(1.75))
+    with pytest.raises(OnKernelCurveError):
+        phi_eval(b, np.array([-1.0, kernel_zero[0]]), np.array([near, kernel_zero[1]]))
+
+
+def test_origin_values_alone_and_in_arrays(corr):
+    """Within the origin radius phi1 and phi2 take the boundary masses,
+    and phi its limit 1 where both arguments vanish, with the same bits
+    in a scalar call as in the kernel identity from one-point arrays and
+    as inside an array mixing them with generic points."""
+    b = make_bundle(corr)
+    tiny = [0j, -0j, 3e-9 + 4e-9j, -5e-10 + 0j, 1e-13j]
+    for t in tiny:
+        assert np.array(phi1_eval(b, t)).tobytes() == np.array(complex(-corr.m1, 0.0)).tobytes()
+        assert np.array(phi2_eval(b, t)).tobytes() == np.array(complex(-corr.m2, 0.0)).tobytes()
+    generic = [-0.5 + 0.25j, -1.0 - 0.3j]
+    pairs = [(0j, 0j), (1e-13, -2e-13j), (3e-9j, generic[0]), (generic[1], -5e-10 + 0j)]
+    pairs += [(x, y) for x in generic for y in generic]
+    t1 = np.array([x for x, _ in pairs])
+    t2 = np.array([y for _, y in pairs])
+    whole = phi_eval(b, t1, t2)
+    for k, (x, y) in enumerate(pairs):
+        value = phi_eval(b, x, y)
+        assert np.array(value).tobytes() == whole[k].tobytes()
+        if abs(x) < 1e-12 and abs(y) < 1e-12:
+            assert value == 1.0
+            continue
+        a, c = np.array([x]), np.array([y])
+        num = np.multiply(a, phi1_eval(b, c)) + np.multiply(c, phi2_eval(b, a))
+        assert np.array(value).tobytes() == (-num / gamma(corr, a, c)).tobytes()
 
 
 def test_psi_values_and_residue(diag):
