@@ -25,13 +25,20 @@ without fused multiply-adds.  Nor may it go to a temporary that numpy
 can reuse: above 256 KiB (16,384 complex points) numpy writes `a * (b +
 c)` into the temporary b + c, as the product with its operands swapped,
 which rounds differently; such products are written `np.multiply(a, b +
-c)`.  Quotients take fresh outputs too.  Sums, differences, negations
-and products with a real factor round each part once and may run in
-place; `_scale` multiplies through the real view.
+c)`.  Quotients take fresh outputs too, or their own divisor, which
+gives the same bits at every size.  Sums, differences, negations and
+products with a real factor round each part once and may run in place;
+`_scale` multiplies through the real view.
+
+A real-typed point on a branch cut is refused (`_raise_if_on_cut`); a
+complex one, x + 0j or x - 0j, picks the side of the cut by the sign of
+its zero imaginary part.
 """
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import OnCutError
 
 
 def _as_array(x, dtype=complex):
@@ -52,3 +59,14 @@ def _scale(z: np.ndarray, c: float) -> np.ndarray:
     view = z.view(np.float64)
     view *= c
     return z
+
+
+def _raise_if_on_cut(raw, side, edge: float, message: str, error=OnCutError, **fields):
+    """Refuse real-typed input where side(raw, edge) holds for some point
+    (side is np.less, np.greater or np.greater_equal); message is
+    formatted with edge and fields only then."""
+    if type(raw) is complex:
+        return
+    raw = np.asarray(raw)
+    if not np.iscomplexobj(raw) and side(raw, edge).any():
+        raise error(message.format(edge=edge, **fields))

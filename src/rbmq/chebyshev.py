@@ -33,8 +33,8 @@ import logging
 
 import numpy as np
 
-from ._points import _as_array, _unwrap
-from .errors import AtBranchPointError, OnCutError
+from ._points import _as_array, _raise_if_on_cut, _unwrap
+from .errors import AtBranchPointError
 
 __all__ = [
     "cheb_T",
@@ -46,6 +46,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _INT_SNAP = 1e-12
+_CUT = "order {a} is not an integer and x < -1 lies on the cut; pass x +/- 0j to pick a side"
 
 
 def is_integer_order(a) -> bool:
@@ -69,16 +70,6 @@ def _order(a) -> tuple[float, bool]:
     if not np.isfinite(af) or af < 0:
         raise ValueError(f"order must be a finite non-negative real, got {a!r}")
     return af, is_integer_order(af)
-
-
-def _raise_on_cut(x, a):
-    """Real-typed input strictly below -1 is refused for non-integer order."""
-    raw = np.asarray(x)
-    if not np.iscomplexobj(raw) and (raw < -1.0).any():
-        raise OnCutError(
-            f"order {a} is not an integer and x < -1 lies on the cut; "
-            "pass x +/- 0j to pick a side"
-        )
 
 
 def _cheb_poly(n: int, x: np.ndarray) -> np.ndarray:
@@ -105,10 +96,11 @@ def _cheb_poly_deriv(n: int, x: np.ndarray) -> np.ndarray:
 
 
 def _cheb_T(af: float, integer: bool, arr: np.ndarray) -> np.ndarray:
+    """T_a on arr; a non-integer order overwrites arr and returns it."""
     if integer:
         return _cheb_poly(int(round(af)), arr)
     # arccosh x is log v, v the Joukowski preimage with |v| >= 1
-    lv = np.arccosh(arr)
+    lv = np.arccosh(arr, out=arr)
     lv *= af
     return np.cosh(lv, out=lv)
 
@@ -133,9 +125,9 @@ def cheb_T(a, x):
     """
     af, integer = _order(a)
     if not integer:
-        _raise_on_cut(x, a)
+        _raise_if_on_cut(x, np.less, -1.0, _CUT, a=a)
     arr, scalar = _as_array(x)
-    return _unwrap(_cheb_T(af, integer, arr), scalar)
+    return _unwrap(_cheb_T(af, integer, arr.copy()), scalar)
 
 
 def cheb_T_deriv(a, x):
@@ -148,7 +140,7 @@ def cheb_T_deriv(a, x):
     """
     af, integer = _order(a)
     if not integer:
-        _raise_on_cut(x, a)
+        _raise_if_on_cut(x, np.less, -1.0, _CUT, a=a)
     arr, scalar = _as_array(x)
     return _unwrap(_cheb_T_deriv(af, integer, arr), scalar)
 

@@ -25,16 +25,17 @@ and a chunk's local time telescopes to L at its end minus L before its
 measured segment.
 
 Each chunk's normals and exponentials are drawn in one call per
-coordinate, then the recursion walks them in cache-sized blocks,
-carrying the last T and M from block to block; the cumulative sum and
-minimum, and so the path, are bit for bit those of the whole chunk.
-Observables are gathered per chunk in step order, so no result depends
-on the block size.  Batches are independent replicas, each with its own
-burn-in and its own RNG stream spawned from one seed, merged by batch
-index, so output is deterministic for a fixed seed regardless of how
-many worker threads run.  The Laplace transform is estimated on the
-fixed 3x3 grid of theta in {-1, -0.5, -0.1}^2, and each marginal and
-boundary histogram has 60 bins.
+coordinate, then one recursion walks both coordinates, as the two rows
+of (2, n) arrays, in cache-sized blocks, carrying the last T and M from
+block to block; the cumulative sum and minimum, and so the path, are
+bit for bit those of the whole chunk.  Observables are gathered per
+chunk in step order, so no result depends on the block size.  Batches
+are independent replicas, each with its own burn-in and its own RNG
+stream spawned from one seed, merged by batch index, so output is
+deterministic for a fixed seed regardless of how many worker threads
+run: one per CPU the process may use, at most one per batch.  The
+Laplace transform is estimated on the fixed 3x3 grid of theta in
+{-1, -0.5, -0.1}^2, and each marginal and boundary histogram has 60 bins.
 
 Inversion
 ---------
@@ -171,12 +172,12 @@ class DensityTable:
         self.values.setflags(write=False)
 
 
-def _bridge_minimum(y: np.ndarray, expo: np.ndarray, var_h: float, out: np.ndarray) -> np.ndarray:
+def _bridge_minimum(y: np.ndarray, expo: np.ndarray, var_h, out: np.ndarray) -> np.ndarray:
     """Minimum over one step of a Brownian bridge from 0 to y, per element.
 
-    var_h is the variance of the step, s h; expo holds standard
-    exponential draws E and is overwritten.  Inverting
-    P(min <= a) = exp(-2 a (a - y) / (s h)) at exp(-E) gives
+    var_h is the variance of the step, s h (a float, or a column of one
+    per row); expo holds standard exponential draws E and is overwritten.
+    Inverting P(min <= a) = exp(-2 a (a - y) / (s h)) at exp(-E) gives
     m = (y - sqrt(y^2 + 2 s h E)) / 2.  In floating point too m <= min(0, y):
     the square root of the rounded y^2 is |y| exactly, and every
     operation rounds monotonically.
@@ -190,8 +191,13 @@ def _bridge_minimum(y: np.ndarray, expo: np.ndarray, var_h: float, out: np.ndarr
     return out
 
 
+# the coordinate of each row of a (2, n) array, as a column
+_ROWS = np.arange(2)[:, None]
+
+
 class _Skorokhod:
-    """One coordinate's reflected walk over a chunk, advanced block by block.
+    """Both coordinates' reflected walks over a chunk, row i coordinate i,
+    advanced block by block.
 
     With T the chunk's running sum of increments y, m_n the free walk's
     minimum within step n relative to T_(n-1) (a Brownian-bridge draw),
@@ -199,195 +205,181 @@ class _Skorokhod:
     z_n = T_n - M_n, i.e. z_n = max(z_(n-1) + y_n, y_n - m_n), and the
     local time is the Skorokhod regulator L_n = -z0 - M_n.  The carry
     between blocks is the last T and the last M, so every block
-    reproduces the whole-chunk cumulative sum and minimum exactly.
+    reproduces the whole-chunk cumulative sum and minimum exactly.  Both
+    run one row at a time: along an axis of a 2-d array numpy holds the
+    GIL in them, and the worker threads would take turns.
     """
 
-    def __init__(self, block: int, var_h: float):
-        # slot 0 holds the carried T (in _t) and the carried M (in _b);
-        # slots 1.. the block's values
+    def __init__(self, block: int, var_h: np.ndarray):
+        # column 0 holds the carried T (in _t) and the carried M (in _b);
+        # columns 1.. the block's values
         self._var_h = var_h
-        self._t = np.empty(block + 1)
-        self._b = np.empty(block + 1)
-        self._m = np.empty(block + 1)
-        self._down = np.empty(block, dtype=bool)
+        self._t = np.empty((2, block + 1))
+        self._b = np.empty((2, block + 1))
+        self._m = np.empty((2, block + 1))
+        self._down = np.empty((2, block), dtype=bool)
 
-    def start(self, z0: float) -> None:
-        """Begin a chunk at z0; nothing carried yet."""
+    def start(self, z0: np.ndarray) -> None:
+        """Begin a chunk at z0, one value per row; nothing carried yet."""
         self.z0 = z0
-        self.t_end = 0.0
+        self.t_end = np.zeros(2)
         self.m_end = -z0
 
     def advance(self, incr: np.ndarray, expo: np.ndarray) -> None:
-        """Advance over one block of increments and standard exponentials,
-        keeping its T and M; incr and expo are overwritten."""
-        k = incr.size
-        t, b, m = self._t[: k + 1], self._b[: k + 1], self._m[: k + 1]
-        _bridge_minimum(incr, expo, self._var_h, out=b[1:])
-        incr[0] += self.t_end
-        t[0] = self.t_end
-        np.cumsum(incr, out=t[1:])
-        b[1:] += t[:-1]  # B_n = T_(n-1) + m_n
-        b[0] = self.m_end
-        np.fmin.accumulate(b, out=m)
-        self.t_end = float(t[k])
-        self.m_end = float(m[k])
+        """Advance over one (2, k) block of increments and standard
+        exponentials, keeping its T and M; incr and expo are overwritten."""
+        k = incr.shape[1]
+        t, b, m = self._t[:, : k + 1], self._b[:, : k + 1], self._m[:, : k + 1]
+        _bridge_minimum(incr, expo, self._var_h, out=b[:, 1:])
+        incr[:, 0] += self.t_end
+        t[:, 0] = self.t_end
+        for i in range(2):
+            np.cumsum(incr[i], out=t[i, 1:])
+        b[:, 1:] += t[:, :-1]  # B_n = T_(n-1) + m_n
+        b[:, 0] = self.m_end
+        for i in range(2):
+            np.fmin.accumulate(b[i], out=m[i])
+        self.t_end = t[:, k].copy()
+        self.m_end = m[:, k].copy()
         self._k = k
 
     @property
-    def z_end(self) -> float:
+    def z_end(self) -> np.ndarray:
         """z after the last step walked."""
         return self.t_end - self.m_end
 
     @property
-    def l_end(self) -> float:
+    def l_end(self) -> np.ndarray:
         """L after the last step walked."""
         return -self.z0 - self.m_end
 
-    def path(self, idx: np.ndarray) -> np.ndarray:
-        """z at block-local step indices idx (last block advanced)."""
-        return self._t[idx + 1] - self._m[idx + 1]
+    def path(self, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """z of coordinates rows at block-local step indices idx (last block
+        advanced), broadcast together; rows=_ROWS gives one row each."""
+        at = rows * self._t.shape[1] + idx + 1
+        return np.take(self._t, at) - np.take(self._m, at)
 
-    def regulator(self, j: int) -> float:
+    def regulator(self, j: int) -> np.ndarray:
         """L after block-local step j of the last block advanced
         (j = -1: before it)."""
-        return -self.z0 - float(self._m[j + 1])
+        return -self.z0 - self._m[:, j + 1]
 
     def hits(self, first: int):
-        """Block-local steps >= first where L grows, and its increments.
+        """Block-local steps >= first where L grows: the coordinate, the
+        step and the increment of each, row by row in step order.
 
         dl = L_n - L_(n-1) is exactly 0 off boundary hits, so only real
         hits are returned."""
         k = self._k
-        m = self._m[: k + 1]
-        down = np.less(m[1:], m[:-1], out=self._down[:k])
-        h = np.flatnonzero(down[first:]) + first
-        dl = (-self.z0 - m[h + 1]) - (-self.z0 - m[h])
+        m = self._m[:, : k + 1]
+        down = np.less(m[:, 1:], m[:, :-1], out=self._down[:, :k])
+        rows, h = np.divmod(np.flatnonzero(down[:, first:]), k - first)
+        h += first
+        at = rows * self._m.shape[1] + h
+        nz0 = -self.z0[rows]
+        dl = (nz0 - np.take(self._m, at + 1)) - (nz0 - np.take(self._m, at))
         keep = dl > 0
-        return h[keep], dl[keep]
+        return rows[keep], h[keep], dl[keep]
 
 
-def _uniform_hist(vals, inv_width: float, weights=None):
-    """Histogram on _BINS uniform bins of [0, _BINS/inv_width) via bincount."""
+def _uniform_hist(vals, inv_width, rows, weights=None):
+    """Counts (or weights) on _BINS uniform bins of [0, _BINS/inv_width),
+    one row per coordinate: vals[j] falls in row rows[j] (all broadcast)."""
     idx = (vals * inv_width).astype(np.int64)
     ok = (idx >= 0) & (idx < _BINS)
-    if weights is None:
-        return np.bincount(idx[ok], minlength=_BINS)[:_BINS].astype(float)
-    return np.bincount(idx[ok], weights=weights[ok], minlength=_BINS)[:_BINS]
+    idx += rows * _BINS
+    w = None if weights is None else weights[ok]
+    return np.bincount(idx[ok], weights=w, minlength=2 * _BINS).reshape(2, _BINS)
 
 
-def _run_batch(p, cfg, edges1, edges2, n_burn, n_meas, thin, seed_seq):
+def _workspace(p, cfg, total: int) -> tuple:
+    """A worker's chunk buffers for the normals and the exponentials, its
+    increment scratch and its walker, reused by each of its batches."""
+    xi = np.empty((2, min(_CHUNK, total)))
+    block = min(_BLOCK, xi.shape[1])
+    walk = _Skorokhod(block, np.diag(p.sigma)[:, None] * cfg.step)
+    return xi, np.empty_like(xi), np.empty(block), walk
+
+
+def _run_batch(p, cfg, edges, n_burn, n_meas, thin, seed_seq, workspace):
     """One replica: burn-in, then accumulate thinned observables.
 
     Each chunk draws its normals, then its exponentials, in one call
     per coordinate (the RNG stream), then walks them in cache-sized
     blocks.  Observables are gathered per chunk in step order and
     reduced once per chunk, so no result depends on the block size."""
+    xi, expo, cross, walk = workspace
+    block = cross.size
     rng = np.random.default_rng(seed_seq)
-    chol = np.linalg.cholesky(p.sigma)
-    drift = p.mu * cfg.step
-    rt = math.sqrt(cfg.step)
-    a11, a21, a22 = chol[0, 0] * rt, chol[1, 0] * rt, chol[1, 1] * rt
+    chol = np.linalg.cholesky(p.sigma) * math.sqrt(cfg.step)
+    a21 = chol[1, 0]
+    scale = np.diag(chol)[:, None]
+    drift = (p.mu * cfg.step)[:, None]
 
     # exp(th1 s1 + th2 s2) = exp(th1 s1) exp(th2 s2): one exponential per
     # axis value and coordinate, then one product per cell
     axis = np.array(_THETA_AXIS)[:, None]
     acc = np.zeros(len(_THETA_GRID))
     n_acc = 0
-    l1 = l2 = 0.0
-    inv_w1 = _BINS / edges1[-1]
-    inv_w2 = _BINS / edges2[-1]
-    mhist1 = np.zeros(_BINS)
-    mhist2 = np.zeros(_BINS)
-    bhist1 = np.zeros(_BINS)
-    bhist2 = np.zeros(_BINS)
+    ell = np.zeros(2)
+    inv_w = _BINS / edges[:, -1]
+    mhist = np.zeros((2, _BINS))
+    bhist = np.zeros((2, _BINS))
 
-    total = n_burn + n_meas
-    xi1 = np.empty(min(_CHUNK, total))
-    xi2 = np.empty_like(xi1)
-    e1 = np.empty_like(xi1)
-    e2 = np.empty_like(xi1)
-    block = min(_BLOCK, xi1.size)
-    incr2 = np.empty(block)
-    w1 = _Skorokhod(block, p.s11 * cfg.step)
-    w2 = _Skorokhod(block, p.s22 * cfg.step)
-
-    z1 = z2 = 0.0
+    z = np.zeros(2)
     done = 0
+    total = n_burn + n_meas
     while done < total:
         n = min(_CHUNK, total - done)
-        rng.standard_normal(out=xi1[:n])
-        rng.standard_normal(out=xi2[:n])
-        rng.standard_exponential(out=e1[:n])
-        rng.standard_exponential(out=e2[:n])
-        w1.start(z1)
-        w2.start(z2)
+        for row in xi:
+            rng.standard_normal(out=row[:n])
+        for row in expo:
+            rng.standard_exponential(out=row[:n])
+        walk.start(z)
 
         lo = max(n_burn - done, 0)  # first measured index within this chunk
         # thinned sampling times, phase-locked to the measured segment
         first = (-(done + lo - n_burn)) % thin
         idx = np.arange(lo + first, n, thin)
-        s1 = np.empty(idx.size)
-        s2 = np.empty(idx.size)
-        hits1, hits2 = [], []
-        l_lo1 = l_lo2 = 0.0  # L just before the measured segment
+        s = np.empty((2, idx.size))
+        hits = []
+        l_lo = None  # L just before the measured segment
         for b0 in range(0, n, block):
             b1 = min(b0 + block, n)
-            x1 = xi1[b0:b1]
-            x2 = xi2[b0:b1]
-            # increments in place, summed in the order that fixes their
-            # bits: a21 xi1 + a22 xi2 + drift2 (before xi1 is
-            # overwritten), then a11 xi1 + drift1
-            i2 = np.multiply(x1, a21, out=incr2[: b1 - b0])
-            x2 *= a22
-            i2 += x2
-            i2 += drift[1]
-            x1 *= a11
-            x1 += drift[0]
-            w1.advance(x1, e1[b0:b1])
-            w2.advance(i2, e2[b0:b1])
+            x = xi[:, b0:b1]
+            # increments in place: a11 xi1 + drift1 over
+            # a22 xi2 + a21 xi1 + drift2, each sum in its bits' order
+            np.multiply(x[0], a21, out=cross[: b1 - b0])
+            x *= scale
+            x[1] += cross[: b1 - b0]
+            x += drift
+            walk.advance(x, expo[:, b0:b1])
             if b1 <= lo:
                 continue  # burn-in: only the carry matters
             start = max(lo - b0, 0)
             if b0 <= lo:  # first measured block
-                l_lo1, l_lo2 = w1.regulator(start - 1), w2.regulator(start - 1)
+                l_lo = walk.regulator(start - 1)
             ka, kb = np.searchsorted(idx, (b0, b1))
-            s1[ka:kb] = w1.path(idx[ka:kb] - b0)
-            s2[ka:kb] = w2.path(idx[ka:kb] - b0)
-            h, dl = w1.hits(start)
-            hits1.append((w2.path(h), dl))
-            h, dl = w2.hits(start)
-            hits2.append((w1.path(h), dl))
-        z1, z2 = w1.z_end, w2.z_end
+            s[:, ka:kb] = walk.path(_ROWS, idx[ka:kb] - b0)
+            # where each coordinate hits its boundary, the other one's place
+            rows, h, dl = walk.hits(start)
+            hits.append((rows, walk.path(1 - rows, h), dl))
+        z = walk.z_end
 
         if lo < n:
-            l1 += w1.l_end - l_lo1
-            l2 += w2.l_end - l_lo2
+            ell += walk.l_end - l_lo
             if idx.size:
-                ex1 = np.exp(axis * s1)
-                ex2 = np.exp(axis * s2)
+                ex = np.exp(axis * s[:, None])
                 # the cells in _THETA_GRID's order, each a pairwise sum:
                 # a BLAS product's order could depend on its thread count
-                acc += (ex1[:, None] * ex2).sum(axis=-1).ravel()
+                acc += (ex[0][:, None] * ex[1]).sum(axis=-1).ravel()
                 n_acc += idx.size
-                mhist1 += _uniform_hist(s1, inv_w1)
-                mhist2 += _uniform_hist(s2, inv_w2)
-            at, dl = map(np.concatenate, zip(*hits1))
-            bhist1 += _uniform_hist(at, inv_w2, weights=dl)
-            at, dl = map(np.concatenate, zip(*hits2))
-            bhist2 += _uniform_hist(at, inv_w1, weights=dl)
+                mhist += _uniform_hist(s, inv_w[:, None], _ROWS)
+            rows, at, dl = map(np.concatenate, zip(*hits))
+            bhist += _uniform_hist(at, inv_w[1 - rows], rows, dl)
         done += n
 
-    t_meas = n_meas * cfg.step
-    return (
-        acc / max(n_acc, 1),
-        l1 / t_meas,
-        l2 / t_meas,
-        mhist1,
-        mhist2,
-        bhist1,
-        bhist2,
-        n_acc,
-    )
+    return acc / max(n_acc, 1), ell / (n_meas * cfg.step), mhist, bhist, n_acc
 
 
 def _cpu_count() -> int:
@@ -397,22 +389,6 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _worker_count(batches: int) -> int:
-    """Worker threads for `batches` replicas: the available CPUs, capped
-    by the batch count and lowered (never raised) by RBMQ_THREADS."""
-    cap = min(_cpu_count(), batches)
-    raw = os.environ.get("RBMQ_THREADS", "")
-    if not raw:
-        return cap
-    try:
-        asked = int(raw)
-    except ValueError:
-        asked = 0
-    if asked < 1:
-        raise ValidationError(f"RBMQ_THREADS must be an integer >= 1, got {raw!r}")
-    return min(asked, cap)
-
-
 def simulate(p: ModelParams, cfg: Optional[SimConfig] = None) -> SimResult:
     """Simulate the reflected diffusion and summarise its stationary law.
 
@@ -420,9 +396,8 @@ def simulate(p: ModelParams, cfg: Optional[SimConfig] = None) -> SimResult:
     exactly over every step, with its in-step minimum drawn from the
     Brownian-bridge law; the one approximation left is that the two
     coordinates' minima are drawn independently (exact when s12 = 0).
-    Batches run on one worker thread per available CPU (at most one per
-    batch), fewer if the RBMQ_THREADS environment variable asks for
-    fewer; results do not depend on it.
+    Batches run on one worker thread per CPU the process may use (at
+    most one per batch); results do not depend on the count.
     """
     cfg = cfg or SimConfig()
     mu_max = float(np.abs(p.mu).max())
@@ -434,55 +409,54 @@ def simulate(p: ModelParams, cfg: Optional[SimConfig] = None) -> SimResult:
             stacklevel=2,
         )
 
-    # deterministic histogram ranges: ~8 means of the per-axis exponential scale
-    cap1 = 4.0 * p.s11 / abs(p.m1)
-    cap2 = 4.0 * p.s22 / abs(p.m2)
-    edges1 = np.linspace(0.0, cap1, _BINS + 1)
-    edges2 = np.linspace(0.0, cap2, _BINS + 1)
+    # deterministic histogram ranges, one row per coordinate: ~8 means of
+    # the per-axis exponential scale
+    edges = np.linspace(0.0, 4.0 * np.diag(p.sigma) / np.abs(p.mu), _BINS + 1, axis=1)
 
     n_burn = int(round(cfg.burn_in / cfg.step))
-    t_batch = (cfg.horizon - cfg.burn_in) / cfg.batches
-    n_meas = int(round(t_batch / cfg.step))
+    n_meas = int(round((cfg.horizon - cfg.burn_in) / cfg.batches / cfg.step))
     thin = max(1, int(round(_THIN_TIME / cfg.step)))
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.batches)
 
-    threads = _worker_count(cfg.batches)
+    threads = min(_cpu_count(), cfg.batches)
     log.debug("simulate: %d worker thread(s) for %d batches", threads, cfg.batches)
 
-    def run(batch_index):
-        return _run_batch(p, cfg, edges1, edges2, n_burn, n_meas, thin, seeds[batch_index])
+    def run(worker):
+        # batches worker, worker + threads, ...: one workspace serves them
+        # all, so its pages are faulted in once
+        space = _workspace(p, cfg, n_burn + n_meas)
+        return [
+            _run_batch(p, cfg, edges, n_burn, n_meas, thin, seeds[b], space)
+            for b in range(worker, cfg.batches, threads)
+        ]
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(cfg.batches)))
-    else:
-        results = [run(b) for b in range(cfg.batches)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        parts = list(pool.map(run, range(threads)))
+    results = [parts[b % threads][b // threads] for b in range(cfg.batches)]
 
     lap = np.stack([r[0] for r in results])
-    r1 = np.array([r[1] for r in results])
-    r2 = np.array([r[2] for r in results])
     nb = cfg.batches
     lap_mean = lap.mean(axis=0)
     lap_se = lap.std(axis=0, ddof=1) / math.sqrt(nb)
     laplace = {
         th: (float(lap_mean[i]), float(lap_se[i])) for i, th in enumerate(_THETA_GRID)
     }
-    rates = (
-        (float(r1.mean()), float(r1.std(ddof=1) / math.sqrt(nb))),
-        (float(r2.mean()), float(r2.std(ddof=1) / math.sqrt(nb))),
+    rates = tuple(
+        (float(rate.mean()), float(rate.std(ddof=1) / math.sqrt(nb)))
+        for rate in np.stack([r[1] for r in results], axis=1)
     )
-    n_acc_total = sum(r[7] for r in results)
+    n_acc_total = sum(r[4] for r in results)
     t_meas_total = nb * n_meas * cfg.step
-    mh1 = sum(r[3] for r in results) / (n_acc_total * (edges1[1] - edges1[0]))
-    mh2 = sum(r[4] for r in results) / (n_acc_total * (edges2[1] - edges2[0]))
-    bh1 = sum(r[5] for r in results) / (t_meas_total * (edges2[1] - edges2[0]))
-    bh2 = sum(r[6] for r in results) / (t_meas_total * (edges1[1] - edges1[0]))
+    width = (edges[:, 1] - edges[:, 0])[:, None]
+    mh = sum(r[2] for r in results) / (n_acc_total * width)
+    # nu1 is a law of z2 and nu2 of z1: each is binned on the other's edges
+    bh = sum(r[3] for r in results) / (t_meas_total * width[::-1])
 
     return SimResult(
         laplace_estimates=laplace,
         local_time_rates=rates,
-        marginal_histograms={"z1": (edges1, mh1), "z2": (edges2, mh2)},
-        boundary_histograms={"nu1": (edges2, bh1), "nu2": (edges1, bh2)},
+        marginal_histograms={"z1": (edges[0], mh[0]), "z2": (edges[1], mh[1])},
+        boundary_histograms={"nu1": (edges[1], bh[0]), "nu2": (edges[0], bh[1])},
         measured_time=t_meas_total,
         config=cfg,
     )

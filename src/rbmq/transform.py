@@ -28,12 +28,11 @@ from functools import cached_property
 import numpy as np
 
 from . import kernel
-from ._points import _as_array, _unwrap
+from ._points import _as_array, _raise_if_on_cut, _unwrap
 from .chebyshev import _cheb_T, _cheb_T_deriv, _order
 from .errors import (
     AtPoleError,
     AtZeroError,
-    OnCutError,
     OnKernelCurveError,
 )
 from .model import DerivedScalars, ModelParams
@@ -55,6 +54,11 @@ _ORIGIN = np.zeros(1, dtype=complex)
 # pole report thresholds: w-difference collapse at a not-small argument
 _POLE_REL = 1e-12
 _POLE_MIN_ABS = 1e-6
+# refusal of a real-typed point beyond the branch point, per argument
+_CUT = {
+    name: f"real {name} > {{edge}} lies on the cut; pass {name} +/- 0j to pick a side"
+    for name in ("theta1", "theta2")
+}
 # the rows of `_boundary`: phi1's side (theta2), phi2's (theta1), both
 _PHI1, _PHI2, _BOTH = range(3)
 
@@ -143,18 +147,6 @@ def _affine(centre, nspread, slope, arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _raise_if_on_cut(raw, cut_start: float, name: str):
-    """Real-typed input strictly beyond the branch point is on the cut."""
-    if type(raw) is complex:
-        return
-    raw = np.asarray(raw)
-    if not np.iscomplexobj(raw) and (raw > cut_start).any():
-        raise OnCutError(
-            f"real {name} > {cut_start} lies on the cut; "
-            f"pass {name} +/- 0j to pick a side"
-        )
-
-
 def _w(b: TransformBundle, arr: np.ndarray) -> np.ndarray:
     return _cheb_T(b.order, b.integer_order, _affine(*_map(b.scalars), arr))
 
@@ -168,7 +160,7 @@ def _w_deriv(b: TransformBundle, arr: np.ndarray) -> np.ndarray:
 
 def w_eval(b: TransformBundle, theta2):
     """Conformal gluing map at theta2 (cut plane, cut on (theta2_plus, inf))."""
-    _raise_if_on_cut(theta2, b.scalars.theta2_plus, "theta2")
+    _raise_if_on_cut(theta2, np.greater, b.scalars.theta2_plus, _CUT["theta2"])
     arr, scalar = _as_array(theta2)
     return _unwrap(_w(b, arr), scalar)
 
@@ -194,8 +186,8 @@ def _boundary(b: TransformBundle, rows: int, z: np.ndarray, r=None, zero=None):
     if zero is not None:
         special |= zero
     if not np.count_nonzero(special):
-        # the product goes to x, free once den is formed
-        return np.divide(np.multiply(coef, z, out=x), den), None
+        # den is this call's buffer (x itself, for a non-integer order)
+        return np.divide(np.multiply(coef, z), den, out=den), None
     origin = None if zero is None else (r < 1e-12).all(axis=0)
     if origin is not None and (zero & ~origin).any():
         raise OnKernelCurveError("gamma vanishes here: phi is 0/0 on the kernel zero set")
@@ -204,7 +196,7 @@ def _boundary(b: TransformBundle, rows: int, z: np.ndarray, r=None, zero=None):
         raise AtPoleError(location=complex(z[pole][0]), order=1)
     small = r < _ORIGIN_RADIUS
     den[small] = 1.0
-    out = np.divide(np.multiply(coef, z, out=x), den)
+    out = np.divide(np.multiply(coef, z), den, out=den)
     out[small] = np.broadcast_to(mass, z.shape)[small]
     return out, origin
 
@@ -216,7 +208,7 @@ def phi1_eval(b: TransformBundle, theta2):
     (w(theta2) = w(0) away from 0) raises AtPoleError carrying the
     location; order is always 1 by injectivity of the gluing map.
     """
-    _raise_if_on_cut(theta2, b.scalars.theta2_plus, "theta2")
+    _raise_if_on_cut(theta2, np.greater, b.scalars.theta2_plus, _CUT["theta2"])
     arr, scalar = _as_array(theta2)
     return _unwrap(_boundary(b, _PHI1, arr)[0], scalar)
 
@@ -224,7 +216,7 @@ def phi1_eval(b: TransformBundle, theta2):
 def phi2_eval(b: TransformBundle, theta1):
     """Transform of the second boundary measure (index-swapped route),
     continued to the plane cut along (theta1_plus, inf)."""
-    _raise_if_on_cut(theta1, b.scalars.theta1_plus, "theta1")
+    _raise_if_on_cut(theta1, np.greater, b.scalars.theta1_plus, _CUT["theta1"])
     arr, scalar = _as_array(theta1)
     return _unwrap(_boundary(b, _PHI2, arr)[0], scalar)
 
@@ -237,14 +229,14 @@ def _psi1(b: TransformBundle, rows: int, arr: np.ndarray) -> np.ndarray:
 
 def psi1_eval(b: TransformBundle, theta2):
     """phi1(theta2)/theta2: simple pole at 0 with residue -mu1."""
-    _raise_if_on_cut(theta2, b.scalars.theta2_plus, "theta2")
+    _raise_if_on_cut(theta2, np.greater, b.scalars.theta2_plus, _CUT["theta2"])
     arr, scalar = _as_array(theta2)
     return _unwrap(_psi1(b, _PHI1, arr), scalar)
 
 
 def psi2_eval(b: TransformBundle, theta1):
     """phi2(theta1)/theta1: simple pole at 0 with residue -mu2."""
-    _raise_if_on_cut(theta1, b.scalars.theta1_plus, "theta1")
+    _raise_if_on_cut(theta1, np.greater, b.scalars.theta1_plus, _CUT["theta1"])
     arr, scalar = _as_array(theta1)
     return _unwrap(_psi1(b, _PHI2, arr), scalar)
 
@@ -260,8 +252,8 @@ def phi_eval(b: TransformBundle, theta1, theta2):
     origin, where gamma vanishes too, returns its limit 1 (total mass).
     """
     p = b.params
-    _raise_if_on_cut(theta2, b.scalars.theta2_plus, "theta2")
-    _raise_if_on_cut(theta1, b.scalars.theta1_plus, "theta1")
+    _raise_if_on_cut(theta2, np.greater, b.scalars.theta2_plus, _CUT["theta2"])
+    _raise_if_on_cut(theta1, np.greater, b.scalars.theta1_plus, _CUT["theta1"])
     t1, s1 = _as_array(theta1)
     t2, s2 = _as_array(theta2)
     if t1.shape != t2.shape:

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._points import _as_array, _scale, _unwrap
+from ._points import _as_array, _raise_if_on_cut, _scale, _unwrap
 from .errors import AtZeroOrInfinityError, OnLogCutError
 from .transform import TransformBundle
 
@@ -99,16 +99,13 @@ def W_of_s(b: TransformBundle, s):
     """Lifted gluing map -((-s)^a + (-s)^-a)/2 = -cosh(a log(-s)) with
     a = pi/beta.
 
-    Principal logarithm of -s; refuses s on [0, inf) where the log cut
-    makes the power ambiguous.
+    Principal logarithm of -s, cut along s in [0, inf): a real-typed s
+    there is refused, and s +/- 0j picks the side of the cut (the lower
+    side of -s for s + 0j).
     """
-    raw = np.asarray(s)
-    if np.iscomplexobj(raw):
-        on_cut = (raw.imag == 0) & (raw.real >= 0)
-    else:
-        on_cut = raw >= 0
-    if np.any(on_cut):
-        raise OnLogCutError("s in [0, inf) lies on the logarithm cut of (-s)^a")
+    _raise_if_on_cut(
+        s, np.greater_equal, 0.0, "s in [0, inf) lies on the logarithm cut of (-s)^a", OnLogCutError
+    )
     arr, scalar = _check_s(s)
     a = b.order
     lg = np.log(-arr)

@@ -350,16 +350,6 @@ def test_eval_non_finite_point_exit_code(diag_config, capsys, point):
     assert err.startswith("error: ") and "must be finite" in err
 
 
-def test_simulate_bad_rbmq_threads_exit_code(diag_config, capsys, monkeypatch):
-    monkeypatch.setenv("RBMQ_THREADS", "abc")
-    code, out, err = run_cli(
-        ["simulate", "--config", diag_config, *SIM_ARGS, "--batches", "3"], capsys
-    )
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and "RBMQ_THREADS" in err
-
-
 def test_check_exit_codes(diag_config, capsys):
     code, out, _ = run_cli(["check", "--config", diag_config, "--seed", "0"], capsys)
     assert code == 0

@@ -1,7 +1,9 @@
 """Public names: every module's __all__ and every top-level export of
 rbmq resolve, so a deletion cannot leave a stale export behind, and
 README's list of top-level exports is the package's.  The public values
-a caller may set but need not are pinned, so a new one shows as a diff."""
+a caller may set but need not are pinned, so a new one shows as a diff,
+and no module reads the environment, so no setting can hide there."""
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -86,3 +88,17 @@ def test_public_settable_values():
         "oracle.SimConfig.seed",
         "oracle.SimConfig.batches",
     }
+
+
+def test_no_module_reads_the_environment():
+    env = {"environ", "environb", "getenv", "getenvb"}
+    for path in sorted(Path(rbmq.__path__[0]).glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        used |= {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        assert not used & env, (path.name, used & env)

@@ -47,45 +47,49 @@ def _sequential_reference(z0, incr, expo, var_h):
 
 def _blocked_kernel(z0, incr, expo, var_h, block):
     """Path, per-step local time and telescoped local time of the blocked
-    kernel, walked block by block with its carry."""
+    kernel on (2, n) rows, walked block by block with its carry."""
     walk = _Skorokhod(block, var_h)
-    walk.start(z0)
-    z = np.empty(len(incr))
-    dl = np.zeros(len(incr))
-    for b0 in range(0, len(incr), block):
-        part = incr[b0 : b0 + block].copy()
-        walk.advance(part, expo[b0 : b0 + block].copy())
-        z[b0 : b0 + part.size] = walk.path(np.arange(part.size))
-        h, d = walk.hits(0)
-        dl[b0 + h] = d
+    walk.start(np.array(z0))
+    z = np.empty(incr.shape)
+    dl = np.zeros(incr.shape)
+    for b0 in range(0, incr.shape[1], block):
+        part = incr[:, b0 : b0 + block].copy()
+        k = part.shape[1]
+        walk.advance(part, expo[:, b0 : b0 + block].copy())
+        z[:, b0 : b0 + k] = walk.path(oracle._ROWS, np.arange(k))
+        rows, h, d = walk.hits(0)
+        dl[rows, b0 + h] = d
     return z, dl, walk.l_end
 
 
 def test_lindley_matches_sequential_scheme():
+    # one row per coordinate, each with its own start, drift and variance
     rng = np.random.default_rng(0)
-    incr = rng.normal(-0.001, 0.02, 5000)
-    expo = rng.standard_exponential(5000)
-    var_h = 0.02**2
-    for z0 in (0.0, 0.3):
-        z_fast, dl_fast, total = _blocked_kernel(z0, incr, expo, var_h, 97)
-        z_ref, dl_ref = _sequential_reference(z0, incr, expo, var_h)
-        assert np.max(np.abs(z_fast - z_ref)) < 1e-11
-        assert abs(dl_fast.sum() - dl_ref.sum()) < 1e-11
-        assert abs(total - dl_ref.sum()) < 1e-11
+    z0 = (0.0, 0.3)
+    incr = np.stack([rng.normal(-0.001, 0.02, 5000), rng.normal(-0.002, 0.03, 5000)])
+    expo = rng.standard_exponential((2, 5000))
+    var_h = np.array([[0.02**2], [0.03**2]])
+    z_fast, dl_fast, total = _blocked_kernel(z0, incr, expo, var_h, 97)
+    z_one, dl_one, total_one = _blocked_kernel(z0, incr, expo, var_h, incr.shape[1])
+    for i in range(2):
+        z_ref, dl_ref = _sequential_reference(z0[i], incr[i], expo[i], var_h[i, 0])
+        assert np.max(np.abs(z_fast[i] - z_ref)) < 1e-11
+        assert abs(dl_fast[i].sum() - dl_ref.sum()) < 1e-11
+        assert abs(total[i] - dl_ref.sum()) < 1e-11
         # the regulator moves only at real hits, by the reference's amount
-        assert np.all(dl_fast[dl_ref == 0] == 0)
-        assert np.max(np.abs(dl_fast - dl_ref)) < 1e-11
+        assert np.all(dl_fast[i][dl_ref == 0] == 0)
+        assert np.max(np.abs(dl_fast[i] - dl_ref)) < 1e-11
         # the path has the bits of the whole-chunk formula z = T - M
-        t = np.cumsum(incr)
-        m = 0.5 * (incr - np.sqrt(incr * incr + expo * (2.0 * var_h)))
-        low = np.concatenate(([-z0], np.concatenate(([0.0], t[:-1])) + m))
+        y = incr[i]
+        t = np.cumsum(y)
+        m = 0.5 * (y - np.sqrt(y * y + expo[i] * (2.0 * var_h[i, 0])))
+        low = np.concatenate(([-z0[i]], np.concatenate(([0.0], t[:-1])) + m))
         z_chunk = t - np.minimum.accumulate(low)[1:]
-        assert z_fast.tobytes() == z_chunk.tobytes()
-        # carrying across blocks reproduces the unblocked walk bit for bit
-        z_one, dl_one, total_one = _blocked_kernel(z0, incr, expo, var_h, incr.size)
-        assert z_fast.tobytes() == z_one.tobytes()
-        assert dl_fast.tobytes() == dl_one.tobytes()
-        assert total == total_one
+        assert z_fast[i].tobytes() == z_chunk.tobytes()
+    # carrying across blocks reproduces the unblocked walk bit for bit
+    assert z_fast.tobytes() == z_one.tobytes()
+    assert dl_fast.tobytes() == dl_one.tobytes()
+    assert total.tobytes() == total_one.tobytes()
 
 
 def test_bridge_minimum_law():
@@ -192,14 +196,15 @@ def test_simulate_deterministic_and_thread_invariant(diag, monkeypatch):
     assert res1.laplace_estimates == res2.laplace_estimates
     assert res1.local_time_rates == res2.local_time_rates
     _assert_same_result(res1, res2)
-    monkeypatch.setenv("RBMQ_THREADS", "3")
+    # three workers (one serves two of the four batches), then one
+    monkeypatch.setattr(oracle, "_cpu_count", lambda: 3)
     res3 = simulate(diag, cfg)
     assert res3.laplace_estimates == res1.laplace_estimates
     np.testing.assert_array_equal(
         res3.boundary_histograms["nu1"][1], res1.boundary_histograms["nu1"][1]
     )
     _assert_same_result(res3, res1)
-    monkeypatch.setenv("RBMQ_THREADS", "1")
+    monkeypatch.setattr(oracle, "_cpu_count", lambda: 1)
     _assert_same_result(simulate(diag, cfg), res1)
 
 
@@ -246,49 +251,19 @@ TINY = SimConfig(step=1e-3, horizon=2.0, burn_in=0.5, seed=1, batches=6)
 def pools(monkeypatch):
     created = []
     monkeypatch.setattr(oracle, "ThreadPoolExecutor", _PoolRecorder(created))
-    monkeypatch.delenv("RBMQ_THREADS", raising=False)
     return created
 
 
 def test_worker_count_defaults_to_cpus_capped_by_batches(diag, pools, monkeypatch):
+    # one pool per call, one CPU (taskset -c 0) included
     cpus = oracle._cpu_count()
     simulate(diag, TINY)
-    assert pools == ([min(cpus, TINY.batches)] if min(cpus, TINY.batches) > 1 else [])
-    for fake_cpus, want in ((4, 4), (64, TINY.batches)):
+    assert pools == [min(cpus, TINY.batches)]
+    for fake_cpus, want in ((1, 1), (4, 4), (64, TINY.batches)):
         monkeypatch.setattr(oracle, "_cpu_count", lambda: fake_cpus)
         pools.clear()
         simulate(diag, TINY)
         assert pools == [want]
-
-
-def test_rbmq_threads_lowers_but_never_raises_the_cap(diag, pools, monkeypatch):
-    monkeypatch.setenv("RBMQ_THREADS", "100000")
-    simulate(diag, TINY)
-    assert all(n <= oracle._cpu_count() for n in pools)
-    monkeypatch.setattr(oracle, "_cpu_count", lambda: 4)
-    pools.clear()
-    simulate(diag, TINY)
-    assert pools == [4]
-    monkeypatch.setenv("RBMQ_THREADS", "3")
-    pools.clear()
-    simulate(diag, TINY)
-    assert pools == [3]
-    monkeypatch.setenv("RBMQ_THREADS", "1")
-    pools.clear()
-    simulate(diag, TINY)
-    assert pools == []  # serial path, no pool
-    monkeypatch.setattr(oracle, "_cpu_count", lambda: 1)
-    monkeypatch.delenv("RBMQ_THREADS")
-    simulate(diag, TINY)
-    assert pools == []
-
-
-@pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5"])
-def test_rbmq_threads_must_be_a_positive_integer(diag, pools, monkeypatch, raw):
-    monkeypatch.setenv("RBMQ_THREADS", raw)
-    with pytest.raises(ValidationError, match="RBMQ_THREADS"):
-        simulate(diag, TINY)
-    assert pools == []
 
 
 def test_worker_count_logged_once_per_call(diag, pools, monkeypatch, caplog):
@@ -304,17 +279,18 @@ def test_simulate_histograms_track_exact_densities(diag):
     cfg = SimConfig(step=1e-4, horizon=2000.0, burn_in=20.0, seed=5, batches=10)
     res = simulate(diag, cfg)
     forms = diagonal_closed_forms(diag)
-    edges, dens = res.boundary_histograms["nu1"]
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    exact = forms.nu1(centers)
     lead = slice(0, 12)  # where the density is not yet tiny
-    rel = np.abs(dens[lead] - exact[lead]) / exact[lead]
-    assert np.median(rel) < 0.08
-    edges, dens = res.marginal_histograms["z1"]
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    exact = -2 * diag.m1 / diag.s11 * np.exp(2 * diag.m1 / diag.s11 * centers)
-    rel = np.abs(dens[lead] - exact[lead]) / exact[lead]
-    assert np.median(rel) < 0.08
+    # nu1 is a law of z2 and nu2 of z1; each marginal is exponential
+    exact = {
+        "nu1": forms.nu1,
+        "nu2": forms.nu2,
+        "z1": lambda x: -2 * diag.m1 / diag.s11 * np.exp(2 * diag.m1 / diag.s11 * x),
+        "z2": lambda x: -2 * diag.m2 / diag.s22 * np.exp(2 * diag.m2 / diag.s22 * x),
+    }
+    for name, (edges, dens) in {**res.boundary_histograms, **res.marginal_histograms}.items():
+        want = exact[name](0.5 * (edges[:-1] + edges[1:]))
+        rel = np.abs(dens[lead] - want[lead]) / want[lead]
+        assert np.median(rel) < 0.08, name
 
 
 def test_step_halving_consistency(diag):

@@ -96,13 +96,14 @@ def test_unit_circle_gives_real_points(corr):
     assert np.max(np.abs(t2.imag)) < 1e-12
 
 
-def test_W_values_and_cut(diag):
+def test_W_values_and_cut(diag, corr):
     b = make_bundle(diag)
     assert W_of_s(b, -1.0) == pytest.approx(-1.0, rel=1e-14)
     with pytest.raises(OnLogCutError):
         W_of_s(b, 2.0)
-    with pytest.raises(OnLogCutError):
-        W_of_s(b, complex(0.5, 0.0))
+    # s +/- 0j picks a side of the cut (non-integer order): conjugate values
+    upper, lower = (W_of_s(make_bundle(corr), complex(0.5, im)) for im in (0.0, -0.0))
+    assert upper != lower and lower == upper.conjugate() and abs(upper.imag) > 0.1
     with pytest.raises(AtZeroOrInfinityError):
         theta_of_s(b, 0.0)
 
