@@ -79,7 +79,8 @@ class ContourCollisionError(RBMQError):
 
 
 class MethodDisagreementError(RBMQError):
-    """Two independent inversion routes disagree beyond tolerance."""
+    """The inversion's two Talbot contours disagree beyond tolerance, or
+    either gives a non-finite value."""
 
 
 class StepSizeWarning(UserWarning):

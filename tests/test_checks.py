@@ -1,11 +1,12 @@
 """The invariant suite behind `rbmq check`: it still flags a 1e-9
-relative error in each quantity its 10k-point identities test, its
-single-coordinate sphere maps are the ones `theta_of_s` returns, and a
-seed fixes its samples, results, check names and their order."""
+relative error in each quantity its 10k-point identities test and in
+w'(0), its single-coordinate sphere maps are the ones `theta_of_s`
+returns, and a seed fixes its samples, results, check names and their
+order."""
 import numpy as np
 import pytest
 
-from rbmq import checks, kernel, make_bundle, uniformization
+from rbmq import checks, kernel, make_bundle, transform, uniformization
 
 FIXTURES = ["diag", "corr", "corr_neg", "regime1", "regime2"]
 NAMES = [
@@ -54,6 +55,13 @@ def _bump_eta(monkeypatch):
     monkeypatch.setattr(uniformization, "_involutions", bumped)
 
 
+def _bump_w1_prime0(monkeypatch):
+    good = transform.TransformBundle.w1_prime0.func
+    monkeypatch.setattr(
+        transform.TransformBundle, "w1_prime0", property(lambda b: good(b) * BUMP)
+    )
+
+
 @pytest.mark.parametrize("model", FIXTURES)
 @pytest.mark.parametrize(
     "bump, check",
@@ -61,6 +69,7 @@ def _bump_eta(monkeypatch):
         (_bump_plus_root, "kernel_branch_roots"),
         (_bump_theta2, "uniformization_zero_set"),
         (_bump_eta, "two_sheet_identities"),
+        (_bump_w1_prime0, "boundary_masses"),
     ],
 )
 def test_relative_error_of_1e9_fails_its_check(model, bump, check, request, monkeypatch):

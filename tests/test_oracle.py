@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import logging
 import math
@@ -6,10 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from rbmq import make_bundle, oracle, validate_parameters
+from rbmq import asymptotics, make_bundle, oracle, transform, validate_parameters
 from rbmq.errors import (
     MethodDisagreementError,
     NotDiagonalError,
+    RBMQError,
     StepSizeWarning,
     ValidationError,
 )
@@ -21,7 +23,6 @@ from rbmq.oracle import (
     sim_result_to_csv,
     simulate,
     _bridge_minimum,
-    _gaver_stehfest_invert,
     _Skorokhod,
     _talbot_invert,
 )
@@ -309,21 +310,21 @@ def test_step_halving_consistency(diag):
         assert abs(m1 - m2) < 3.0 * math.hypot(s1, s2)
 
 
-def test_talbot_and_stehfest_on_known_transform():
+def test_talbot_on_known_transform():
+    # both contours: the table's and the cross-check's
     x = np.array([0.2, 1.0, 3.0])
-    f_tal = _talbot_invert(lambda s: 1.0 / (s + 1.0), x)
-    assert np.max(np.abs(f_tal - np.exp(-x))) < 1e-10
-    f_gs = _gaver_stehfest_invert(lambda s: 1.0 / (s + 1.0), x)
-    assert np.max(np.abs(f_gs - np.exp(-x)) / np.exp(-x)) < 1e-3
+    for nodes in (oracle._TALBOT_NODES, oracle._CHECK_NODES):
+        f_tal = _talbot_invert(lambda s: 1.0 / (s + 1.0), x, nodes=nodes)
+        assert np.max(np.abs(f_tal - np.exp(-x))) < 1e-10
     with pytest.raises(ValueError):
         _talbot_invert(lambda s: 1.0 / s, [-1.0])
     with pytest.raises(ValueError):
-        _gaver_stehfest_invert(lambda s: 1.0 / s, [0.0])
+        _talbot_invert(lambda s: 1.0 / s, [0.0], nodes=oracle._CHECK_NODES)
 
 
 def test_inversion_makes_one_transform_call_per_table(corr):
-    # every abscissa goes through one call, with the bits of inverting
-    # one abscissa at a time
+    # every abscissa goes through one call per contour, with the bits of
+    # inverting one abscissa at a time
     b = make_bundle(corr)
     shapes = []
 
@@ -331,17 +332,12 @@ def test_inversion_makes_one_transform_call_per_table(corr):
         shapes.append(np.shape(s))
         return phi1_eval(b, -np.asarray(s, dtype=complex))
 
-    def f_real(s):
-        return f(s).real
-
     xs = np.linspace(0.1, 5.0, 7)
-    tal = _talbot_invert(f, xs)
-    gs = _gaver_stehfest_invert(f_real, xs)
-    assert shapes == [(7, 32), (7, 14)]
-    one_by_one = np.concatenate([_talbot_invert(f, [x]) for x in xs])
-    assert tal.tobytes() == one_by_one.tobytes()
-    one_by_one = np.concatenate([_gaver_stehfest_invert(f_real, [x]) for x in xs])
-    assert gs.tobytes() == one_by_one.tobytes()
+    tables = [_talbot_invert(f, xs), _talbot_invert(f, xs, nodes=oracle._CHECK_NODES)]
+    assert shapes == [(7, 32), (7, 24)]
+    for nodes, tab in zip((oracle._TALBOT_NODES, oracle._CHECK_NODES), tables):
+        one_by_one = np.concatenate([_talbot_invert(f, [x], nodes=nodes) for x in xs])
+        assert tab.tobytes() == one_by_one.tobytes()
 
 
 def test_invert_diag_closed_form(diag):
@@ -390,20 +386,130 @@ def test_invert_forward_roundtrip(corr):
         assert val == pytest.approx(want, rel=5e-3)
 
 
-def test_invert_method_disagreement_guard(diag):
-    b = make_bundle(diag)
-    xs = np.linspace(0.5, 2.0, 5)
-    # an adversarial inverter mismatch: cross-check against a corrupted
-    # transform must trip the guard
-    from rbmq import oracle
-
+def test_invert_method_disagreement_guard(diag, monkeypatch):
+    # a table 5% off, checked on a correct second contour, trips the guard
     good = oracle._talbot_invert
-    try:
-        oracle._talbot_invert = lambda f, x: good(f, x) * 1.05
-        with pytest.raises(MethodDisagreementError):
-            invert_transform(b, "nu1", xs)
-    finally:
-        oracle._talbot_invert = good
+
+    def corrupt(f, x, nodes=oracle._TALBOT_NODES):
+        return good(f, x, nodes=nodes) * (1.05 if nodes == oracle._TALBOT_NODES else 1.0)
+
+    monkeypatch.setattr(oracle, "_talbot_invert", corrupt)
+    with pytest.raises(MethodDisagreementError):
+        invert_transform(make_bundle(diag), "nu1", np.linspace(0.5, 2.0, 5))
+
+
+def _drop_node(monkeypatch):
+    """The table's quadrature loses its first complex node."""
+    good = oracle._talbot_invert
+    keep = np.arange(oracle._TALBOT_NODES) != 1
+
+    def dropped(f, x, nodes=oracle._TALBOT_NODES):
+        if nodes == oracle._TALBOT_NODES:
+            return good(lambda s: f(s) * keep, x)
+        return good(f, x, nodes=nodes)
+
+    monkeypatch.setattr(oracle, "_talbot_invert", dropped)
+
+
+def _shift_x10(monkeypatch):
+    """Both contours shift by ten times the dominant singularity."""
+    good = asymptotics.classify_regime
+
+    def wrong(b):
+        rep = good(b)
+        return dataclasses.replace(rep, decay_rate=10.0 * rep.decay_rate)
+
+    monkeypatch.setattr(asymptotics, "classify_regime", wrong)
+
+
+@pytest.mark.parametrize("model", ["diag", "corr", "corr_neg", "regime1", "regime2"])
+@pytest.mark.parametrize("mutate", [_drop_node, _shift_x10])
+def test_invert_guard_flags_a_wrong_table(model, mutate, request, monkeypatch):
+    # with the cross-check off, the mutated call refuses (a contour node
+    # on a pole, say) or returns a table; every table more than 1% wrong
+    # must raise once the cross-check is on
+    b = make_bundle(request.getfixturevalue(model))
+    xs = np.linspace(0.1, 5.0, 50)
+    good = {side: invert_transform(b, side, xs).values for side in ("nu1", "nu2")}
+    mutate(monkeypatch)
+    shown = 0
+    for side, want in good.items():
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_CROSS_CHECK_RTOL", math.inf)
+            try:
+                got = invert_transform(b, side, xs).values
+            except RBMQError:
+                shown += 1
+                continue
+        if np.max(np.abs(got / want - 1.0)) > 0.01:
+            shown += 1
+            with pytest.raises(MethodDisagreementError):
+                invert_transform(b, side, xs)
+    assert shown
+
+
+def _integer_order_nu1(b, z):
+    """Exact nu1 density of a model with integer pi/beta = n.
+
+    w is T_n through the affine map x = (centre - 2 theta) / spread, so
+    phi1 = c theta / (w(theta) - w(0)), c = -mu1 w'(0), is rational.
+    Its poles are the roots x_k = cos(t0 + 2 pi k / n), k = 1..n-1, of
+    T_n(x) = T_n(x0), with x0 = cos(t0) the image of theta = 0 (the
+    family cos(-t0 + 2 pi k / n) is the same set, index n - k), and the
+    density is the sum of a_k e^{-theta_k z}, a_k = -c theta_k / w'(theta_k).
+    """
+    n = round(b.order)
+    sc = b.scalars
+    centre, spread = sc.theta2_plus + sc.theta2_minus, sc.theta2_plus - sc.theta2_minus
+    t0 = math.acos(centre / spread)
+    theta = 0.5 * (centre - spread * np.cos(t0 + 2.0 * np.pi * np.arange(1, n) / n))
+    c = -b.params.m1 * b.w1_prime0
+    a = -c * theta / transform._w_deriv(b, theta + 0j).real
+    return np.exp(-np.outer(z, theta)) @ a
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_invert_exact_on_integer_order(n):
+    # rho = -cos(pi / n) gives pi/beta = n
+    rho = -math.cos(math.pi / n)
+    b = make_bundle(validate_parameters([[1.0, rho], [rho, 1.0]], [-1.0, -1.0]))
+    assert b.integer_order and round(b.order) == n
+    z = np.linspace(0.2, 20.0, 100)
+    want = _integer_order_nu1(b, z)
+    got = invert_transform(b, "nu1", z).values
+    assert np.max(np.abs(got / want - 1.0)) < 1e-9
+
+
+def _returns_finite_tables(p, grid):
+    b = make_bundle(p)
+    tables = {side: invert_transform(b, side, grid).values for side in ("nu1", "nu2")}
+    assert all(np.isfinite(v).all() for v in tables.values())
+    return tables
+
+
+def test_invert_total_mass_small_drift():
+    # a near-null mu1: nu1 has mass 0.00917 and decays slowly
+    p = validate_parameters([[1.0030, -0.7093], [-0.7093, 0.5291]], [-0.00917, -0.4502])
+    xs = np.linspace(1e-3, 12.0, 1200)
+    nu1 = _returns_finite_tables(p, xs)["nu1"]
+    rate = asymptotics.classify_regime(make_bundle(p)).decay_rate
+    mass = np.trapezoid(nu1, xs) + nu1[-1] / rate
+    assert mass == pytest.approx(-p.m1, rel=5e-3)
+
+
+@pytest.mark.parametrize(
+    "rho, grid",
+    [
+        (-0.999, np.linspace(0.1, 5.0, 50)),
+        (-math.cos(math.pi / 8), np.linspace(1e-3, 0.1, 50)),
+        (-math.cos(math.pi / 12), np.linspace(1e-3, 0.1, 50)),
+    ],
+    ids=["rho-0.999", "order8", "order12"],
+)
+def test_invert_returns_on_high_order(rho, grid):
+    # pi/beta of 8, 12 and about 70: the cross-check accepts the correct
+    # tables
+    _returns_finite_tables(validate_parameters([[1.0, rho], [rho, 1.0]], [-1.0, -1.0]), grid)
 
 
 def test_invert_refuses_non_finite_values():

@@ -122,8 +122,8 @@ def _near_integer_order(delta):
 def test_phi1_origin_and_limit(corr):
     b = make_bundle(corr)
     assert phi1_eval(b, 0.0) == -corr.m1
-    # limit of the raw ratio approaches the mass: cubic extrapolation,
-    # also with pi/beta snapped to 3 (+/- 1e-13) or not (+/- 1e-11)
+    # the mean over a circle about 0 recovers the mass, also with pi/beta
+    # snapped to 3 (+/- 1e-13) or not (+/- 1e-11)
     assert boundary_mass_residual(b) <= 1e-10
     for delta in (1e-13, -1e-13, 1e-11, -1e-11):
         assert boundary_mass_residual(make_bundle(_near_integer_order(delta))) <= 1e-10
