@@ -22,13 +22,32 @@ point inside any array.
 A product of two complex arrays never writes into one of its own
 operands: on a one-element array the in-place product takes a loop
 without fused multiply-adds.  Nor may it go to a temporary that numpy
-can reuse: above 256 KiB (16,384 complex points) numpy writes `a * (b +
-c)` into the temporary b + c, as the product with its operands swapped,
-which rounds differently; such products are written `np.multiply(a, b +
-c)`.  Quotients take fresh outputs too, or their own divisor, which
-gives the same bits at every size.  Sums, differences, negations and
-products with a real factor round each part once and may run in place;
-`_scale` multiplies through the real view.
+can reuse: from 256 KiB (16,384 complex points, which phi's two-row
+stack reaches at 8,192 columns) numpy writes `a * (b + c)` into the
+temporary b + c, as the product with its operands swapped, which rounds
+differently; such products are written `np.multiply(a, b + c)`.
+Complex quotients take fresh outputs too.  Sums, differences,
+negations and products with a real factor round each part once and may
+run in place; `_scale` multiplies through the real view.  The Chebyshev
+function and phi1's formula give every step a fresh output: a block of
+points fits in the cache either way, and on a one-element array an
+in-place ufunc costs more than a new one.
+
+Large arrays go through `_blocked`.  Up to _BLOCK (8,192) points it
+calls the array-level function once; above, it maps the function over
+blocks of _BLOCK points (phi: columns of its (theta2, theta1) stack) on
+one worker thread per CPU the process may use, at most one per block,
+from one pool per call.  numpy's complex arccosh and cosh release the
+GIL, so the threads overlap.  Every step is elementwise, so the blocks
+and the thread count leave the bits unchanged.  The checks that see the
+whole array (a point on a cut, psi's zero) run before any block.  A
+refusal raised in any block makes the function run again on the whole
+array, which raises the refusal a serial call raises: a kernel zero off
+phi's origin before any pole, and then the first pole in array order,
+theta2's row over all columns before theta1's.  A worker thread starts
+with numpy's default error state, not the caller's, so each block runs
+in its own copy of the caller's context (`contextvars`), which carries
+an `np.errstate` around the call into the workers.
 
 A real-typed point on a branch cut is refused (`_raise_if_on_cut`); a
 complex one, x + 0j or x - 0j, picks the side of the cut by the sign of
@@ -36,9 +55,16 @@ its zero imaginary part.
 """
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextvars import copy_context
+
 import numpy as np
 
-from .errors import OnCutError
+from .errors import ComputationRefused, OnCutError
+
+# points per block of `_blocked`: an 8,192-point complex block is 128 KiB
+_BLOCK = 8192
 
 
 def _as_array(x, dtype=complex):
@@ -51,7 +77,7 @@ def _as_array(x, dtype=complex):
 
 def _unwrap(out, is_scalar: bool):
     """Python scalar for scalar calls, the array otherwise."""
-    return np.asarray(out).item() if is_scalar else out
+    return out.item() if is_scalar else out
 
 
 def _scale(z: np.ndarray, c: float) -> np.ndarray:
@@ -70,3 +96,38 @@ def _raise_if_on_cut(raw, side, edge: float, message: str, error=OnCutError, **f
     raw = np.asarray(raw)
     if not np.iscomplexobj(raw) and side(raw, edge).any():
         raise error(message.format(edge=edge, **fields))
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _blocked(fn, a, b, z: np.ndarray, stacked: bool = False) -> np.ndarray:
+    """fn(a, b, z) for an array-level function fn that maps each point alone.
+
+    The points of z are its elements, or with stacked the columns of a
+    (rows, n) stack, each of which fn maps to one value.  Up to _BLOCK
+    points fn runs on z; above, on blocks of _BLOCK points, one worker
+    thread per CPU the process may use (at most one per block).  A
+    refusal in any block is raised by fn on all of z.
+    """
+    n = z.shape[-1] if stacked else z.size
+    if n <= _BLOCK:
+        return fn(a, b, z)
+    cols = z if stacked else z.reshape(-1)
+    blocks = [cols[..., i : i + _BLOCK] for i in range(0, n, _BLOCK)]
+    threads = min(_cpu_count(), len(blocks))
+    try:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            # a thread does not inherit the caller's np.errstate: each
+            # block runs in its own copy of the caller's context
+            futures = [pool.submit(copy_context().run, fn, a, b, block) for block in blocks]
+            parts = [f.result() for f in futures]
+    except ComputationRefused:
+        # which refusal, and at which point, is decided over all of z
+        return fn(a, b, z)
+    out = np.concatenate(parts, axis=-1)
+    return out if stacked else out.reshape(z.shape)

@@ -33,7 +33,7 @@ import logging
 
 import numpy as np
 
-from ._points import _as_array, _raise_if_on_cut, _unwrap
+from ._points import _as_array, _blocked, _raise_if_on_cut, _unwrap
 from .errors import AtBranchPointError
 
 __all__ = [
@@ -96,13 +96,11 @@ def _cheb_poly_deriv(n: int, x: np.ndarray) -> np.ndarray:
 
 
 def _cheb_T(af: float, integer: bool, arr: np.ndarray) -> np.ndarray:
-    """T_a on arr; a non-integer order overwrites arr and returns it."""
+    """T_a on arr, in a new array."""
     if integer:
         return _cheb_poly(int(round(af)), arr)
     # arccosh x is log v, v the Joukowski preimage with |v| >= 1
-    lv = np.arccosh(arr, out=arr)
-    lv *= af
-    return np.cosh(lv, out=lv)
+    return np.cosh(af * np.arccosh(arr))
 
 
 def _cheb_T_deriv(af: float, integer: bool, arr: np.ndarray) -> np.ndarray:
@@ -127,7 +125,7 @@ def cheb_T(a, x):
     if not integer:
         _raise_if_on_cut(x, np.less, -1.0, _CUT, a=a)
     arr, scalar = _as_array(x)
-    return _unwrap(_cheb_T(af, integer, arr.copy()), scalar)
+    return _unwrap(_blocked(_cheb_T, af, integer, arr), scalar)
 
 
 def cheb_T_deriv(a, x):
@@ -142,7 +140,7 @@ def cheb_T_deriv(a, x):
     if not integer:
         _raise_if_on_cut(x, np.less, -1.0, _CUT, a=a)
     arr, scalar = _as_array(x)
-    return _unwrap(_cheb_T_deriv(af, integer, arr), scalar)
+    return _unwrap(_blocked(_cheb_T_deriv, af, integer, arr), scalar)
 
 
 def expansion_at_minus_one(a) -> tuple[float, float]:

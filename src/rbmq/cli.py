@@ -131,11 +131,19 @@ def _cmd_eval(p, args, out) -> int:
         named = {"arg": complex(points[0])}
         flags = "--im 0 / --im -0"
     try:
-        val = fn(b, *points)
+        # an overflow shows as a non-finite value, refused below; numpy's
+        # warnings about it would add nothing
+        with np.errstate(all="ignore"):
+            val = complex(fn(b, *points))
     except OnCutError as exc:
         # the library's hint speaks of signed zeros; name the flags too
         raise OnCutError(f"{exc}; on the command line, pass {flags}") from exc
-    out.write(_fmt({"fn": args.fn, **named, "value": complex(val)}) + "\n")
+    if not (math.isfinite(val.real) and math.isfinite(val.imag)):
+        raise ComputationRefused(
+            f"{args.fn} overflows double precision here (T_a of order pi/beta = "
+            f"{b.order:.6g} exceeds the float range); see ROADMAP.md item 2"
+        )
+    out.write(_fmt({"fn": args.fn, **named, "value": val}) + "\n")
     return EXIT_OK
 
 

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -58,7 +57,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import asymptotics
+from . import _points, asymptotics
 from .errors import (
     ContourCollisionError,
     MethodDisagreementError,
@@ -381,13 +380,6 @@ def _run_batch(p, cfg, edges, n_burn, n_meas, thin, seed_seq, workspace):
     return acc / max(n_acc, 1), ell / (n_meas * cfg.step), mhist, bhist, n_acc
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def simulate(p: ModelParams, cfg: Optional[SimConfig] = None) -> SimResult:
     """Simulate the reflected diffusion and summarise its stationary law.
 
@@ -417,7 +409,7 @@ def simulate(p: ModelParams, cfg: Optional[SimConfig] = None) -> SimResult:
     thin = max(1, int(round(_THIN_TIME / cfg.step)))
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.batches)
 
-    threads = min(_cpu_count(), cfg.batches)
+    threads = min(_points._cpu_count(), cfg.batches)
     log.debug("simulate: %d worker thread(s) for %d batches", threads, cfg.batches)
 
     def run(worker):

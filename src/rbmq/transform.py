@@ -19,6 +19,8 @@ phi is refused on the kernel zero set gamma = 0, where the identity is
 One kernel, `_boundary`, evaluates phi1's formula on a stack of rows, each
 with its side's constants: phi passes (theta2, theta1) as two rows, so one
 affine map, Chebyshev evaluation and special-point test serve both terms.
+Every public evaluator runs its array-level function through
+`_points._blocked`, which splits a large array into blocks over threads.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from . import kernel
-from ._points import _as_array, _raise_if_on_cut, _unwrap
+from ._points import _as_array, _blocked, _raise_if_on_cut, _unwrap
 from .chebyshev import _cheb_T, _cheb_T_deriv, _order
 from .errors import (
     AtPoleError,
@@ -162,7 +164,8 @@ def w_eval(b: TransformBundle, theta2):
     """Conformal gluing map at theta2 (cut plane, cut on (theta2_plus, inf))."""
     _raise_if_on_cut(theta2, np.greater, b.scalars.theta2_plus, _CUT["theta2"])
     arr, scalar = _as_array(theta2)
-    return _unwrap(_w(b, arr), scalar)
+    x = _affine(*_map(b.scalars), arr)
+    return _unwrap(_blocked(_cheb_T, b.order, b.integer_order, x), scalar)
 
 
 def _boundary(b: TransformBundle, rows: int, z: np.ndarray, r=None, zero=None):
@@ -179,15 +182,13 @@ def _boundary(b: TransformBundle, rows: int, z: np.ndarray, r=None, zero=None):
     centre, nspread, slope, w0, tol, coef, mass = b._rows[rows]
     r = np.abs(z) if r is None else r
     x = _affine(centre, nspread, slope, z)
-    den = _cheb_T(b.order, b.integer_order, x)
-    den -= w0
+    den = _cheb_T(b.order, b.integer_order, x) - w0
     near = np.abs(den) < tol * r
     special = near | (r < _ORIGIN_RADIUS)
     if zero is not None:
         special |= zero
     if not np.count_nonzero(special):
-        # den is this call's buffer (x itself, for a non-integer order)
-        return np.divide(np.multiply(coef, z), den, out=den), None
+        return np.divide(np.multiply(coef, z), den), None
     origin = None if zero is None else (r < 1e-12).all(axis=0)
     if origin is not None and (zero & ~origin).any():
         raise OnKernelCurveError("gamma vanishes here: phi is 0/0 on the kernel zero set")
@@ -196,9 +197,13 @@ def _boundary(b: TransformBundle, rows: int, z: np.ndarray, r=None, zero=None):
         raise AtPoleError(location=complex(z[pole][0]), order=1)
     small = r < _ORIGIN_RADIUS
     den[small] = 1.0
-    out = np.divide(np.multiply(coef, z), den, out=den)
+    out = np.divide(np.multiply(coef, z), den)
     out[small] = np.broadcast_to(mass, z.shape)[small]
     return out, origin
+
+
+def _phi1(b: TransformBundle, rows: int, z: np.ndarray) -> np.ndarray:
+    return _boundary(b, rows, z)[0]
 
 
 def phi1_eval(b: TransformBundle, theta2):
@@ -210,7 +215,7 @@ def phi1_eval(b: TransformBundle, theta2):
     """
     _raise_if_on_cut(theta2, np.greater, b.scalars.theta2_plus, _CUT["theta2"])
     arr, scalar = _as_array(theta2)
-    return _unwrap(_boundary(b, _PHI1, arr)[0], scalar)
+    return _unwrap(_blocked(_phi1, b, _PHI1, arr), scalar)
 
 
 def phi2_eval(b: TransformBundle, theta1):
@@ -218,27 +223,48 @@ def phi2_eval(b: TransformBundle, theta1):
     continued to the plane cut along (theta1_plus, inf)."""
     _raise_if_on_cut(theta1, np.greater, b.scalars.theta1_plus, _CUT["theta1"])
     arr, scalar = _as_array(theta1)
-    return _unwrap(_boundary(b, _PHI2, arr)[0], scalar)
+    return _unwrap(_blocked(_phi1, b, _PHI2, arr), scalar)
 
 
-def _psi1(b: TransformBundle, rows: int, arr: np.ndarray) -> np.ndarray:
+def _psi(b: TransformBundle, rows: int, z: np.ndarray) -> np.ndarray:
+    return np.divide(_phi1(b, rows, z), z)
+
+
+def _psi_eval(b: TransformBundle, rows: int, arr: np.ndarray) -> np.ndarray:
     if np.count_nonzero(arr == 0):
         raise AtZeroError("psi1 and psi2 have their pole at 0")
-    return np.divide(_boundary(b, rows, arr)[0], arr)
+    return _blocked(_psi, b, rows, arr)
 
 
 def psi1_eval(b: TransformBundle, theta2):
     """phi1(theta2)/theta2: simple pole at 0 with residue -mu1."""
     _raise_if_on_cut(theta2, np.greater, b.scalars.theta2_plus, _CUT["theta2"])
     arr, scalar = _as_array(theta2)
-    return _unwrap(_psi1(b, _PHI1, arr), scalar)
+    return _unwrap(_psi_eval(b, _PHI1, arr), scalar)
 
 
 def psi2_eval(b: TransformBundle, theta1):
     """phi2(theta1)/theta1: simple pole at 0 with residue -mu2."""
     _raise_if_on_cut(theta1, np.greater, b.scalars.theta1_plus, _CUT["theta1"])
     arr, scalar = _as_array(theta1)
-    return _unwrap(_psi1(b, _PHI2, arr), scalar)
+    return _unwrap(_psi_eval(b, _PHI2, arr), scalar)
+
+
+def _phi(b: TransformBundle, rows: int, z: np.ndarray) -> np.ndarray:
+    """phi on the columns of the stack z of rows (theta2, theta1), for
+    rows = _BOTH."""
+    p = b.params
+    r = np.abs(z)
+    g = kernel._gamma(p, z[1], z[0])
+    zero = np.abs(g) <= 1e-12 * kernel._zero_scale(p, r[1], r[0])
+    vals, origin = _boundary(b, rows, z, r, zero)
+    # rows theta1 phi1(theta2) and theta2 phi2(theta1)
+    terms = np.multiply(z[::-1], vals)
+    num = -(terms[0] + terms[1])
+    if origin is not None:
+        # gamma vanishes at the origin too: 1/1 there gives its limit 1
+        num[origin] = g[origin] = 1.0
+    return np.divide(num, g)
 
 
 def phi_eval(b: TransformBundle, theta1, theta2):
@@ -251,24 +277,14 @@ def phi_eval(b: TransformBundle, theta1, theta2):
     grad N = -phi grad gamma fixes a limit for the numerator N).  The
     origin, where gamma vanishes too, returns its limit 1 (total mass).
     """
-    p = b.params
     _raise_if_on_cut(theta2, np.greater, b.scalars.theta2_plus, _CUT["theta2"])
     _raise_if_on_cut(theta1, np.greater, b.scalars.theta1_plus, _CUT["theta1"])
     t1, s1 = _as_array(theta1)
     t2, s2 = _as_array(theta2)
     if t1.shape != t2.shape:
         t1, t2 = np.broadcast_arrays(t1, t2)
-    shape = t1.shape
     # rows (theta2, theta1): the arguments of phi1 and phi2
-    z = np.array((t2, t1)).reshape(2, -1)
-    r = np.abs(z)
-    g = kernel._gamma(p, z[1], z[0])
-    zero = np.abs(g) <= 1e-12 * kernel._zero_scale(p, r[1], r[0])
-    vals, origin = _boundary(b, _BOTH, z, r, zero)
-    # rows theta1 phi1(theta2) and theta2 phi2(theta1)
-    terms = np.multiply(z[::-1], vals)
-    num = -(terms[0] + terms[1])
-    if origin is not None:
-        # gamma vanishes at the origin too: 1/1 there gives its limit 1
-        num[origin] = g[origin] = 1.0
-    return _unwrap(np.divide(num, g).reshape(shape), s1 and s2)
+    z = np.array((t2, t1))
+    if t1.ndim == 1:
+        return _unwrap(_blocked(_phi, b, _BOTH, z, stacked=True), s1 and s2)
+    return _blocked(_phi, b, _BOTH, z.reshape(2, -1), stacked=True).reshape(t1.shape)

@@ -334,6 +334,21 @@ def test_eval_phi1_far_out_at_large_order(tmp_path):
     assert np.isfinite(value["re"]) and np.isfinite(value["im"])
 
 
+@pytest.mark.parametrize("fn", ["phi1", "w", "psi2"])
+def test_eval_overflow_is_refused(tmp_path, capsys, fn):
+    # T_a of order pi/beta = 222 overflows off the real axis: the value
+    # would be NaN, so the verb refuses it, with no numpy warning
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps({"sigma": [[1, -0.9999], [-0.9999, 1]], "mu": [-1, -1]}))
+    args = ["eval", "--config", str(path), "--fn", fn, "--re=-2e5", "--im=1e5"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"refused: ComputationRefused: {fn} overflows double precision")
+    assert "ROADMAP.md item 2" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "point",
     [

@@ -5,7 +5,7 @@ inside an array call."""
 import numpy as np
 import pytest
 
-from rbmq import chebyshev, kernel, make_bundle, transform, uniformization
+from rbmq import _points, chebyshev, kernel, make_bundle, transform, uniformization
 
 _rng = np.random.default_rng(11)
 NATIVE = -_rng.uniform(0.1, 3.0, (2, 3)) + 1j * _rng.uniform(-3.0, 3.0, (2, 3))
@@ -77,6 +77,22 @@ def test_scalar_array_convention_large(name, corr):
         got = _components(fn(b, *(kind(p[idx]) for p in big)))
         for value, arr in zip(got, arrays):
             assert np.asarray(value).tobytes() == arr[idx].tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATORS))
+def test_large_arrays_independent_of_workers(name, corr, monkeypatch):
+    """The 2^15-point arrays give the same bytes on one worker and on
+    three, and as one unblocked call."""
+    fn, points, kind = EVALUATORS[name]
+    b = make_bundle(corr)
+    big = [_BIG[id(p)] for p in points]
+    assert _LARGE >= 3 * _points._BLOCK
+    outs = []
+    for cpus, block in ((1, _points._BLOCK), (3, _points._BLOCK), (1, _LARGE)):
+        monkeypatch.setattr(_points, "_cpu_count", lambda n=cpus: n)
+        monkeypatch.setattr(_points, "_BLOCK", block)
+        outs.append([arr.tobytes() for arr in _components(fn(b, *big))])
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_mixed_scalar_and_array_broadcast(corr):

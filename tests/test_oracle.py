@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from rbmq import asymptotics, make_bundle, oracle, transform, validate_parameters
+from rbmq import _points, asymptotics, make_bundle, oracle, transform, validate_parameters
 from rbmq.errors import (
     MethodDisagreementError,
     NotDiagonalError,
@@ -198,14 +198,14 @@ def test_simulate_deterministic_and_thread_invariant(diag, monkeypatch):
     assert res1.local_time_rates == res2.local_time_rates
     _assert_same_result(res1, res2)
     # three workers (one serves two of the four batches), then one
-    monkeypatch.setattr(oracle, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(_points, "_cpu_count", lambda: 3)
     res3 = simulate(diag, cfg)
     assert res3.laplace_estimates == res1.laplace_estimates
     np.testing.assert_array_equal(
         res3.boundary_histograms["nu1"][1], res1.boundary_histograms["nu1"][1]
     )
     _assert_same_result(res3, res1)
-    monkeypatch.setattr(oracle, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(_points, "_cpu_count", lambda: 1)
     _assert_same_result(simulate(diag, cfg), res1)
 
 
@@ -257,18 +257,18 @@ def pools(monkeypatch):
 
 def test_worker_count_defaults_to_cpus_capped_by_batches(diag, pools, monkeypatch):
     # one pool per call, one CPU (taskset -c 0) included
-    cpus = oracle._cpu_count()
+    cpus = _points._cpu_count()
     simulate(diag, TINY)
     assert pools == [min(cpus, TINY.batches)]
     for fake_cpus, want in ((1, 1), (4, 4), (64, TINY.batches)):
-        monkeypatch.setattr(oracle, "_cpu_count", lambda: fake_cpus)
+        monkeypatch.setattr(_points, "_cpu_count", lambda: fake_cpus)
         pools.clear()
         simulate(diag, TINY)
         assert pools == [want]
 
 
 def test_worker_count_logged_once_per_call(diag, pools, monkeypatch, caplog):
-    monkeypatch.setattr(oracle, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(_points, "_cpu_count", lambda: 4)
     with caplog.at_level(logging.DEBUG, logger="rbmq.oracle"):
         simulate(diag, TINY)
     lines = [r.getMessage() for r in caplog.records if "worker thread" in r.getMessage()]

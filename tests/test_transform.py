@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_ergodic
-from rbmq import make_bundle, validate_parameters
+from rbmq import _points, make_bundle, validate_parameters
 from rbmq.checks import (
     boundary_condition_residual,
     boundary_mass_residual,
@@ -19,10 +19,12 @@ from rbmq.checks import (
 from rbmq.errors import (
     AtPoleError,
     AtZeroError,
+    MethodDisagreementError,
     OnCutError,
     OnKernelCurveError,
 )
 from rbmq.kernel import gamma, theta1_branches, theta2_branches
+from rbmq.oracle import invert_transform
 from rbmq.transform import (
     _w_deriv,
     phi1_eval,
@@ -212,6 +214,57 @@ def test_special_point_precedence(diag):
     kernel_zero = (0.5, 1 - np.sqrt(1.75))
     with pytest.raises(OnKernelCurveError):
         phi_eval(b, np.array([-1.0, kernel_zero[0]]), np.array([near, kernel_zero[1]]))
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_special_point_precedence_across_blocks(diag, monkeypatch, cpus):
+    """Blocks keep the refusal of one serial call: a kernel zero in the
+    last block before a pole in the first, and the first pole in array
+    order of the (theta2, theta1) stack, so a theta2 pole in block 2
+    before a theta1 pole in block 0."""
+    monkeypatch.setattr(_points, "_cpu_count", lambda: cpus)
+    block = _points._BLOCK
+    n = 3 * block
+    b = make_bundle(diag)
+    pole, near = 2.0 + 0j, 2.0 + 1e-13 + 0j
+    rng = np.random.default_rng(5)
+    t1 = -rng.uniform(0.1, 3.0, n) + 1j * rng.uniform(-3.0, 3.0, n)
+    t2 = -rng.uniform(0.1, 3.0, n) + 1j * rng.uniform(-3.0, 3.0, n)
+    assert np.isfinite(phi_eval(b, t1, t2)).all()
+
+    zero_last = t1.copy(), t2.copy()
+    zero_last[1][5] = pole
+    zero_last[0][-1], zero_last[1][-1] = 0.5, 1 - np.sqrt(1.75)
+    with pytest.raises(OnKernelCurveError):
+        phi_eval(b, *zero_last)
+
+    rows_apart = t1.copy(), t2.copy()
+    rows_apart[0][5] = pole  # theta1's row, block 0
+    rows_apart[1][2 * block + 5] = near  # theta2's row, block 2
+    with pytest.raises(AtPoleError) as err:
+        phi_eval(b, *rows_apart)
+    assert err.value.location == near
+
+    two_blocks = t2.copy()
+    two_blocks[block + 7], two_blocks[2 * block + 5] = near, pole
+    with pytest.raises(AtPoleError) as err:
+        phi1_eval(b, two_blocks)
+    assert err.value.location == near
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_errstate_reaches_the_workers(monkeypatch, cpus):
+    """np.errstate around a call holds in the threads that evaluate its
+    blocks; the suite turns any RuntimeWarning into an error."""
+    monkeypatch.setattr(_points, "_cpu_count", lambda: cpus)
+    steep = validate_parameters([[1.0, -0.9999], [-0.9999, 1.0]], [-1.0, -1.0])
+    b = make_bundle(steep)
+    far = np.full(3 * _points._BLOCK, -2e5 + 1e5j)
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(phi1_eval(b, far)).any()
+    # 800 abscissae of 32 Talbot nodes each: four blocks
+    with pytest.raises(MethodDisagreementError, match="non-finite"):
+        invert_transform(b, "nu1", np.linspace(1e-5, 1e-4, 800))
 
 
 def test_origin_values_alone_and_in_arrays(corr):
