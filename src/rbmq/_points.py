@@ -26,12 +26,13 @@ can reuse: from 256 KiB (16,384 complex points, which phi's two-row
 stack reaches at 8,192 columns) numpy writes `a * (b + c)` into the
 temporary b + c, as the product with its operands swapped, which rounds
 differently; such products are written `np.multiply(a, b + c)`.
-Complex quotients take fresh outputs too.  Sums, differences,
-negations and products with a real factor round each part once and may
-run in place; `_scale` multiplies through the real view.  The Chebyshev
-function and phi1's formula give every step a fresh output: a block of
-points fits in the cache either way, and on a one-element array an
-in-place ufunc costs more than a new one.
+Every other step takes a fresh output too: a block of points fits in
+the cache either way, and on a one-element array an in-place ufunc
+costs more than a new one.  Sums and products with a real factor round
+each part once, so they keep their bits in place; they still run in
+place in `kernel.theta2_branches`, `_scale` (through the real view)
+and the `uniformization` maps built on it, where a fresh output was
+slower on large arrays (21% on 1e5 points for the kernel roots).
 
 Large arrays go through `_blocked`.  Up to _BLOCK (8,192) points it
 calls the array-level function once; above, it maps the function over
@@ -39,11 +40,11 @@ blocks of _BLOCK points (phi: columns of its (theta2, theta1) stack) on
 one worker thread per CPU the process may use, at most one per block,
 from one pool per call.  numpy's complex arccosh and cosh release the
 GIL, so the threads overlap.  Every step is elementwise, so the blocks
-and the thread count leave the bits unchanged.  The checks that see the
-whole array (a point on a cut, psi's zero) run before any block.  A
-refusal raised in any block makes the function run again on the whole
-array, which raises the refusal a serial call raises: a kernel zero off
-phi's origin before any pole, and then the first pole in array order,
+and the thread count leave the bits unchanged.  A point on a cut is
+refused before any block.  A refusal raised in any block makes the
+function run again on the whole array, which raises the refusal a
+serial call raises: psi's zero before any pole, a kernel zero off phi's
+origin before any pole, and then the first pole in array order,
 theta2's row over all columns before theta1's.  A worker thread starts
 with numpy's default error state, not the caller's, so each block runs
 in its own copy of the caller's context (`contextvars`), which carries

@@ -13,8 +13,13 @@ variables), 200 kernel zeros in the native domain (for the cross
 identity), 10k sphere points (the zero set and the two involutions),
 200 cone points (the lifted gluing map) and 2 x 1000 cone points (the
 injectivity of w).  Each 10k-point identity passes over its sample once:
-the branch roots share 1 + |point|^2, and each side of the two-sheet
-identity evaluates only the coordinate its involution fixes.
+the branch roots share |point|, and each side of the two-sheet identity
+evaluates only the coordinate its involution fixes.
+
+A value at a point is the trapezoid mean over 64 nodes on a circle about
+it (`_circle_mean`); a kernel zero is measured on the scale by which
+`phi_eval` refuses one (`kernel._zero_scale`).  No function here writes
+into an array it is passed.
 """
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ import numpy as np
 
 from . import asymptotics, kernel, transform, uniformization
 from ._points import _as_array
-from .errors import ValidationError, WrongRegimeError
+from .errors import ComputationRefused, ValidationError, WrongRegimeError
 from .model import ModelParams
 from .oracle import diagonal_closed_forms
 from .transform import TransformBundle
@@ -98,16 +103,12 @@ def real_kernel_zeros(p: ModelParams, theta1: np.ndarray):
 
 
 def _sphere_points(rng, n: int) -> np.ndarray:
-    """n sphere points with modulus uniform on [0.05, 20] and a uniform
-    argument."""
+    """n sphere points, the modulus uniform on [0.05, 20], the argument uniform."""
     radius = rng.uniform(0.05, 20.0, n)
     angle = rng.uniform(-np.pi, np.pi, n)
     s = np.empty(n, dtype=complex)
-    re, im = s.real, s.imag
-    np.cos(angle, out=re)
-    re *= radius
-    np.sin(angle, out=im)
-    im *= radius
+    s.real = np.cos(angle) * radius
+    s.imag = np.sin(angle) * radius
     return s
 
 
@@ -148,48 +149,31 @@ def cone_points(b: TransformBundle, n: int, rng, max_log_radius: float = 2.0) ->
 # ---------------------------------------------------------------------------
 
 
-def _norm(z, base) -> np.ndarray:
-    """base + |z|^2 as a fresh real array."""
-    out = np.abs(z)
-    out *= out
-    out += base
-    return out
-
-
 def _rel_gap(z: np.ndarray, ref) -> float:
-    """max |z - ref| / (1 + |ref|); overwrites z, which the caller owns."""
-    z -= ref
-    gap = np.abs(z)
-    den = np.abs(ref)
-    den += 1.0
-    gap /= den
-    return float(gap.max())
+    """max |z - ref| / (1 + |ref|)."""
+    return float((np.abs(z - ref) / (np.abs(ref) + 1.0)).max())
 
 
-def _zero_residual(p: ModelParams, t1, t2, norm: np.ndarray) -> float:
-    """max |gamma(t1, t2)| / (norm scale), where norm = 1 + |t1|^2 + |t2|^2
-    is overwritten; the caller owns it."""
-    res = np.abs(kernel._gamma(p, t1, t2))
-    norm *= p.scale
-    res /= norm
-    return float(res.max())
+def _zero_residual(p: ModelParams, t1, t2, r1, r2) -> float:
+    """max |gamma(t1, t2)| / `kernel._zero_scale`, from the moduli r1, r2."""
+    return float((np.abs(kernel._gamma(p, t1, t2)) / kernel._zero_scale(p, r1, r2)).max())
 
 
 def kernel_zero_residual(p: ModelParams, theta1, theta2) -> float:
-    """|gamma| at points that should be kernel zeros, normalised by
-    (1 + |theta1|^2 + |theta2|^2) times the model's scale."""
+    """|gamma| at points that should be kernel zeros, over the scale by
+    which `phi_eval` refuses a kernel zero."""
     t1, t2 = np.broadcast_arrays(_as_array(theta1)[0], _as_array(theta2)[0])
-    return _zero_residual(p, t1, t2, _norm(t2, _norm(t1, 1.0)))
+    return _zero_residual(p, t1, t2, np.abs(t1), np.abs(t2))
 
 
 def branch_root_residual(p: ModelParams, points) -> float:
     """Both branches in both variables are kernel zeros at `points`;
-    1 + |points|^2 is computed once for the four roots."""
+    |points| is computed once for the four roots, and passed first."""
     pts, _ = _as_array(points)
-    base = _norm(pts, 1.0)
+    r = np.abs(pts)
     return max(
-        *(_zero_residual(p, pts, t2, _norm(t2, base)) for t2 in kernel.theta2_branches(p, pts)),
-        *(_zero_residual(p, t1, pts, _norm(t1, base)) for t1 in kernel.theta1_branches(p, pts)),
+        *(_zero_residual(p, pts, t2, r, np.abs(t2)) for t2 in kernel.theta2_branches(p, pts)),
+        *(_zero_residual(p, t1, pts, r, np.abs(t1)) for t1 in kernel.theta1_branches(p, pts)),
     )
 
 
@@ -261,6 +245,12 @@ def lift_residual(b: TransformBundle, cone) -> float:
     return _rel_gap(w_down, w_cone)
 
 
+def _circle_mean(f, centre, radius):
+    """Trapezoid mean of f on the 64 `_MEAN_NODES` of |theta - centre| = radius:
+    f(centre) for f analytic on the closed disk, up to a geometrically small term."""
+    return np.mean(f(centre + radius * _MEAN_NODES))
+
+
 def boundary_mass_residual(b: TransformBundle) -> float:
     """Mean of phi1 and of phi2 over |theta| = rate / 2 against -mu1 and
     -mu2, rate being each side's decay rate from `classify_regime`.
@@ -273,29 +263,39 @@ def boundary_mass_residual(b: TransformBundle) -> float:
     worst = 0.0
     for side in (b, b.swapped):
         rate = asymptotics.classify_regime(side).decay_rate
-        mean = np.mean(transform.phi1_eval(side, 0.5 * rate * _MEAN_NODES))
+        mean = _circle_mean(lambda t: transform.phi1_eval(side, t), 0.0, 0.5 * rate)
         worst = max(worst, abs(mean + side.params.m1) / abs(side.params.m1))
     return float(worst)
 
 
 def pole_residue_residual(b: TransformBundle) -> float:
     """In the pole regime, the tail constant of `classify_regime`
-    against the limit of (p - theta) phi1(theta) at the pole p, from
-    the mean of the two sides p -/+ e extrapolated to e = 0.
+    against the limit of (p - theta) phi1(theta) at the pole p: its mean
+    on a circle about p.  The radius starts at 0.01 min(theta2_plus - p,
+    p) and shrinks by 4 until the argument principle finds p alone, a
+    simple zero of w - w(0), inside twice the radius; the margin keeps a
+    pole just outside the circle from slowing the mean's convergence.
 
-    Not part of `run_checks`: where another singularity of phi1 sits
-    near the pole, the cubic extrapolation misses the limit by more
-    than the tolerance even on exact values of phi1.
+    Not part of `run_checks`: the residual reads the evaluator's own error
+    near the pole, 2.4e-10 on the rho = 0.999, mu (-0.05, -3) nu2 side
+    (ROADMAP item 2), and would fail `model_sweep` operations.
     """
     rep = asymptotics.classify_regime(b)
     if rep.regime != asymptotics.REGIME_POLE:
         raise WrongRegimeError("the tail has no pole in this regime")
     pole = rep.pole_location
-    es = min(1e-4, (b.scalars.theta2_plus - pole) / 4.0) * 0.5 ** np.arange(4)
-    below = es * np.real(transform.phi1_eval(b, pole - es + 0j))
-    above = -es * np.real(transform.phi1_eval(b, pole + es + 0j))
-    lim = np.polyfit(es * es, 0.5 * (below + above), 3)[-1]
-    return float(abs(lim - rep.constant) / abs(rep.constant))
+
+    def enclosed(t):
+        # its circle mean counts the zeros of w - w(0) inside the circle
+        return (t - pole) * transform._w_deriv(b, t) / (transform._w(b, t) - b.w1_at_0)
+
+    radius = 0.01 * min(b.scalars.theta2_plus - pole, pole)
+    while round(_circle_mean(enclosed, pole, 2.0 * radius).real) != 1:
+        radius /= 4.0
+        if radius < 1e-8 * pole:
+            raise ComputationRefused("no circle about the pole encloses it alone")
+    mean = _circle_mean(lambda t: (pole - t) * transform.phi1_eval(b, t), pole, radius)
+    return float(abs(mean - rep.constant) / abs(rep.constant))
 
 
 def injectivity_collisions(b: TransformBundle, za, zb) -> int:

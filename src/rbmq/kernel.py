@@ -27,12 +27,9 @@ __all__ = [
 def _gamma(p: ModelParams, t1, t2):
     """The kernel in Horner form t1 (s11 t1/2 + s12 t2 + m1) + t2 (s22 t2/2 + m2).
 
-    No product is written into one of its operands (see `_points`): the
-    second goes to the first one's bracket, which is free by then."""
+    Each product takes a fresh output (see `_points`)."""
     bracket = 0.5 * p.s11 * t1 + p.s12 * t2 + p.m1
-    out = np.multiply(t1, bracket)
-    out += np.multiply(t2, 0.5 * p.s22 * t2 + p.m2, out=bracket)
-    return out
+    return np.multiply(t1, bracket) + np.multiply(t2, 0.5 * p.s22 * t2 + p.m2)
 
 
 def gamma(p: ModelParams, theta1, theta2):

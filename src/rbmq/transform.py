@@ -6,8 +6,8 @@ For orthogonal reflection the transform of the first boundary measure is
 
 where w composes the generalized Chebyshev function of order pi/beta
 with the affine map sending [theta2_minus, theta2_plus] onto [1, -1].
-phi2 is produced by index swap, and the bivariate transform phi follows
-from the kernel identity
+phi2 and psi2 are phi1 and psi1 of the index-swapped bundle `swapped`,
+and the bivariate transform phi follows from the kernel identity
 
     -gamma(theta) phi(theta) = theta1 phi1(theta2) + theta2 phi2(theta1).
 
@@ -16,8 +16,8 @@ origin is a removable point with value -mu1 (the total boundary mass).
 phi is refused on the kernel zero set gamma = 0, where the identity is
 0/0, except at the origin, whose limit is 1 (the total mass).
 
-One kernel, `_boundary`, evaluates phi1's formula on a stack of rows, each
-with its side's constants: phi passes (theta2, theta1) as two rows, so one
+One kernel, `_boundary`, evaluates phi1's formula on one row, or on phi's
+stack of (theta2, theta1) rows, each with its side's constants, so one
 affine map, Chebyshev evaluation and special-point test serve both terms.
 Every public evaluator runs its array-level function through
 `_points._blocked`, which splits a large array into blocks over threads.
@@ -32,11 +32,7 @@ import numpy as np
 from . import kernel
 from ._points import _as_array, _blocked, _raise_if_on_cut, _unwrap
 from .chebyshev import _cheb_T, _cheb_T_deriv, _order
-from .errors import (
-    AtPoleError,
-    AtZeroError,
-    OnKernelCurveError,
-)
+from .errors import AtPoleError, AtZeroError, OnKernelCurveError
 from .model import DerivedScalars, ModelParams
 
 __all__ = [
@@ -61,8 +57,6 @@ _CUT = {
     name: f"real {name} > {{edge}} lies on the cut; pass {name} +/- 0j to pick a side"
     for name in ("theta1", "theta2")
 }
-# the rows of `_boundary`: phi1's side (theta2), phi2's (theta1), both
-_PHI1, _PHI2, _BOTH = range(3)
 
 
 @dataclass(frozen=True)
@@ -108,18 +102,18 @@ class TransformBundle:
         return TransformBundle(self.params.swapped, self.order, self.integer_order)
 
     @cached_property
-    def _rows(self) -> tuple:
-        """`_boundary`'s constants for _PHI1, _PHI2 and _BOTH: `_map`'s, w(0),
-        _POLE_REL |w'(0)|, -mu1 w'(0) and the boundary mass, as (1,) arrays
-        for one row and (2, 1) columns for both."""
-        one = [
-            tuple(np.array([v]) for v in (
-                *_map(s.scalars), complex(s.w1_at_0), _POLE_REL * abs(s.w1_prime0),
-                complex(-s.params.m1 * s.w1_prime0), complex(s.phi1_at_0),
-            ))
-            for s in (self, self.swapped)
-        ]
-        return (*one, tuple(map(np.stack, zip(*one))))
+    def _row(self) -> tuple:
+        """`_boundary`'s constants for this side: `_map`'s, w(0),
+        _POLE_REL |w'(0)|, -mu1 w'(0) and the boundary mass, as (1,) arrays."""
+        return tuple(np.array([v]) for v in (
+            *_map(self.scalars), complex(self.w1_at_0), _POLE_REL * abs(self.w1_prime0),
+            complex(-self.params.m1 * self.w1_prime0), complex(self.phi1_at_0),
+        ))
+
+    @cached_property
+    def _pair(self) -> tuple:
+        """`_row` over `swapped._row`, as (2, 1) columns: phi's stack."""
+        return tuple(map(np.stack, zip(self._row, self.swapped._row)))
 
 
 def make_bundle(p: ModelParams) -> TransformBundle:
@@ -141,11 +135,8 @@ def _affine(centre, nspread, slope, arr: np.ndarray) -> np.ndarray:
     floats: a complex product would mix in +0.0 terms and erase the signed
     zero that picks a side of the cut (the negative slope flips the side)."""
     out = np.empty_like(arr)
-    re = out.real
-    np.add(arr.real, arr.real, out=re)
-    re -= centre
-    re /= nspread
-    np.multiply(arr.imag, slope, out=out.imag)
+    out.real = (arr.real + arr.real - centre) / nspread
+    out.imag = arr.imag * slope
     return out
 
 
@@ -168,9 +159,9 @@ def w_eval(b: TransformBundle, theta2):
     return _unwrap(_blocked(_cheb_T, b.order, b.integer_order, x), scalar)
 
 
-def _boundary(b: TransformBundle, rows: int, z: np.ndarray, r=None, zero=None):
-    """phi1 on z for the side `rows` names (_BOTH: theta2's row over
-    theta1's), with r = |z|; returns (values, origin).
+def _boundary(b: TransformBundle, pair: bool, z: np.ndarray, r=None, zero=None):
+    """phi1 on z, or with pair phi1 and phi2 on phi's stack of theta2's row
+    over theta1's, with r = |z|; returns (values, origin).
 
     One count finds every special point: a pole, a point within the
     origin radius and, for phi, a kernel zero (`zero`, one per column).
@@ -179,7 +170,7 @@ def _boundary(b: TransformBundle, rows: int, z: np.ndarray, r=None, zero=None):
     columns whose rows are all within 1e-12 of 0; it is None on the fast
     path and without `zero`.
     """
-    centre, nspread, slope, w0, tol, coef, mass = b._rows[rows]
+    centre, nspread, slope, w0, tol, coef, mass = b._pair if pair else b._row
     r = np.abs(z) if r is None else r
     x = _affine(centre, nspread, slope, z)
     den = _cheb_T(b.order, b.integer_order, x) - w0
@@ -202,8 +193,23 @@ def _boundary(b: TransformBundle, rows: int, z: np.ndarray, r=None, zero=None):
     return out, origin
 
 
-def _phi1(b: TransformBundle, rows: int, z: np.ndarray) -> np.ndarray:
-    return _boundary(b, rows, z)[0]
+def _phi1(b: TransformBundle, pair: bool, z: np.ndarray) -> np.ndarray:
+    return _boundary(b, pair, z)[0]
+
+
+def _psi(b: TransformBundle, pair: bool, z: np.ndarray) -> np.ndarray:
+    if np.count_nonzero(z == 0):
+        raise AtZeroError("psi1 and psi2 have their pole at 0")
+    return np.divide(_phi1(b, pair, z), z)
+
+
+def _side(b: TransformBundle, theta, name: str, fn):
+    """fn (`_phi1` or `_psi`) of b at theta: the one path of phi1, phi2,
+    psi1 and psi2.  A real-typed theta beyond b's theta2_plus is refused
+    in the words of `name`, the public argument."""
+    _raise_if_on_cut(theta, np.greater, b.scalars.theta2_plus, _CUT[name])
+    arr, scalar = _as_array(theta)
+    return _unwrap(_blocked(fn, b, False, arr), scalar)
 
 
 def phi1_eval(b: TransformBundle, theta2):
@@ -213,51 +219,32 @@ def phi1_eval(b: TransformBundle, theta2):
     (w(theta2) = w(0) away from 0) raises AtPoleError carrying the
     location; order is always 1 by injectivity of the gluing map.
     """
-    _raise_if_on_cut(theta2, np.greater, b.scalars.theta2_plus, _CUT["theta2"])
-    arr, scalar = _as_array(theta2)
-    return _unwrap(_blocked(_phi1, b, _PHI1, arr), scalar)
+    return _side(b, theta2, "theta2", _phi1)
 
 
 def phi2_eval(b: TransformBundle, theta1):
-    """Transform of the second boundary measure (index-swapped route),
+    """Transform of the second boundary measure: phi1 of `swapped`,
     continued to the plane cut along (theta1_plus, inf)."""
-    _raise_if_on_cut(theta1, np.greater, b.scalars.theta1_plus, _CUT["theta1"])
-    arr, scalar = _as_array(theta1)
-    return _unwrap(_blocked(_phi1, b, _PHI2, arr), scalar)
-
-
-def _psi(b: TransformBundle, rows: int, z: np.ndarray) -> np.ndarray:
-    return np.divide(_phi1(b, rows, z), z)
-
-
-def _psi_eval(b: TransformBundle, rows: int, arr: np.ndarray) -> np.ndarray:
-    if np.count_nonzero(arr == 0):
-        raise AtZeroError("psi1 and psi2 have their pole at 0")
-    return _blocked(_psi, b, rows, arr)
+    return _side(b.swapped, theta1, "theta1", _phi1)
 
 
 def psi1_eval(b: TransformBundle, theta2):
     """phi1(theta2)/theta2: simple pole at 0 with residue -mu1."""
-    _raise_if_on_cut(theta2, np.greater, b.scalars.theta2_plus, _CUT["theta2"])
-    arr, scalar = _as_array(theta2)
-    return _unwrap(_psi_eval(b, _PHI1, arr), scalar)
+    return _side(b, theta2, "theta2", _psi)
 
 
 def psi2_eval(b: TransformBundle, theta1):
-    """phi2(theta1)/theta1: simple pole at 0 with residue -mu2."""
-    _raise_if_on_cut(theta1, np.greater, b.scalars.theta1_plus, _CUT["theta1"])
-    arr, scalar = _as_array(theta1)
-    return _unwrap(_psi_eval(b, _PHI2, arr), scalar)
+    """psi1 of `swapped`: phi2(theta1)/theta1, simple pole at 0 with residue -mu2."""
+    return _side(b.swapped, theta1, "theta1", _psi)
 
 
-def _phi(b: TransformBundle, rows: int, z: np.ndarray) -> np.ndarray:
-    """phi on the columns of the stack z of rows (theta2, theta1), for
-    rows = _BOTH."""
+def _phi(b: TransformBundle, pair: bool, z: np.ndarray) -> np.ndarray:
+    """phi on the columns of z, a stack of rows (theta2, theta1); pair is True."""
     p = b.params
     r = np.abs(z)
     g = kernel._gamma(p, z[1], z[0])
     zero = np.abs(g) <= 1e-12 * kernel._zero_scale(p, r[1], r[0])
-    vals, origin = _boundary(b, rows, z, r, zero)
+    vals, origin = _boundary(b, pair, z, r, zero)
     # rows theta1 phi1(theta2) and theta2 phi2(theta1)
     terms = np.multiply(z[::-1], vals)
     num = -(terms[0] + terms[1])
@@ -286,5 +273,5 @@ def phi_eval(b: TransformBundle, theta1, theta2):
     # rows (theta2, theta1): the arguments of phi1 and phi2
     z = np.array((t2, t1))
     if t1.ndim == 1:
-        return _unwrap(_blocked(_phi, b, _BOTH, z, stacked=True), s1 and s2)
-    return _blocked(_phi, b, _BOTH, z.reshape(2, -1), stacked=True).reshape(t1.shape)
+        return _unwrap(_blocked(_phi, b, True, z, stacked=True), s1 and s2)
+    return _blocked(_phi, b, True, z.reshape(2, -1), stacked=True).reshape(t1.shape)

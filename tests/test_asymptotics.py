@@ -1,10 +1,11 @@
+import dataclasses
 import logging
 
 import numpy as np
 import pytest
 
 from conftest import random_ergodic
-from rbmq import make_bundle, validate_parameters
+from rbmq import asymptotics, make_bundle, transform, validate_parameters
 from rbmq.asymptotics import (
     REGIME_BOUNDARY,
     REGIME_POLE,
@@ -12,7 +13,7 @@ from rbmq.asymptotics import (
     classify_regime,
 )
 from rbmq.checks import pole_residue_residual
-from rbmq.errors import IntegerExponentError, WrongRegimeError
+from rbmq.errors import ComputationRefused, IntegerExponentError, WrongRegimeError
 from rbmq.oracle import diagonal_closed_forms, invert_transform
 from rbmq.transform import phi1_eval, w_eval
 
@@ -176,16 +177,56 @@ def test_pole_constant_matches_inverted_tails():
     assert classify_regime(b).constant == pytest.approx(1.6, rel=1e-12)
 
 
+# a wide-set model whose nu2 pole has a second pole of phi1 just outside
+# a circle of radius 0.01 min(theta2_plus - p, p) about it
+WIDE_TWO_POLES = (
+    [[0.4575058160469495, -0.7802896082109133], [-0.7802896082109133, 2.327279713455369]],
+    [-1.9452650715287794, -0.03132833432084991],
+)
+
+
 def test_pole_constant_is_residue(corr, diag, corr_neg, regime1):
     # the pole sits 0.0015 below theta2_plus for corr; the constant is
-    # the two-sided limit of e phi1(p - e), not the diagonal prefactor
+    # the limit of (p - theta) phi1(theta), not the diagonal prefactor
     assert classify_regime(make_bundle(corr)).constant == pytest.approx(0.096, rel=1e-10)
-    for p in (corr, diag, corr_neg):
+    for p in (corr, diag, corr_neg, validate_parameters(*WIDE_TWO_POLES)):
         b = make_bundle(p)
         assert pole_residue_residual(b) < 1e-10
         assert pole_residue_residual(b.swapped) < 1e-10
+    # one side each of two fixed sweep models, nu2 and nu1
+    near_one = make_bundle(validate_parameters([[1.0, 0.9], [0.9, 1.0]], [-0.05, -3.0]))
+    assert pole_residue_residual(near_one.swapped) < 1e-10
+    near_minus_one = make_bundle(validate_parameters([[1.0, -0.9], [-0.9, 1.0]], [-0.05, -3.0]))
+    assert pole_residue_residual(near_minus_one) < 1e-10
     with pytest.raises(WrongRegimeError):
         pole_residue_residual(make_bundle(regime1))
+
+
+@pytest.mark.parametrize("model", ["diag", "corr", "corr_neg"])
+def test_pole_residue_flags_a_bumped_constant(model, request, monkeypatch):
+    # a 1e-9 relative error in the tail constant fails the 1e-10 tolerance
+    good = asymptotics.classify_regime
+
+    def bumped(b):
+        rep = good(b)
+        return dataclasses.replace(rep, constant=rep.constant * (1.0 + 1e-9))
+
+    monkeypatch.setattr(asymptotics, "classify_regime", bumped)
+    b = make_bundle(request.getfixturevalue(model))
+    for side in (b, b.swapped):
+        assert pole_residue_residual(side) > 1e-10
+
+
+def test_pole_residue_refuses_when_no_circle_isolates_the_pole(diag, monkeypatch):
+    # with w shifted by 1 after w(0) is cached, no circle about the pole
+    # encloses a zero of w - w(0): the radius search ends in a refusal,
+    # not an endless loop
+    b = make_bundle(diag)
+    assert b.w1_at_0 == transform._w(b, np.zeros(1, dtype=complex)).real[0]
+    good = transform._w
+    monkeypatch.setattr(transform, "_w", lambda bundle, t: good(bundle, t) + 1.0)
+    with pytest.raises(ComputationRefused, match="encloses it alone"):
+        pole_residue_residual(b)
 
 
 def test_nu2_via_swapped_bundle(regime1):

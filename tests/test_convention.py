@@ -5,7 +5,7 @@ inside an array call."""
 import numpy as np
 import pytest
 
-from rbmq import _points, chebyshev, kernel, make_bundle, transform, uniformization
+from rbmq import _points, chebyshev, errors, kernel, make_bundle, transform, uniformization
 
 _rng = np.random.default_rng(11)
 NATIVE = -_rng.uniform(0.1, 3.0, (2, 3)) + 1j * _rng.uniform(-3.0, 3.0, (2, 3))
@@ -141,3 +141,32 @@ def test_fast_path_matches_masked_path(corr):
     check(lambda t: transform.phi1_eval(b, t), side2)
     check(lambda t1, t2: transform.phi_eval(b, t1, t2), side1, side2)
     check(lambda t: transform.psi1_eval(b, t), [g[g != 0] for g in side2])
+
+
+@pytest.mark.parametrize("model", ["corr", "corr_neg"])
+def test_second_side_is_first_side_of_swapped(model, request):
+    """phi2 and psi2 are phi1 and psi1 of the swapped bundle, bit for bit,
+    on scalar and array calls, and refuse the same points."""
+    b = make_bundle(request.getfixturevalue(model))
+    pairs = ((transform.phi2_eval, transform.phi1_eval), (transform.psi2_eval, transform.psi1_eval))
+    for second, first in pairs:
+        for points in (NATIVE, _BIG[id(NATIVE)]):
+            assert second(b, points).tobytes() == first(b.swapped, points).tobytes()
+        for idx in np.ndindex(NATIVE.shape):
+            got, want = (fn(bb, complex(NATIVE[idx])) for fn, bb in ((second, b), (first, b.swapped)))
+            assert type(got) is complex and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        # the cut: phi2 names theta1, the swapped phi1 its own theta2
+        assert b.scalars.theta1_plus == b.swapped.scalars.theta2_plus
+        beyond = b.scalars.theta1_plus + 1.0
+        with pytest.raises(errors.OnCutError, match="real theta1 > "):
+            second(b, beyond)
+        with pytest.raises(errors.OnCutError, match="real theta2 > "):
+            first(b.swapped, beyond)
+        # the pole of phi2, at -2 mu1 / s11, inside an array
+        pole = -2.0 * b.params.m1 / b.params.s11
+        where = []
+        for fn, bundle in ((second, b), (first, b.swapped)):
+            with pytest.raises(errors.AtPoleError) as err:
+                fn(bundle, np.array([-1.0, pole, -0.5j]) + 0j)
+            where.append(err.value.location)
+        assert where[0] == where[1] == pole
