@@ -12,9 +12,14 @@ order: 10k plane points in [-4, 4]^2 (the kernel roots in both
 variables), 200 kernel zeros in the native domain (for the cross
 identity), 10k sphere points (the zero set and the two involutions),
 200 cone points (the lifted gluing map) and 2 x 1000 cone points (the
-injectivity of w).  Each 10k-point identity passes over its sample once:
-the branch roots share |point|, and each side of the two-sheet identity
-evaluates only the coordinate its involution fixes.
+injectivity of w).  The draws are whole, but each 10k-point identity is
+evaluated over consecutive 4,096-point slices of its sample (`_block_max`)
+and reports the largest slice residual: every step is elementwise, so
+that is the residual of the whole sample, bit for bit, and a slice's
+complex temporaries (64 KiB) stay below glibc's 128 KiB mmap threshold,
+so they are not returned to the system and faulted in again on every
+call.  The branch roots share |point|, and each side of the two-sheet
+identity evaluates only the coordinate its involution fixes.
 
 A value at a point is the trapezoid mean over 64 nodes on a circle about
 it (`_circle_mean`); a kernel zero is measured on the scale by which
@@ -89,6 +94,9 @@ _REAL_ZERO_OFFSETS = np.geomspace(1e-3, 50.0, 100)
 _REFLECTION_RADII = np.geomspace(1e-2, 100.0, 100)
 # 64 unit-circle nodes offset by half a step, so that none is real
 _MEAN_NODES = np.exp(1j * np.pi * (2.0 * np.arange(64) + 1.0) / 64.0)
+# points per slice of a 10k-point identity: 64 KiB of complex, under the
+# 128 KiB mmap threshold (`_points._BLOCK` is 128 KiB, so not below it)
+_CHECK_BLOCK = 4096
 
 
 def curve_points(p: ModelParams) -> np.ndarray:
@@ -126,7 +134,9 @@ def native_kernel_zeros(b: TransformBundle, n: int, rng):
         t2_out.append(th2[keep])
         count += t1_out[-1].size
     if count < n:
-        raise RuntimeError("could not sample enough kernel zeros in the left half-plane")
+        raise ComputationRefused(
+            f"200 sphere batches gave {count} of {n} kernel zeros in the left half-plane"
+        )
     return np.concatenate(t1_out)[:n], np.concatenate(t2_out)[:n]
 
 
@@ -147,6 +157,14 @@ def cone_points(b: TransformBundle, n: int, rng, max_log_radius: float = 2.0) ->
 # ---------------------------------------------------------------------------
 # Identities: each returns the largest relative residual over the points
 # ---------------------------------------------------------------------------
+
+
+def _block_max(residual, points: np.ndarray):
+    """The largest of residual(slice) over consecutive `_CHECK_BLOCK`-point
+    slices of `points`, entry by entry when residual returns several
+    values; a NaN in any slice is the result, as in a whole-array max."""
+    slices = range(0, len(points), _CHECK_BLOCK)
+    return np.max([residual(points[i : i + _CHECK_BLOCK]) for i in slices], axis=0)
 
 
 def _rel_gap(z: np.ndarray, ref) -> float:
@@ -223,6 +241,12 @@ def two_sheet_residual(b: TransformBundle, s, th1, th2) -> float:
     z1 = uniformization._theta1_of_s(b, zeta, 1.0 / zeta)
     z2 = uniformization._theta2_of_s(b, eta, 1.0 / eta)
     return max(_rel_gap(z1, th1), _rel_gap(z2, th2))
+
+
+def _sphere_residuals(b: TransformBundle, s) -> tuple[float, float]:
+    """The zero-set and two-sheet residuals at the sphere points s."""
+    th1, th2 = uniformization.theta_of_s(b, s)
+    return kernel_zero_residual(b.params, th1, th2), two_sheet_residual(b, s, th1, th2)
 
 
 def reflection_residual(b: TransformBundle, radii) -> float:
@@ -331,8 +355,9 @@ def run_checks(p: ModelParams, seed: int = 0) -> list[CheckResult]:
     pts = rng.uniform(-4, 4, 10_000) + 1j * rng.uniform(-4, 4, 10_000)
     left = sc.theta1_minus - _LEFT_OFFSETS
     plus, minus = kernel.theta2_branches(p, left)
+    roots = _block_max(lambda x: branch_root_residual(p, x), pts)
     out = [
-        _result("kernel_branch_roots", branch_root_residual(p, pts), 1e-10),
+        _result("kernel_branch_roots", roots, 1e-10),
         _result("branch_conjugacy_on_curve", conjugacy_residual(p, plus, minus), 1e-10),
         _result("vieta", vieta_residual(p, left, plus, minus), 1e-10),
     ]
@@ -345,10 +370,10 @@ def run_checks(p: ModelParams, seed: int = 0) -> list[CheckResult]:
     cross = cross_transform_residual(b, *real_zeros)
     cross = max(cross, cross_transform_residual(b, *native_kernel_zeros(b, 200, rng)))
     out.append(_result("cross_transform_identity", cross, 1e-9))
-    s = _sphere_points(rng, 10_000)
-    th1, th2 = uniformization.theta_of_s(b, s)
-    out.append(_result("uniformization_zero_set", kernel_zero_residual(p, th1, th2), 1e-10))
-    out.append(_result("two_sheet_identities", two_sheet_residual(b, s, th1, th2), 1e-10))
+    sphere = _sphere_points(rng, 10_000)
+    zero_set, two_sheet = _block_max(lambda s: _sphere_residuals(b, s), sphere)
+    out.append(_result("uniformization_zero_set", zero_set, 1e-10))
+    out.append(_result("two_sheet_identities", two_sheet, 1e-10))
     lifted = reflection_residual(b, _REFLECTION_RADII)
     lifted = max(lifted, lift_residual(b, cone_points(b, 200, rng)))
     out.append(_result("lifted_gluing", lifted, 1e-9))

@@ -48,6 +48,7 @@ nodes, cross-checks every table at three abscissae and must agree to
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import warnings
@@ -465,18 +466,14 @@ _CHECK_NODES = 24
 _CROSS_CHECK_RTOL = 0.01
 
 
-def _talbot_invert(transform: Callable, x, nodes: int = _TALBOT_NODES) -> np.ndarray:
-    """Fixed-contour Talbot inversion of a standard Laplace transform.
-
-    The contour winds around the negative real axis, so singularities
-    must satisfy Re <= 0; a node count beyond ~35 buys nothing in double
-    precision because the e^{2M/5} weight growth amplifies roundoff.
-    The transform is called once, on the len(x) x nodes array of all
-    nodes (Abate & Whitt 2006), so it must broadcast over 2-d input.
-    """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xs <= 0):
-        raise ValueError("inversion abscissae must be positive")
+@functools.lru_cache(maxsize=4)
+def _talbot_contour(xs_bytes: bytes, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Talbot nodes s and weights gam, each len(xs) x nodes, of the
+    abscissae whose float64 bytes are xs_bytes.  They depend on the grid
+    alone, so they are built once per (grid, node count) and handed out
+    read-only; four entries hold a table's grid and its probes for two
+    grids."""
+    xs = np.frombuffer(xs_bytes, dtype=float)
     theta = np.arange(nodes) * np.pi / nodes
     cot = np.zeros(nodes)
     cot[1:] = 1.0 / np.tan(theta[1:])
@@ -484,12 +481,32 @@ def _talbot_invert(transform: Callable, x, nodes: int = _TALBOT_NODES) -> np.nda
     t = xs[:, None]
     s = r / t * theta * (cot + 1j)
     s[:, 0] = r / xs
-    fp = np.asarray(transform(s), dtype=complex)
     gam = np.empty((xs.size, nodes), dtype=complex)
     gam[:, 0] = 0.5 * np.exp(r)
     gam[:, 1:] = np.exp(t * s[:, 1:]) * (
         1.0 + 1j * theta[1:] * (1.0 + cot[1:] ** 2) - 1j * cot[1:]
     )
+    s.flags.writeable = False
+    gam.flags.writeable = False
+    return s, gam
+
+
+def _talbot_invert(transform: Callable, x, nodes: int = _TALBOT_NODES) -> np.ndarray:
+    """Fixed-contour Talbot inversion of a standard Laplace transform.
+
+    The contour winds around the negative real axis, so singularities
+    must satisfy Re <= 0; a node count beyond ~35 buys nothing in double
+    precision because the e^{2M/5} weight growth amplifies roundoff.
+    The transform is called once, on the len(x) x nodes array of all
+    nodes (Abate & Whitt 2006), so it must broadcast over 2-d input; the
+    nodes and weights come from `_talbot_contour`, built once per grid,
+    and the node array is read-only.
+    """
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(xs <= 0):
+        raise ValueError("inversion abscissae must be positive")
+    s, gam = _talbot_contour(xs.tobytes(), nodes)
+    fp = np.asarray(transform(s), dtype=complex)
     return (2.0 / (5.0 * xs)) * _row_dots(gam, fp).real
 
 

@@ -1,12 +1,17 @@
 """The invariant suite behind `rbmq check`: it still flags a 1e-9
 relative error in each quantity its 10k-point identities test and in
 w'(0), its single-coordinate sphere maps are the ones `theta_of_s`
-returns, and a seed fixes its samples, results, check names and their
-order."""
+returns, its sliced identities keep the whole sample's bits, a sampler
+that runs dry is a typed refusal, and a seed fixes its samples, results,
+check names and their order."""
+import json
+
 import numpy as np
 import pytest
 
 from rbmq import checks, kernel, make_bundle, transform, uniformization
+from rbmq.cli import EXIT_REFUSED, main
+from rbmq.errors import ComputationRefused
 
 FIXTURES = ["diag", "corr", "corr_neg", "regime1", "regime2"]
 NAMES = [
@@ -137,3 +142,43 @@ def test_run_checks_draws(corr, monkeypatch):
     for n, top in ((200, 2.0), (1000, 1.5), (1000, 1.5)):
         want += [("uniform", -2.0, top, n), ("uniform", 1e-3, beta - 1e-3, n)]
     assert log == want
+
+
+@pytest.mark.parametrize("model", FIXTURES)
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 10_000])
+def test_sliced_residuals_equal_whole_array_bits(model, n, request):
+    """The slices cover every point once, and across and at their
+    boundaries the largest slice residual is the whole-array residual,
+    bit for bit."""
+    p = request.getfixturevalue(model)
+    b = make_bundle(p)
+    rng = np.random.default_rng(n)
+    pts = rng.uniform(-4, 4, n) + 1j * rng.uniform(-4, 4, n)
+    seen = []
+    checks._block_max(lambda x: seen.append(x) or 0.0, pts)
+    assert max(x.size for x in seen) <= checks._CHECK_BLOCK
+    assert np.concatenate(seen).tobytes() == pts.tobytes()
+    s = checks._sphere_points(rng, n)
+    th1, th2 = uniformization.theta_of_s(b, s)
+    pairs = [
+        (checks._block_max(lambda x: checks.branch_root_residual(p, x), pts),
+         checks.branch_root_residual(p, pts)),
+        (checks._block_max(lambda x: checks._sphere_residuals(b, x), s),
+         (checks.kernel_zero_residual(p, th1, th2), checks.two_sheet_residual(b, s, th1, th2))),
+    ]
+    for sliced, whole in pairs:
+        assert np.asarray(sliced).tobytes() == np.asarray(whole).tobytes()
+
+
+def test_native_zero_shortage_is_a_refusal(diag, tmp_path, monkeypatch, capsys):
+    """When no sphere batch yields a kernel zero in the left half-plane,
+    run_checks refuses, and `rbmq check` exits 3 without a traceback."""
+    none = np.empty(0, dtype=complex)
+    monkeypatch.setattr(uniformization, "theta_of_s", lambda b, s: (none, none))
+    with pytest.raises(ComputationRefused, match="0 of 200 kernel zeros"):
+        checks.run_checks(diag)
+    config = tmp_path / "diag.json"
+    config.write_text(json.dumps({"sigma": [[1.0, 0.0], [0.0, 1.0]], "mu": [-1.0, -1.0]}))
+    assert main(["check", "--config", str(config)]) == EXIT_REFUSED
+    err = capsys.readouterr().err
+    assert err.startswith("refused: ComputationRefused: ") and "Traceback" not in err

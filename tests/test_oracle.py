@@ -340,6 +340,34 @@ def test_inversion_makes_one_transform_call_per_table(corr):
         assert tab.tobytes() == one_by_one.tobytes()
 
 
+def test_talbot_contour_cache_keeps_bits_and_grids():
+    """A warm contour gives a cold one's bits; interleaved grids and node
+    counts each get their own read-only table."""
+    grids = [np.linspace(0.1, 5.0, 7), np.linspace(0.2, 3.0, 7)]
+    big, small = oracle._TALBOT_NODES, oracle._CHECK_NODES
+
+    def f(s):
+        return 1.0 / (s + 1.0)
+
+    cold = {}
+    for i, xs in enumerate(grids):
+        for nodes in (big, small):
+            oracle._talbot_contour.cache_clear()
+            cold[i, nodes] = _talbot_invert(f, xs, nodes=nodes)
+            assert _talbot_invert(f, xs, nodes=nodes).tobytes() == cold[i, nodes].tobytes()
+    oracle._talbot_contour.cache_clear()
+    order = [(0, big), (1, small), (1, big), (0, small), (1, big), (0, big), (1, small), (0, small)]
+    for i, nodes in order:
+        xs = grids[i]
+        assert _talbot_invert(f, xs, nodes=nodes).tobytes() == cold[i, nodes].tobytes()
+        for table in oracle._talbot_contour(xs.tobytes(), nodes):
+            assert table.shape == (xs.size, nodes)
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.0
+    assert np.max(np.abs(cold[1, 32] - np.exp(-grids[1]))) < 1e-10
+
+
 def test_invert_diag_closed_form(diag):
     b = make_bundle(diag)
     xs = np.linspace(0.1, 5.0, 40)
