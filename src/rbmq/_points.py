@@ -2,9 +2,10 @@
 
 A call is scalar iff every point argument is 0-d; it then returns a
 Python scalar (complex, or float for real-valued evaluators).  Array
-calls return an ndarray of the broadcast shape.  Public evaluators
-convert once on entry and unwrap once on exit; the array-level private
-functions behind them call each other without converting.
+calls return an ndarray of the broadcast shape.  A public evaluator is
+its cut refusal, if any, and one `_evaluate` of an array-level function,
+which converts, blocks and unwraps; array-level functions call each
+other without converting.
 
 A scalar is computed as a one-element array: numpy's array loops and
 its scalar arithmetic may round differently in the last bit, and going
@@ -30,25 +31,24 @@ Every other step takes a fresh output too: a block of points fits in
 the cache either way, and on a one-element array an in-place ufunc
 costs more than a new one.  Sums and products with a real factor round
 each part once, so they keep their bits in place; they still run in
-place in `kernel.theta2_branches`, `_scale` (through the real view)
-and the `uniformization` maps built on it, where a fresh output was
-slower on large arrays (21% on 1e5 points for the kernel roots).
+place in `_scale` (through the real view, which keeps a signed zero),
+the `uniformization` maps built on it and `kernel.theta2_branches`,
+where fresh outputs were up to 5% slower on 200 to 1e5 points.
 
-Large arrays go through `_blocked`.  Up to _BLOCK (8,192) points it
-calls the array-level function once; above, it maps the function over
-blocks of _BLOCK points (phi: columns of its (theta2, theta1) stack) on
-one worker thread per CPU the process may use, at most one per block,
-from one pool per call.  numpy's complex arccosh and cosh release the
-GIL, so the threads overlap.  Every step is elementwise, so the blocks
-and the thread count leave the bits unchanged.  A point on a cut is
-refused before any block.  A refusal raised in any block makes the
-function run again on the whole array, which raises the refusal a
-serial call raises: psi's zero before any pole, a kernel zero off phi's
-origin before any pole, and then the first pole in array order,
-theta2's row over all columns before theta1's.  A worker thread starts
-with numpy's default error state, not the caller's, so each block runs
-in its own copy of the caller's context (`contextvars`), which carries
-an `np.errstate` around the call into the workers.
+`_evaluate` calls the array-level function once on up to _BLOCK (8,192)
+points; above, `_blocked` maps it over blocks of _BLOCK points on one
+worker thread per CPU the process may use, at most one per block, from
+one pool per call.  numpy's complex arccosh and cosh release the GIL,
+so the threads overlap.  Every step is elementwise, so the blocks and
+the thread count leave the bits unchanged.  A point on a cut is refused
+before any block.  A refusal raised in any block makes the function run
+again on the whole array, which raises the refusal a serial call
+raises: psi's zero before any pole, a kernel zero off phi's origin
+before any pole, and then the first pole in array order, theta2's row
+over all points before theta1's; s = 0 or infinity for a sphere map.  A
+worker thread starts with numpy's default error state, not the
+caller's, so each block runs in its own copy of the caller's context
+(`contextvars`), which carries an `np.errstate` into the workers.
 
 A real-typed point on a branch cut is refused (`_raise_if_on_cut`); a
 complex one, x + 0j or x - 0j, picks the side of the cut by the sign of
@@ -68,17 +68,10 @@ from .errors import ComputationRefused, OnCutError
 _BLOCK = 8192
 
 
-def _as_array(x, dtype=complex):
-    """(x as an ndarray of dtype with at least one dimension, whether x is 0-d)."""
-    arr = np.asarray(x, dtype=dtype)
-    if arr.ndim == 0:
-        return arr.reshape(1), True
-    return arr, False
-
-
-def _unwrap(out, is_scalar: bool):
-    """Python scalar for scalar calls, the array otherwise."""
-    return out.item() if is_scalar else out
+def _as_array(x):
+    """(x as a complex ndarray with at least one dimension, whether x is 0-d)."""
+    arr = np.asarray(x, dtype=complex)
+    return (arr.reshape(1), True) if arr.ndim == 0 else (arr, False)
 
 
 def _scale(z: np.ndarray, c: float) -> np.ndarray:
@@ -106,29 +99,49 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _blocked(fn, a, b, z: np.ndarray, stacked: bool = False) -> np.ndarray:
-    """fn(a, b, z) for an array-level function fn that maps each point alone.
-
-    The points of z are its elements, or with stacked the columns of a
-    (rows, n) stack, each of which fn maps to one value.  Up to _BLOCK
-    points fn runs on z; above, on blocks of _BLOCK points, one worker
-    thread per CPU the process may use (at most one per block).  A
-    refusal in any block is raised by fn on all of z.
-    """
-    n = z.shape[-1] if stacked else z.size
-    if n <= _BLOCK:
-        return fn(a, b, z)
-    cols = z if stacked else z.reshape(-1)
-    blocks = [cols[..., i : i + _BLOCK] for i in range(0, n, _BLOCK)]
+def _blocked(fn, *arrays):
+    """fn(*arrays) on blocks of _BLOCK points of equal-length 1-d arrays,
+    over threads; a refusal in any block is raised by fn on the whole
+    arrays."""
+    n = len(arrays[0])
+    blocks = [[a[i : i + _BLOCK] for a in arrays] for i in range(0, n, _BLOCK)]
     threads = min(_cpu_count(), len(blocks))
     try:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             # a thread does not inherit the caller's np.errstate: each
             # block runs in its own copy of the caller's context
-            futures = [pool.submit(copy_context().run, fn, a, b, block) for block in blocks]
+            futures = [pool.submit(copy_context().run, fn, *block) for block in blocks]
             parts = [f.result() for f in futures]
     except ComputationRefused:
-        # which refusal, and at which point, is decided over all of z
-        return fn(a, b, z)
-    out = np.concatenate(parts, axis=-1)
-    return out if stacked else out.reshape(z.shape)
+        # which refusal, and at which point, is decided over all points
+        return fn(*arrays)
+    if type(parts[0]) is tuple:
+        return tuple(np.concatenate(col) for col in zip(*parts))
+    return np.concatenate(parts)
+
+
+def _evaluate(fn, *points):
+    """fn, which maps each point alone to an array or a tuple of arrays,
+    on the points: broadcast only when their shapes differ, flattened
+    only when they are not 1-d."""
+    arrays, scalar = [], True
+    for x in points:
+        arr, is_scalar = _as_array(x)
+        if not is_scalar:
+            scalar = False
+        arrays.append(arr)
+    if scalar:
+        out = fn(*arrays)
+        return tuple([o.item() for o in out]) if type(out) is tuple else out.item()
+    shape = arrays[0].shape
+    for arr in arrays:
+        if arr.shape != shape:
+            arrays = np.broadcast_arrays(*arrays)
+            shape = arrays[0].shape
+            break
+    if len(shape) != 1:
+        arrays = [arr.reshape(-1) for arr in arrays]
+    out = fn(*arrays) if len(arrays[0]) <= _BLOCK else _blocked(fn, *arrays)
+    if len(shape) == 1:
+        return out
+    return tuple([o.reshape(shape) for o in out]) if type(out) is tuple else out.reshape(shape)

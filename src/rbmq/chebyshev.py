@@ -30,10 +30,11 @@ where that denominator vanishes.
 from __future__ import annotations
 
 import logging
+from functools import partial
 
 import numpy as np
 
-from ._points import _as_array, _blocked, _raise_if_on_cut, _unwrap
+from ._points import _evaluate, _raise_if_on_cut
 from .errors import AtBranchPointError
 
 __all__ = [
@@ -124,8 +125,7 @@ def cheb_T(a, x):
     af, integer = _order(a)
     if not integer:
         _raise_if_on_cut(x, np.less, -1.0, _CUT, a=a)
-    arr, scalar = _as_array(x)
-    return _unwrap(_blocked(_cheb_T, af, integer, arr), scalar)
+    return _evaluate(partial(_cheb_T, af, integer), x)
 
 
 def cheb_T_deriv(a, x):
@@ -139,8 +139,7 @@ def cheb_T_deriv(a, x):
     af, integer = _order(a)
     if not integer:
         _raise_if_on_cut(x, np.less, -1.0, _CUT, a=a)
-    arr, scalar = _as_array(x)
-    return _unwrap(_blocked(_cheb_T_deriv, af, integer, arr), scalar)
+    return _evaluate(partial(_cheb_T_deriv, af, integer), x)
 
 
 def expansion_at_minus_one(a) -> tuple[float, float]:

@@ -8,10 +8,11 @@ scalar out.  The two roots of the kernel in one variable come as one
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from ._points import _as_array, _scale, _unwrap
+from ._points import _evaluate, _scale
 from .model import ModelParams
 
 __all__ = [
@@ -34,9 +35,7 @@ def _gamma(p: ModelParams, t1, t2):
 
 def gamma(p: ModelParams, theta1, theta2):
     """The kernel 1/2 <theta, sigma theta> + <theta, mu>."""
-    t1, s1 = _as_array(theta1)
-    t2, s2 = _as_array(theta2)
-    return _unwrap(_gamma(p, t1, t2), s1 and s2)
+    return _evaluate(partial(_gamma, p), theta1, theta2)
 
 
 def _zero_scale(p: ModelParams, r1, r2):
@@ -54,15 +53,7 @@ def _disc_d(p: ModelParams, t):
     return (c2 * t + 2.0 * c1) * t + p.m2 * p.m2
 
 
-def theta2_branches(p: ModelParams, theta1):
-    """The two roots (plus, minus) of gamma(theta1, .) = 0:
-    (-b +/- sqrt(d)) / (2a).
-
-    The labels are attached to the principal square root of d, so for
-    real theta1 outside the branch-point interval the pair is
-    complex-conjugate (plus = upper half-plane).
-    """
-    t, scalar = _as_array(theta1)
+def _theta2_branches(p: ModelParams, t):
     root = _disc_d(p, t)
     np.sqrt(root, out=root)
     neg_b = t * -p.s12
@@ -71,8 +62,18 @@ def theta2_branches(p: ModelParams, theta1):
     inv = 1.0 / p.s22
     plus = _scale(neg_b + root, inv)
     neg_b -= root
-    minus = _scale(neg_b, inv)
-    return _unwrap(plus, scalar), _unwrap(minus, scalar)
+    return plus, _scale(neg_b, inv)
+
+
+def theta2_branches(p: ModelParams, theta1):
+    """The two roots (plus, minus) of gamma(theta1, .) = 0:
+    (-b +/- sqrt(d)) / (2a).
+
+    The labels are attached to the principal square root of d, so for
+    real theta1 outside the branch-point interval the pair is
+    complex-conjugate (plus = upper half-plane).
+    """
+    return _evaluate(partial(_theta2_branches, p), theta1)
 
 
 def theta1_branches(p: ModelParams, theta2):
@@ -108,15 +109,17 @@ class HyperbolaR:
     apex: float
     degenerate: bool
 
-    def residual(self, theta2):
-        """Scale-normalised defect of the full quadratic at theta2."""
-        z, scalar = _as_array(theta2)
+    def _residual(self, z):
         x, y = z.real, z.imag
         if self.degenerate:
-            return _unwrap(np.abs(x - self.apex) / (1.0 + np.abs(z)), scalar)
+            return np.abs(x - self.apex) / (1.0 + np.abs(z))
         t0, t1, t2, t3 = self.cx2 * x * x, self.cy2 * y * y, self.cx * x, -self.rhs
         scale = np.maximum(np.maximum(np.abs(t0), np.abs(t1)), np.maximum(np.abs(t2), abs(t3)))
-        return _unwrap(np.abs(t0 + t1 + t2 + t3) / (scale + 1e-300), scalar)
+        return np.abs(t0 + t1 + t2 + t3) / (scale + 1e-300)
+
+    def residual(self, theta2):
+        """Scale-normalised defect of the full quadratic at theta2."""
+        return _evaluate(self._residual, theta2)
 
 
 def hyperbola(p: ModelParams) -> HyperbolaR:

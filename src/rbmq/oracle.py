@@ -51,6 +51,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import numbers
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -125,6 +126,10 @@ class SimConfig:
             raise ValidationError(
                 "step and horizon must be positive and finite, burn_in non-negative"
             )
+        for name in ("seed", "batches"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ValidationError(f"seed must be non-negative, got {self.seed}")
         if self.burn_in >= self.horizon:
@@ -580,11 +585,11 @@ def invert_transform(b: TransformBundle, side: str, grid) -> DensityTable:
 
 @dataclass(frozen=True)
 class DiagonalClosedForms:
-    """Exact stationary densities for diagonal covariance.
+    """Exact boundary densities for diagonal covariance.
 
-    Both marginals are exponentials and the interior density is their
-    normalised product; the skew-symmetry of the diagonal case is what
-    makes the product form exact.
+    Both are exponentials, and the stationary law is the product of two
+    one-dimensional reflected motions (`one_dim_phi`); the skew-symmetry
+    of the diagonal case is what makes the product form exact.
     """
 
     params: ModelParams
@@ -596,12 +601,6 @@ class DiagonalClosedForms:
     def nu2(self, x1):
         p = self.params
         return (2.0 * p.m1 * p.m2 / p.s11) * np.exp(2.0 * p.m1 / p.s11 * np.asarray(x1))
-
-    def pi(self, x1, x2):
-        p = self.params
-        return (4.0 * p.m1 * p.m2 / (p.s11 * p.s22)) * np.exp(
-            2.0 * p.m1 / p.s11 * np.asarray(x1) + 2.0 * p.m2 / p.s22 * np.asarray(x2)
-        )
 
     @staticmethod
     def one_dim_phi(theta, mu: float, sigma: float):

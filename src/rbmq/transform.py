@@ -19,18 +19,19 @@ phi is refused on the kernel zero set gamma = 0, where the identity is
 One kernel, `_boundary`, evaluates phi1's formula on one row, or on phi's
 stack of (theta2, theta1) rows, each with its side's constants, so one
 affine map, Chebyshev evaluation and special-point test serve both terms.
-Every public evaluator runs its array-level function through
-`_points._blocked`, which splits a large array into blocks over threads.
+Every public evaluator is its cut refusal and one `_points._evaluate`
+of its array-level function, which splits a large array into blocks
+over threads.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from . import kernel
-from ._points import _as_array, _blocked, _raise_if_on_cut, _unwrap
+from ._points import _evaluate, _raise_if_on_cut
 from .chebyshev import _cheb_T, _cheb_T_deriv, _order
 from .errors import AtPoleError, AtZeroError, OnKernelCurveError
 from .model import DerivedScalars, ModelParams
@@ -154,9 +155,7 @@ def _w_deriv(b: TransformBundle, arr: np.ndarray) -> np.ndarray:
 def w_eval(b: TransformBundle, theta2):
     """Conformal gluing map at theta2 (cut plane, cut on (theta2_plus, inf))."""
     _raise_if_on_cut(theta2, np.greater, b.scalars.theta2_plus, _CUT["theta2"])
-    arr, scalar = _as_array(theta2)
-    x = _affine(*_map(b.scalars), arr)
-    return _unwrap(_blocked(_cheb_T, b.order, b.integer_order, x), scalar)
+    return _evaluate(partial(_w, b), theta2)
 
 
 def _boundary(b: TransformBundle, pair: bool, z: np.ndarray, r=None, zero=None):
@@ -193,14 +192,14 @@ def _boundary(b: TransformBundle, pair: bool, z: np.ndarray, r=None, zero=None):
     return out, origin
 
 
-def _phi1(b: TransformBundle, pair: bool, z: np.ndarray) -> np.ndarray:
-    return _boundary(b, pair, z)[0]
+def _phi1(b: TransformBundle, z: np.ndarray) -> np.ndarray:
+    return _boundary(b, False, z)[0]
 
 
-def _psi(b: TransformBundle, pair: bool, z: np.ndarray) -> np.ndarray:
+def _psi(b: TransformBundle, z: np.ndarray) -> np.ndarray:
     if np.count_nonzero(z == 0):
         raise AtZeroError("psi1 and psi2 have their pole at 0")
-    return np.divide(_phi1(b, pair, z), z)
+    return np.divide(_phi1(b, z), z)
 
 
 def _side(b: TransformBundle, theta, name: str, fn):
@@ -208,8 +207,7 @@ def _side(b: TransformBundle, theta, name: str, fn):
     psi1 and psi2.  A real-typed theta beyond b's theta2_plus is refused
     in the words of `name`, the public argument."""
     _raise_if_on_cut(theta, np.greater, b.scalars.theta2_plus, _CUT[name])
-    arr, scalar = _as_array(theta)
-    return _unwrap(_blocked(fn, b, False, arr), scalar)
+    return _evaluate(partial(fn, b), theta)
 
 
 def phi1_eval(b: TransformBundle, theta2):
@@ -238,13 +236,14 @@ def psi2_eval(b: TransformBundle, theta1):
     return _side(b.swapped, theta1, "theta1", _psi)
 
 
-def _phi(b: TransformBundle, pair: bool, z: np.ndarray) -> np.ndarray:
-    """phi on the columns of z, a stack of rows (theta2, theta1); pair is True."""
+def _phi(b: TransformBundle, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """phi at the points (t1, t2), through their stack of rows (theta2, theta1)."""
     p = b.params
+    z = np.array((t2, t1))
     r = np.abs(z)
     g = kernel._gamma(p, z[1], z[0])
     zero = np.abs(g) <= 1e-12 * kernel._zero_scale(p, r[1], r[0])
-    vals, origin = _boundary(b, pair, z, r, zero)
+    vals, origin = _boundary(b, True, z, r, zero)
     # rows theta1 phi1(theta2) and theta2 phi2(theta1)
     terms = np.multiply(z[::-1], vals)
     num = -(terms[0] + terms[1])
@@ -266,12 +265,4 @@ def phi_eval(b: TransformBundle, theta1, theta2):
     """
     _raise_if_on_cut(theta2, np.greater, b.scalars.theta2_plus, _CUT["theta2"])
     _raise_if_on_cut(theta1, np.greater, b.scalars.theta1_plus, _CUT["theta1"])
-    t1, s1 = _as_array(theta1)
-    t2, s2 = _as_array(theta2)
-    if t1.shape != t2.shape:
-        t1, t2 = np.broadcast_arrays(t1, t2)
-    # rows (theta2, theta1): the arguments of phi1 and phi2
-    z = np.array((t2, t1))
-    if t1.ndim == 1:
-        return _unwrap(_blocked(_phi, b, True, z, stacked=True), s1 and s2)
-    return _blocked(_phi, b, True, z.reshape(2, -1), stacked=True).reshape(t1.shape)
+    return _evaluate(partial(_phi, b), theta1, theta2)

@@ -6,19 +6,19 @@ circle, and the pair (0, 0) lifts to a unit-circle point s0 on the
 lower arc.  The lifted gluing map W and the two involutions generating
 the symmetry group of the surface live here, together with the
 finite-order detection that decides algebraicity of the transforms:
-pi/beta is read as a rational p/q when a continued-fraction convergent
-with q <= 10^6 lies within 1e-12 / q^2 of it.
+pi/beta is read as a rational p/q when the closest fraction with
+q <= 10^6 lies within 1e-12 / q^2 of it.
 """
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from ._points import _as_array, _raise_if_on_cut, _scale, _unwrap
+from ._points import _evaluate, _raise_if_on_cut, _scale
 from .errors import AtZeroOrInfinityError, OnLogCutError
 from .transform import TransformBundle
 
@@ -54,11 +54,9 @@ class GroupReport:
     note: str
 
 
-def _check_s(s) -> tuple[np.ndarray, bool]:
-    arr, scalar = _as_array(s)
-    if np.any(arr == 0) or not np.all(np.isfinite(arr)):
+def _check_s(s: np.ndarray) -> None:
+    if np.any(s == 0) or not np.all(np.isfinite(s)):
         raise AtZeroOrInfinityError("s = 0 and s = infinity map to the point at infinity")
-    return arr, scalar
 
 
 def _theta1_of_s(b: TransformBundle, s: np.ndarray, inv: np.ndarray) -> np.ndarray:
@@ -81,18 +79,24 @@ def _theta2_of_s(b: TransformBundle, s: np.ndarray, inv: np.ndarray) -> np.ndarr
     return th2
 
 
+def _theta_of_s(b: TransformBundle, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    _check_s(s)
+    inv = 1.0 / s
+    return _theta1_of_s(b, s, inv), _theta2_of_s(b, s, inv)
+
+
 def theta_of_s(b: TransformBundle, s):
     """Coordinates (theta1(s), theta2(s)) of the sphere point s.
 
     s = 0 and s = infinity both map to the point at infinity of the
     zero set and are refused.
     """
-    arr, scalar = _check_s(s)
-    inv = 1.0 / arr
-    return (
-        _unwrap(_theta1_of_s(b, arr, inv), scalar),
-        _unwrap(_theta2_of_s(b, arr, inv), scalar),
-    )
+    return _evaluate(partial(_theta_of_s, b), s)
+
+
+def _W_of_s(a: float, s: np.ndarray) -> np.ndarray:
+    _check_s(s)
+    return -np.cosh(a * np.log(-s))
 
 
 def W_of_s(b: TransformBundle, s):
@@ -106,10 +110,7 @@ def W_of_s(b: TransformBundle, s):
     _raise_if_on_cut(
         s, np.greater_equal, 0.0, "s in [0, inf) lies on the logarithm cut of (-s)^a", OnLogCutError
     )
-    arr, scalar = _check_s(s)
-    a = b.order
-    lg = np.log(-arr)
-    return _unwrap(-np.cosh(a * lg), scalar)
+    return _evaluate(partial(_W_of_s, b.order), s)
 
 
 def _involutions(b: TransformBundle, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,41 +119,30 @@ def _involutions(b: TransformBundle, s: np.ndarray) -> tuple[np.ndarray, np.ndar
     return zeta, zeta * cmath.exp(2j * b.scalars.beta)
 
 
+def _group_elements(b: TransformBundle, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    _check_s(s)
+    return _involutions(b, s)
+
+
 def group_elements(b: TransformBundle, s):
     """The two involutions at s: zeta(s) = 1/s fixes theta1, and
     eta(s) = e^{2 i beta}/s fixes theta2."""
-    arr, scalar = _check_s(s)
-    zeta, eta = _involutions(b, arr)
-    return _unwrap(zeta, scalar), _unwrap(eta, scalar)
+    return _evaluate(partial(_group_elements, b), s)
 
 
 def _detect_rational(x: float) -> Optional[tuple[int, int, float]]:
-    """Best rational approximation p/q of x with q <= _QMAX, if convincing.
-
-    Walks the continued-fraction convergents of x and returns the first
-    (p, q, |x - p/q|) whose residual is below _TOL_COEFF / q**2.  Returns
-    None when no convergent with denominator <= _QMAX qualifies; callers
-    must read that as "irrational within the bound", never as a proof
-    of irrationality (a float cannot certify one).
+    """(p, q, |x - p/q|) for the closest fraction p/q to x with q <= _QMAX,
+    in lowest terms, if it lies within _TOL_COEFF / q**2 of x.  None means
+    "irrational within the bound", never a proof of irrationality (a
+    float cannot certify one).
     """
-    # convergents h_k / k_k of the continued fraction of x
-    h_prev, h = 1, int(math.floor(x))
-    k_prev, k = 0, 1
-    frac = x - math.floor(x)
-    for _ in range(64):
-        if k > _QMAX:
-            break
-        residual = abs(x - h / k)
-        if residual < _TOL_COEFF / (k * k):
-            g = math.gcd(abs(h), k)
-            return h // g, k // g, residual
-        if frac == 0.0:
-            break
-        a = math.floor(1.0 / frac)
-        frac = 1.0 / frac - a
-        h_prev, h = h, int(a) * h + h_prev
-        k_prev, k = k, int(a) * k + k_prev
-    return None
+    # imported here: fractions imports decimal, which `import rbmq` need not pay for
+    from fractions import Fraction
+
+    frac = Fraction(x).limit_denominator(_QMAX)
+    p, q = frac.numerator, frac.denominator
+    residual = abs(x - p / q)
+    return (p, q, residual) if residual < _TOL_COEFF / (q * q) else None
 
 
 def group_order(b: TransformBundle) -> GroupReport:

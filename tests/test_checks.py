@@ -3,7 +3,8 @@ relative error in each quantity its 10k-point identities test and in
 w'(0), its single-coordinate sphere maps are the ones `theta_of_s`
 returns, its sliced identities keep the whole sample's bits, a sampler
 that runs dry is a typed refusal, and a seed fixes its samples, results,
-check names and their order."""
+check names and their order, and is refused unless it is a non-negative
+integer."""
 import json
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from rbmq import checks, kernel, make_bundle, transform, uniformization
 from rbmq.cli import EXIT_REFUSED, main
-from rbmq.errors import ComputationRefused
+from rbmq.errors import ComputationRefused, ValidationError
 
 FIXTURES = ["diag", "corr", "corr_neg", "regime1", "regime2"]
 NAMES = [
@@ -105,6 +106,12 @@ def test_run_checks_deterministic_names_and_order(model, request):
     assert first == checks.run_checks(p, 7)
     extra = ["diagonal_product_form"] if p.s12 == 0.0 else []
     assert [r.name for r in first] == NAMES + extra
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+def test_run_checks_refuses_bad_seeds(corr, seed):
+    with pytest.raises(ValidationError, match="seed must be"):
+        checks.run_checks(corr, seed)
 
 
 class _Recorder:

@@ -12,7 +12,7 @@ NATIVE = -_rng.uniform(0.1, 3.0, (2, 3)) + 1j * _rng.uniform(-3.0, 3.0, (2, 3))
 NATIVE2 = -_rng.uniform(0.1, 3.0, (2, 3)) + 1j * _rng.uniform(-3.0, 3.0, (2, 3))
 SPHERE = _rng.uniform(0.2, 5.0, (2, 3)) * np.exp(1j * _rng.uniform(-3.0, 3.0, (2, 3)))
 
-# name -> (evaluator of (bundle, *points), points, scalar type)
+# name -> (evaluator of (bundle, *points), complex points, scalar type of the values)
 EVALUATORS = {
     "gamma": (lambda b, x, y: kernel.gamma(b.params, x, y), (NATIVE, NATIVE2), complex),
     "theta1_branch": (lambda b, x: kernel.theta1_branches(b.params, x), (NATIVE,), complex),
@@ -30,6 +30,7 @@ EVALUATORS = {
     "theta_of_s": (uniformization.theta_of_s, (SPHERE,), complex),
     "group_elements": (uniformization.group_elements, (SPHERE,), complex),
     "W_of_s": (uniformization.W_of_s, (SPHERE,), complex),
+    "hyperbola_residual": (lambda b, x: kernel.hyperbola(b.params).residual(x), (NATIVE,), float),
 }
 
 
@@ -47,7 +48,7 @@ def test_scalar_array_convention(name, model, request):
     for arr in arrays:
         assert type(arr) is np.ndarray and arr.shape == points[0].shape
     for idx in np.ndindex(points[0].shape):
-        for wrap in (kind, np.array):
+        for wrap in (complex, np.array):
             got = _components(fn(b, *(wrap(p[idx]) for p in points)))
             for value, arr in zip(got, arrays):
                 assert type(value) is kind, (wrap, type(value))
@@ -74,7 +75,7 @@ def test_scalar_array_convention_large(name, corr):
     big = [_BIG[id(p)] for p in points]
     arrays = _components(fn(b, *big))
     for idx in np.random.default_rng(13).choice(_LARGE, 200, replace=False):
-        got = _components(fn(b, *(kind(p[idx]) for p in big)))
+        got = _components(fn(b, *(complex(p[idx]) for p in big)))
         for value, arr in zip(got, arrays):
             assert np.asarray(value).tobytes() == arr[idx].tobytes()
 
@@ -100,6 +101,32 @@ def test_mixed_scalar_and_array_broadcast(corr):
     out = transform.phi_eval(b, complex(NATIVE[0, 0]), NATIVE2)
     assert type(out) is np.ndarray and out.shape == NATIVE2.shape
     assert out[1, 2] == transform.phi_eval(b, complex(NATIVE[0, 0]), complex(NATIVE2[1, 2]))
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_scalar_times_large_array_broadcast(corr, monkeypatch, cpus):
+    """gamma of a scalar and a 2^15-point array is blocked like two arrays
+    and gives each point the bits of its scalar call."""
+    monkeypatch.setattr(_points, "_cpu_count", lambda: cpus)
+    a, big = complex(NATIVE[0, 0]), _BIG[id(NATIVE2)]
+    out = kernel.gamma(corr, a, big)
+    assert type(out) is np.ndarray and out.shape == big.shape
+    assert out.tobytes() == kernel.gamma(corr, np.full(_LARGE, a), big).tobytes()
+    for idx in np.random.default_rng(14).choice(_LARGE, 200, replace=False):
+        assert np.asarray(kernel.gamma(corr, a, complex(big[idx]))).tobytes() == out[idx].tobytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("name", ["theta_of_s", "group_elements", "W_of_s"])
+def test_sphere_zero_in_last_block(name, corr, monkeypatch, cpus):
+    """An s = 0 in the last of three blocks is refused as in one call."""
+    monkeypatch.setattr(_points, "_cpu_count", lambda: cpus)
+    fn = EVALUATORS[name][0]
+    s = _BIG[id(SPHERE)][: 3 * _points._BLOCK].copy()
+    assert np.isfinite(np.concatenate(_components(fn(make_bundle(corr), s)))).all()
+    s[-1] = 0
+    with pytest.raises(errors.AtZeroOrInfinityError):
+        fn(make_bundle(corr), s)
 
 
 def _kinds(lo, hi, cut, generic):

@@ -149,6 +149,10 @@ def test_simconfig_validation():
         {"burn_in": 10.0, "horizon": 5.0},
         {"batches": 1},
         {"seed": -1},
+        # integers only: not a float, nor a string of one
+        {"seed": 1.5},
+        {"seed": "3"},
+        {"batches": 2.5},
         # a measured segment per batch shorter than one step
         {"step": 2e-3, "horizon": 1e-3, "burn_in": 0.0},
         {"step": 1.0, "horizon": 10.0, "burn_in": 9.0, "batches": 2},
@@ -550,13 +554,7 @@ def test_invert_refuses_non_finite_values():
 
 def test_diagonal_closed_forms_values(diag):
     forms = diagonal_closed_forms(diag)
-    assert forms.pi(0.0, 0.0) == pytest.approx(4.0)
     assert forms.nu1(1.0) == pytest.approx(2 * np.exp(-2.0))
-    # product factorisation: pi = nu2(x1) nu1(x2) / (mu1 mu2)
-    x1, x2 = 0.4, 1.3
-    assert forms.pi(x1, x2) == pytest.approx(
-        forms.nu2(x1) * forms.nu1(x2) / (diag.m1 * diag.m2), rel=1e-14
-    )
     # normalisation: exact integral of the product of exponentials is 1
     rate1, rate2 = -2 * diag.m1 / diag.s11, -2 * diag.m2 / diag.s22
     total = 4 * diag.m1 * diag.m2 / (diag.s11 * diag.s22) / (rate1 * rate2)

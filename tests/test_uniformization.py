@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from rbmq.uniformization import (
     group_elements,
     group_order,
     theta_of_s,
+    _detect_rational,
 )
 
 
@@ -167,6 +169,22 @@ def test_group_orders(diag, beta_third, regime2, corr):
     assert not rep.finite
     assert rep.order is None
     assert "infinite within bound 1000000" in rep.note
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-13, -1e-13, 5e-13, 2e-12, -3e-12])
+def test_detect_rational_near_fractions(eps):
+    """p/q + eps for p, q <= 59 reads as p/q in lowest terms when
+    |eps| < 1e-12 / q^2 with room for rounding, and as no fraction when
+    |eps| is well above it."""
+    for q in range(1, 60):
+        for p in range(1, 60):
+            g = math.gcd(p, q)
+            bound = 1e-12 / (q // g) ** 2
+            hit = _detect_rational(p / q + eps)
+            if abs(eps) < 0.5 * bound:
+                assert hit[:2] == (p // g, q // g) and hit[2] < bound
+            elif abs(eps) > 2.0 * bound:
+                assert hit is None
 
 
 def test_solution_nature(diag, beta_third, regime2, corr):
