@@ -64,7 +64,8 @@ import numpy as np
 
 from .errors import ComputationRefused, OnCutError
 
-# points per block of `_blocked`: an 8,192-point complex block is 128 KiB
+# points per block of `_blocked`: 128 KiB of complex, glibc's initial mmap
+# threshold, which rises after a large free (page faults: see `checks`)
 _BLOCK = 8192
 
 

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .chebyshev import expansion_at_minus_one
+from .chebyshev import _expansion
 from .errors import IntegerExponentError
 from .kernel import theta1_at_branch_point
 from .transform import TransformBundle, _w_deriv
@@ -79,7 +79,7 @@ def _constants(b: TransformBundle, regime: str) -> tuple[Optional[float], float]
         )
     spread = sc.theta2_plus - sc.theta2_minus
     assert spread > 0
-    w_top, slope = expansion_at_minus_one(b.order)
+    w_top, slope = _expansion(b.order, b.integer_order)
     k = slope * np.sqrt(2.0 / spread)
     num = -b.params.m1 * b.w1_prime0 * sc.theta2_plus
     c2 = float(num / k)

@@ -3,7 +3,8 @@
 For integer a this is the classical polynomial, evaluated by the
 three-term recurrence and valid on all of C.  For non-integer a the
 function is cos(a arccos x) on [-1, 1], continued analytically to
-C \\ (-inf, -1) as cosh(a arccosh x).
+C \\ (-inf, -1) as cosh(a arccosh x).  An order is an integer when the one
+rule that reads it as p/q (`_order`) gives q = 1.
 
 Branch conventions
 ------------------
@@ -46,31 +47,41 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_INT_SNAP = 1e-12
+# largest denominator, and width coefficient, of the reading of an order as p/q
+_QMAX = 10**6
+_TOL_COEFF = 1e-12
 _CUT = "order {a} is not an integer and x < -1 lies on the cut; pass x +/- 0j to pick a side"
 
 
-def is_integer_order(a) -> bool:
-    """Whether the order is (to be treated as) an integer.
-
-    Exact for integers; floats within 1e-12 of an integer are snapped
-    with a logged note, since silent snapping of a generically
-    irrational exponent would corrupt classification.
+def _order(a) -> tuple[float, tuple[int, int, float] | None, bool]:
+    """The validated order, the one rule's reading of it as a fraction and
+    whether that reading is an integer (q = 1).  The reading is
+    (p, q, |a - p/q|) for the closest p/q with q <= _QMAX, in lowest terms,
+    if it lies within _TOL_COEFF / q**2 of a; None means "irrational within
+    the bound", never a proof.  Every other fraction with q <= _QMAX lies
+    at least 1e-6 from an integer, so a float within 1e-12 of one snaps to
+    it, with a logged note: silent snapping of a generically irrational
+    exponent would corrupt classification.
     """
-    af = float(a)
-    near = round(af)
-    if af != near and abs(af - near) < _INT_SNAP:
-        logger.info("order %r within 1e-12 of integer %d; treating as integer", a, near)
-        return True
-    return af == near
-
-
-def _order(a) -> tuple[float, bool]:
-    """The validated order and whether it takes the polynomial path."""
     af = float(a)
     if not np.isfinite(af) or af < 0:
         raise ValueError(f"order must be a finite non-negative real, got {a!r}")
-    return af, is_integer_order(af)
+    # imported here: fractions imports decimal, which `import rbmq` need not pay for
+    from fractions import Fraction
+
+    frac = Fraction(af).limit_denominator(_QMAX)
+    p, q = frac.numerator, frac.denominator
+    residual = abs(af - p / q)
+    if residual >= _TOL_COEFF / (q * q):
+        return af, None, False
+    if q == 1 and residual:
+        logger.info("order %r within 1e-12 of integer %d; treating as integer", af, p)
+    return af, (p, q, residual), q == 1
+
+
+def is_integer_order(a) -> bool:
+    """Whether the order reads as an integer: `_order` gives q = 1."""
+    return _order(a)[2]
 
 
 def _cheb_poly(n: int, x: np.ndarray) -> np.ndarray:
@@ -115,6 +126,15 @@ def _cheb_T_deriv(af: float, integer: bool, arr: np.ndarray) -> np.ndarray:
     return af * np.sinh(af * np.arccosh(arr)) / s
 
 
+def _public(fn, a, x):
+    """fn (`_cheb_T` or `_cheb_T_deriv`) of order a at x, on the path that
+    the order's reading picks; a non-integer order refuses the cut."""
+    af, _, integer = _order(a)
+    if not integer:
+        _raise_if_on_cut(x, np.less, -1.0, _CUT, a=a)
+    return _evaluate(partial(fn, af, integer), x)
+
+
 def cheb_T(a, x):
     """Evaluate T_a at x (scalar or array, real or complex).
 
@@ -122,10 +142,7 @@ def cheb_T(a, x):
     continuation on the cut plane (see module docstring).  Integer
     orders take the polynomial path, valid everywhere.
     """
-    af, integer = _order(a)
-    if not integer:
-        _raise_if_on_cut(x, np.less, -1.0, _CUT, a=a)
-    return _evaluate(partial(_cheb_T, af, integer), x)
+    return _public(_cheb_T, a, x)
 
 
 def cheb_T_deriv(a, x):
@@ -136,10 +153,13 @@ def cheb_T_deriv(a, x):
     denominator is the product of square roots rather than
     sinh(arccosh x), which loses digits near x = -1.
     """
-    af, integer = _order(a)
-    if not integer:
-        _raise_if_on_cut(x, np.less, -1.0, _CUT, a=a)
-    return _evaluate(partial(_cheb_T_deriv, af, integer), x)
+    return _public(_cheb_T_deriv, a, x)
+
+
+def _expansion(af: float, integer: bool) -> tuple[float, float]:
+    if integer:
+        return float((-1.0) ** round(af)), 0.0
+    return float(np.cos(af * np.pi)), float(af * np.sqrt(2.0) * np.sin(af * np.pi))
 
 
 def expansion_at_minus_one(a) -> tuple[float, float]:
@@ -148,8 +168,5 @@ def expansion_at_minus_one(a) -> tuple[float, float]:
     c0 = cos(a pi), c1 = a sqrt(2) sin(a pi).  For integer order the
     square-root term degenerates and c1 = 0.
     """
-    af, integer = _order(a)
-    if integer:
-        n = int(round(af))
-        return float((-1.0) ** n), 0.0
-    return float(np.cos(af * np.pi)), float(af * np.sqrt(2.0) * np.sin(af * np.pi))
+    af, _, integer = _order(a)
+    return _expansion(af, integer)

@@ -15,11 +15,13 @@ identity), 10k sphere points (the zero set and the two involutions),
 injectivity of w).  The draws are whole, but each 10k-point identity is
 evaluated over consecutive 4,096-point slices of its sample (`_block_max`)
 and reports the largest slice residual: every step is elementwise, so
-that is the residual of the whole sample, bit for bit, and a slice's
-complex temporaries (64 KiB) stay below glibc's 128 KiB mmap threshold,
-so they are not returned to the system and faulted in again on every
-call.  The branch roots share |point|, and each side of the two-sheet
-identity evaluates only the coordinate its involution fixes.
+that is the residual of the whole sample, bit for bit.  Whole samples
+cost the bench's `model_sweep` 22-47% more time and 3-4x the minor page
+faults per run (2 cores).  The ~10k faults per pass that remain come from
+glibc trimming the heap top, not from its mmap threshold: with trimming
+off (MALLOC_TRIM_THRESHOLD_) a pass took 7-12% less time.  The branch roots
+share |point|, and each side of the two-sheet identity evaluates only
+the coordinate its involution fixes.
 
 A value at a point is the trapezoid mean over 64 nodes on a circle about
 it (`_circle_mean`); a kernel zero is measured on the scale by which
@@ -95,8 +97,8 @@ _REAL_ZERO_OFFSETS = np.geomspace(1e-3, 50.0, 100)
 _REFLECTION_RADII = np.geomspace(1e-2, 100.0, 100)
 # 64 unit-circle nodes offset by half a step, so that none is real
 _MEAN_NODES = np.exp(1j * np.pi * (2.0 * np.arange(64) + 1.0) / 64.0)
-# points per slice of a 10k-point identity: 64 KiB of complex, under the
-# 128 KiB mmap threshold (`_points._BLOCK` is 128 KiB, so not below it)
+# points per slice of a 10k-point identity (64 KiB of complex); the
+# module docstring has the measured cost of whole samples
 _CHECK_BLOCK = 4096
 
 

@@ -64,9 +64,9 @@ _CUT = {
 class TransformBundle:
     """Evaluator state for one model: the model and gluing-map constants.
 
-    order is pi/beta, validated once; integer_order records whether it
-    is (snapped to) an integer, which sends every evaluation of the
-    gluing map down the polynomial path.  w1_prime0 / w1_at_0 belong to
+    order is pi/beta, validated once, and fraction its one reading as p/q
+    (`chebyshev._order`); integer_order, its q = 1 case, sends the gluing
+    map down the polynomial path.  w1_prime0 / w1_at_0 belong to
     the theta2-side gluing map and come from that same path; the
     index-swapped side's constants live on `swapped`.  phi1_at_0 = -mu1
     and phi2_at_0 = -mu2 are the boundary masses.  Immutable; evaluators
@@ -75,6 +75,7 @@ class TransformBundle:
 
     params: ModelParams
     order: float
+    fraction: tuple[int, int, float] | None
     integer_order: bool
 
     @property
@@ -99,8 +100,8 @@ class TransformBundle:
 
     @cached_property
     def swapped(self) -> "TransformBundle":
-        # the swap leaves beta, hence the order and its snap, unchanged
-        return TransformBundle(self.params.swapped, self.order, self.integer_order)
+        # the swap leaves beta, hence the order and its reading, unchanged
+        return TransformBundle(self.params.swapped, self.order, self.fraction, self.integer_order)
 
     @cached_property
     def _row(self) -> tuple:
@@ -118,7 +119,7 @@ class TransformBundle:
 
 
 def make_bundle(p: ModelParams) -> TransformBundle:
-    """Build the evaluator bundle; the order pi/beta is resolved (and a
+    """Build the evaluator bundle; the order pi/beta is read as p/q (and a
     snap to an integer logged) here, once per model."""
     return TransformBundle(p, *_order(p.scalars.pi_over_beta))
 

@@ -4,10 +4,9 @@ theta1(s) and theta2(s) below parametrize the zero set; the branch
 points sit at s = +/-1 and +/- e^{i beta}, the real zeros form the unit
 circle, and the pair (0, 0) lifts to a unit-circle point s0 on the
 lower arc.  The lifted gluing map W and the two involutions generating
-the symmetry group of the surface live here, together with the
-finite-order detection that decides algebraicity of the transforms:
-pi/beta is read as a rational p/q when the closest fraction with
-q <= 10^6 lies within 1e-12 / q^2 of it.
+the symmetry group of the surface live here, with the group order and
+the nature of the transforms, both read off the bundle's one reading of
+pi/beta as p/q (`chebyshev._order`).
 """
 from __future__ import annotations
 
@@ -19,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from ._points import _evaluate, _raise_if_on_cut, _scale
+from .chebyshev import _QMAX
 from .errors import AtZeroOrInfinityError, OnLogCutError
 from .transform import TransformBundle
 
@@ -31,16 +31,12 @@ __all__ = [
     "classify_solution_nature",
 ]
 
-# largest denominator, and residual coefficient, of the rational detection
-_QMAX = 10**6
-_TOL_COEFF = 1e-12
-
 
 @dataclass(frozen=True)
 class GroupReport:
     """Finiteness certificate for the symmetry group <zeta, eta>.
 
-    finite=True comes with the rational detection (p, q) of pi/beta in
+    finite=True comes with the reading (p, q) of pi/beta in
     lowest terms, its residual |pi/beta - p/q| and the group order;
     finite=False only ever means "no rational with denominator <= 10^6",
     recorded in `note`.
@@ -130,30 +126,14 @@ def group_elements(b: TransformBundle, s):
     return _evaluate(partial(_group_elements, b), s)
 
 
-def _detect_rational(x: float) -> Optional[tuple[int, int, float]]:
-    """(p, q, |x - p/q|) for the closest fraction p/q to x with q <= _QMAX,
-    in lowest terms, if it lies within _TOL_COEFF / q**2 of x.  None means
-    "irrational within the bound", never a proof of irrationality (a
-    float cannot certify one).
-    """
-    # imported here: fractions imports decimal, which `import rbmq` need not pay for
-    from fractions import Fraction
-
-    frac = Fraction(x).limit_denominator(_QMAX)
-    p, q = frac.numerator, frac.denominator
-    residual = abs(x - p / q)
-    return (p, q, residual) if residual < _TOL_COEFF / (q * q) else None
-
-
 def group_order(b: TransformBundle) -> GroupReport:
-    """Finiteness detection for <zeta, eta> via rationality of pi/beta.
+    """Finiteness of <zeta, eta> from the bundle's reading of pi/beta.
 
     The composition zeta(eta(.)) rotates s by -2 beta; with pi/beta =
     p/q in lowest terms the smallest n with n*beta in pi*Z is n = p
     (computed on exact integers), and the dihedral group order is 2n.
     """
-    hit = _detect_rational(b.scalars.pi_over_beta)
-    if hit is None:
+    if b.fraction is None:
         return GroupReport(
             finite=False,
             order=None,
@@ -162,9 +142,9 @@ def group_order(b: TransformBundle) -> GroupReport:
             residual=float("nan"),
             note=f"infinite within bound {_QMAX}",
         )
-    # _detect_rational returns lowest terms; the smallest n >= 1 with
-    # n*beta in pi*Z makes n*q/p integral, and gcd(p, q) = 1, so n = p
-    p, q, residual = hit
+    # the reading is in lowest terms; the smallest n >= 1 with n*beta in
+    # pi*Z makes n*q/p integral, and gcd(p, q) = 1, so n = p
+    p, q, residual = b.fraction
     return GroupReport(
         finite=True,
         order=2 * p,
@@ -180,10 +160,9 @@ def classify_solution_nature(b: TransformBundle) -> str:
 
     Finite group (rational pi/beta) gives an algebraic transform,
     integer pi/beta a rational one; otherwise the transform is
-    transcendental but still satisfies a linear ODE.  Reads the rational
-    detection of `group_order`, so the two always agree.
+    transcendental but still satisfies a linear ODE.  Reads the bundle's
+    reading of pi/beta, as `group_order` does, so the two always agree.
     """
-    rep = group_order(b)
-    if not rep.finite:
+    if b.fraction is None:
         return "transcendental_D_finite"
-    return "rational_polynomial" if rep.q == 1 else "algebraic_nonpolynomial"
+    return "rational_polynomial" if b.integer_order else "algebraic_nonpolynomial"

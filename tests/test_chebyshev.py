@@ -1,13 +1,14 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
 
 from conftest import float_property
 from rbmq import make_bundle, validate_parameters
-from rbmq.chebyshev import cheb_T, cheb_T_deriv, expansion_at_minus_one, is_integer_order
+from rbmq.chebyshev import _order, cheb_T, cheb_T_deriv, expansion_at_minus_one, is_integer_order
 from rbmq.errors import AtBranchPointError, OnCutError
-from rbmq.uniformization import classify_solution_nature
+from rbmq.uniformization import classify_solution_nature, group_order
 
 
 def test_endpoint_values():
@@ -156,7 +157,42 @@ def test_classify_nature():
         b = make_bundle(validate_parameters([[1.0, rho], [rho, 1.0]], [-1.0, -1.0]))
         assert b.order == pytest.approx(a, abs=1e-12)
         assert b.integer_order == (nature == "rational_polynomial")
+        # one reading of the order: the snapped 2 + 1e-14 reads as q = 1 too
+        assert b.integer_order == (group_order(b).q == 1) == is_integer_order(b.order)
         assert classify_solution_nature(b) == nature
+
+
+def test_integer_reading_edges():
+    """An order reads as the integer n exactly when it lies within 1e-12
+    of n: the last float inside on each side does, the next one out does
+    not.  n +/- 9.9e-13 keeps that distance below 513 (from 512 it rounds
+    to 1.02e-12), and n +/- 1.01e-12 never reads as n."""
+    for n in range(1, 701):
+        assert is_integer_order(n) and _order(n) == (n, (n, 1, 0.0), True)
+        for toward in (np.inf, -np.inf):
+            x = n + np.copysign(1e-12, toward)
+            while abs(x - n) >= 1e-12:
+                x = np.nextafter(x, n)
+            out = np.nextafter(x, toward)
+            assert is_integer_order(x) and _order(x)[1][:2] == (n, 1)
+            assert not is_integer_order(out) and _order(out)[1] is None
+            assert not is_integer_order(n + np.copysign(1.01e-12, toward))
+            if n < 512:
+                assert is_integer_order(n + np.copysign(9.9e-13, toward))
+
+
+def test_fraction_reading_near_small_denominators():
+    """p/q +/- 1e-13 reads as p/q for q <= 3, inside the width
+    1e-12 / q^2, and p/q +/- 3e-13 is outside it (orders below 16, where
+    rounding moves the offset by under 4e-15)."""
+    for q in (2, 3):
+        for p in range(q + 1, 16 * q):
+            if math.gcd(p, q) == 1:
+                for eps in (1e-13, -1e-13):
+                    hit = _order(p / q + eps)[1]
+                    assert hit[:2] == (p, q) and 0 < hit[2] < 1e-12 / q**2
+                    assert not is_integer_order(p / q + eps)
+                    assert _order(p / q + 3 * eps)[1] is None
 
 
 def cheb_T_hyp2f1(a, x) -> complex:

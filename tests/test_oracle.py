@@ -149,10 +149,16 @@ def test_simconfig_validation():
         {"burn_in": 10.0, "horizon": 5.0},
         {"batches": 1},
         {"seed": -1},
-        # integers only: not a float, nor a string of one
+        # integers only: not a float, nor a string of one, nor a bool
         {"seed": 1.5},
         {"seed": "3"},
         {"batches": 2.5},
+        {"seed": True},
+        {"batches": True},
+        # real numbers only: not a string of one, nor None
+        {"step": "1"},
+        {"horizon": None},
+        {"burn_in": "3"},
         # a measured segment per batch shorter than one step
         {"step": 2e-3, "horizon": 1e-3, "burn_in": 0.0},
         {"step": 1.0, "horizon": 10.0, "burn_in": 9.0, "batches": 2},

@@ -6,6 +6,8 @@ import pytest
 
 from conftest import random_ergodic
 from rbmq import make_bundle, validate_parameters
+from rbmq.asymptotics import classify_regime
+from rbmq.chebyshev import _order
 from rbmq.checks import (
     cone_points,
     kernel_zero_residual,
@@ -20,7 +22,6 @@ from rbmq.uniformization import (
     group_elements,
     group_order,
     theta_of_s,
-    _detect_rational,
 )
 
 
@@ -180,11 +181,32 @@ def test_detect_rational_near_fractions(eps):
         for p in range(1, 60):
             g = math.gcd(p, q)
             bound = 1e-12 / (q // g) ** 2
-            hit = _detect_rational(p / q + eps)
+            hit = _order(p / q + eps)[1]
             if abs(eps) < 0.5 * bound:
                 assert hit[:2] == (p // g, q // g) and hit[2] < bound
             elif abs(eps) > 2.0 * bound:
                 assert hit is None
+
+
+@pytest.mark.parametrize("model", ["corr", "regime1"])  # pole; saddle, which reads w's expansion
+def test_one_reading_of_the_order_per_bundle(model, request, monkeypatch):
+    """make_bundle reads pi/beta as p/q once; group_order,
+    classify_solution_nature and classify_regime read that result."""
+    from fractions import Fraction
+
+    calls = []
+    limit = Fraction.limit_denominator
+
+    def counted(self, *args):
+        calls.append(self)
+        return limit(self, *args)
+
+    monkeypatch.setattr(Fraction, "limit_denominator", counted)
+    b = make_bundle(request.getfixturevalue(model))
+    group_order(b)
+    classify_solution_nature(b)
+    classify_regime(b)
+    assert len(calls) == 1
 
 
 def test_solution_nature(diag, beta_third, regime2, corr):
