@@ -64,8 +64,10 @@ import numpy as np
 
 from .errors import ComputationRefused, OnCutError
 
-# points per block of `_blocked`: 128 KiB of complex, glibc's initial mmap
-# threshold, which rises after a large free (page faults: see `checks`)
+# points per block of `_blocked`, and per slice of the check suite's
+# 10k-point identities (`checks._block_max`): 128 KiB of complex, glibc's
+# initial mmap threshold, which rises after a large free (page faults:
+# see `checks`)
 _BLOCK = 8192
 
 

@@ -4,7 +4,10 @@ The first singularity of phi1 decides the tail: either the branch point
 theta2_plus of the gluing map (giving an algebraic correction x^-3/2 or
 x^-1/2), or the simple pole at -2 mu2 / s22 (pure exponential).  Which
 one is closest to the origin is read off the sign of the coinciding
-kernel root at the branch point.
+kernel root at the branch point by `_dominant_singularity`, which also
+gives the decay rate (the check suite reads it there).  Only then does
+`classify_regime` expand the gluing map at the branch point for the tail
+constants, which it withholds for integer pi/beta.
 """
 from __future__ import annotations
 
@@ -17,7 +20,8 @@ import numpy as np
 from .chebyshev import _expansion
 from .errors import IntegerExponentError
 from .kernel import theta1_at_branch_point
-from .transform import TransformBundle, _w_deriv
+from .model import ModelParams
+from .transform import TransformBundle, _map, _w_deriv
 
 __all__ = ["AsymptoticReport", "classify_regime"]
 
@@ -52,9 +56,12 @@ class AsymptoticReport:
     c2: Optional[float] = None
 
 
-def _regime_of(b: TransformBundle) -> tuple[str, float]:
-    v = theta1_at_branch_point(b.params)
-    tol = 1e-10 * (1.0 + abs(b.params.m1) / b.params.s11)
+def _dominant_singularity(p: ModelParams) -> tuple[str, float, float]:
+    """The singularity of phi1 closest to the origin, as (regime, theta1
+    at theta2_plus, decay rate): the pole at -2 mu2 / s22 when that
+    kernel root is positive, the branch point theta2_plus otherwise."""
+    v = theta1_at_branch_point(p)
+    tol = 1e-10 * (1.0 + abs(p.m1) / p.s11)
     if abs(v) < tol:
         logger.warning(
             "theta1 at the branch point is %.3e (within tolerance %.1e of 0); "
@@ -62,26 +69,26 @@ def _regime_of(b: TransformBundle) -> tuple[str, float]:
             v,
             tol,
         )
-        return REGIME_BOUNDARY, v
-    return (REGIME_SADDLE, v) if v < 0 else (REGIME_POLE, v)
+        return REGIME_BOUNDARY, v, p.scalars.theta2_plus
+    if v < 0:
+        return REGIME_SADDLE, v, p.scalars.theta2_plus
+    return REGIME_POLE, v, -2.0 * p.m2 / p.s22
 
 
 def _constants(b: TransformBundle, regime: str) -> tuple[Optional[float], float]:
     """(c1, c2) outside the pole regime, from the expansion of T_a at -1
-    through the affine map: w(theta2_plus - d) = w_top + k sqrt(d).
-    Undefined for integer pi/beta (the gluing map is then a polynomial
-    with no branch point)."""
-    sc = b.scalars
+    through the affine map, whose scale 2 / spread is minus `_map`'s
+    slope: w(theta2_plus - d) = w_top + k sqrt(d).  Undefined for
+    integer pi/beta (the gluing map is then a polynomial with no branch
+    point)."""
     if b.integer_order:
         raise IntegerExponentError(
             f"pi/beta = {b.order} is an integer: the branch-point expansion degenerates "
             "and the constants are withheld"
         )
-    spread = sc.theta2_plus - sc.theta2_minus
-    assert spread > 0
     w_top, slope = _expansion(b.order, b.integer_order)
-    k = slope * np.sqrt(2.0 / spread)
-    num = -b.params.m1 * b.w1_prime0 * sc.theta2_plus
+    k = slope * np.sqrt(-_map(b.scalars)[2])
+    num = -b.params.m1 * b.w1_prime0 * b.scalars.theta2_plus
     c2 = float(num / k)
     wdiff = w_top - b.w1_at_0
     if regime == REGIME_BOUNDARY or abs(wdiff) < 1e-10 * (1.0 + abs(b.w1_at_0)):
@@ -93,12 +100,10 @@ def classify_regime(b: TransformBundle) -> AsymptoticReport:
     """Regime tag, the filled leading-order tail data and, outside the
     pole regime, the branch-point constants."""
     p = b.params
-    sc = b.scalars
-    regime, v = _regime_of(b)
+    regime, v, rate = _dominant_singularity(p)
     if regime == REGIME_POLE:
         # the residue of phi1 = -mu1 w'(0) theta / (w(theta) - w(0)) at
         # its pole, where w(pole) = w(0)
-        rate = -2.0 * p.m2 / p.s22
         wp_pole = _w_deriv(b, np.array([rate], dtype=complex)).real[0]
         return AsymptoticReport(
             regime=regime,
@@ -117,7 +122,7 @@ def classify_regime(b: TransformBundle) -> AsymptoticReport:
         power = -0.5
     return AsymptoticReport(
         regime=regime,
-        decay_rate=sc.theta2_plus,
+        decay_rate=rate,
         power=power,
         constant=float(constant),
         pole_location=None,

@@ -13,15 +13,18 @@ variables), 200 kernel zeros in the native domain (for the cross
 identity), 10k sphere points (the zero set and the two involutions),
 200 cone points (the lifted gluing map) and 2 x 1000 cone points (the
 injectivity of w).  The draws are whole, but each 10k-point identity is
-evaluated over consecutive 4,096-point slices of its sample (`_block_max`)
-and reports the largest slice residual: every step is elementwise, so
-that is the residual of the whole sample, bit for bit.  Whole samples
-cost the bench's `model_sweep` 22-47% more time and 3-4x the minor page
-faults per run (2 cores).  The ~10k faults per pass that remain come from
-glibc trimming the heap top, not from its mmap threshold: with trimming
-off (MALLOC_TRIM_THRESHOLD_) a pass took 7-12% less time.  The branch roots
-share |point|, and each side of the two-sheet identity evaluates only
-the coordinate its involution fixes.
+evaluated over consecutive slices of `_points._BLOCK` (8,192) points of
+its sample (`_block_max`), the evaluators' own block size, and reports
+the largest slice residual: every step is elementwise, so that is the
+residual of the whole sample, bit for bit, at any slice size.  Whole
+samples cost the bench's `model_sweep` 22-47% more time and 3-4x the
+minor page faults per run (2 cores); 8,192-point slices cost what
+4,096-point ones did (`pass_ms` medians 569.3 and 571.9 ms over 10
+alternating 35 s runs each).  The ~10k faults per pass that remain
+come from glibc trimming the heap top, not from its mmap threshold: with
+trimming off (MALLOC_TRIM_THRESHOLD_) a pass took 7-12% less time.  The
+branch roots share |point|, and each side of the two-sheet identity
+evaluates only the coordinate its involution fixes.
 
 A value at a point is the trapezoid mean over 64 nodes on a circle about
 it (`_circle_mean`); a kernel zero is measured on the scale by which
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import asymptotics, kernel, transform, uniformization
-from ._points import _as_array
+from ._points import _BLOCK, _as_array
 from .errors import ComputationRefused, ValidationError, WrongRegimeError
 from .model import ModelParams
 from .oracle import diagonal_closed_forms
@@ -97,9 +100,6 @@ _REAL_ZERO_OFFSETS = np.geomspace(1e-3, 50.0, 100)
 _REFLECTION_RADII = np.geomspace(1e-2, 100.0, 100)
 # 64 unit-circle nodes offset by half a step, so that none is real
 _MEAN_NODES = np.exp(1j * np.pi * (2.0 * np.arange(64) + 1.0) / 64.0)
-# points per slice of a 10k-point identity (64 KiB of complex); the
-# module docstring has the measured cost of whole samples
-_CHECK_BLOCK = 4096
 
 
 def curve_points(p: ModelParams) -> np.ndarray:
@@ -163,11 +163,11 @@ def cone_points(b: TransformBundle, n: int, rng, max_log_radius: float = 2.0) ->
 
 
 def _block_max(residual, points: np.ndarray):
-    """The largest of residual(slice) over consecutive `_CHECK_BLOCK`-point
+    """The largest of residual(slice) over consecutive `_BLOCK`-point
     slices of `points`, entry by entry when residual returns several
     values; a NaN in any slice is the result, as in a whole-array max."""
-    slices = range(0, len(points), _CHECK_BLOCK)
-    return np.max([residual(points[i : i + _CHECK_BLOCK]) for i in slices], axis=0)
+    slices = range(0, len(points), _BLOCK)
+    return np.max([residual(points[i : i + _BLOCK]) for i in slices], axis=0)
 
 
 def _rel_gap(z: np.ndarray, ref) -> float:
@@ -280,7 +280,9 @@ def _circle_mean(f, centre, radius):
 
 def boundary_mass_residual(b: TransformBundle) -> float:
     """Mean of phi1 and of phi2 over |theta| = rate / 2 against -mu1 and
-    -mu2, rate being each side's decay rate from `classify_regime`.
+    -mu2, rate being each side's decay rate
+    (`asymptotics._dominant_singularity`), which exists in every regime
+    and at every order.
 
     Each is the Laplace transform of a positive measure, so it is
     analytic for Re theta < rate, and its trapezoid mean over the 64
@@ -289,7 +291,7 @@ def boundary_mass_residual(b: TransformBundle) -> float:
     """
     worst = 0.0
     for side in (b, b.swapped):
-        rate = asymptotics.classify_regime(side).decay_rate
+        rate = asymptotics._dominant_singularity(side.params)[2]
         mean = _circle_mean(lambda t: transform.phi1_eval(side, t), 0.0, 0.5 * rate)
         worst = max(worst, abs(mean + side.params.m1) / abs(side.params.m1))
     return float(worst)

@@ -14,6 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    ComputationRefused,
     NonSymmetricCovarianceError,
     NotErgodicError,
     SingularCovarianceError,
@@ -84,11 +85,20 @@ class ModelParams:
 
     @cached_property
     def scalars(self) -> DerivedScalars:
-        """Correlation angle beta and branch points from their closed forms."""
+        """Correlation angle beta and branch points from their closed forms,
+        refused where those overflow or underflow (at extreme scales of
+        sigma and mu): a branch point not finite, or not minus < plus."""
         beta = float(np.arccos(-self.s12 / np.sqrt(self.s11 * self.s22)))
         det = self.det_sigma
         theta1_minus, theta1_plus = _branch_points(det, self.s12, self.s22, self.m2, self.m1)
         theta2_minus, theta2_plus = _branch_points(det, self.s12, self.s11, self.m1, self.m2)
+        pairs = ((theta1_minus, theta1_plus), (theta2_minus, theta2_plus))
+        for axis, (minus, plus) in enumerate(pairs, 1):
+            if not -np.inf < minus < plus < np.inf:
+                raise ComputationRefused(
+                    f"the theta{axis} branch points ({minus!r}, {plus!r}) leave double "
+                    "precision at this scale of sigma and mu (ROADMAP.md item 2a)"
+                )
         return DerivedScalars(
             beta=beta,
             theta1_minus=theta1_minus,

@@ -2,16 +2,17 @@
 relative error in each quantity its 10k-point identities test and in
 w'(0), its single-coordinate sphere maps are the ones `theta_of_s`
 returns, its sliced identities keep the whole sample's bits, a sampler
-that runs dry is a typed refusal, and a seed fixes its samples, results,
-check names and their order, and is refused unless it is a non-negative
+that runs dry is a typed refusal, it reports on models whose tail
+constants are withheld, and a seed fixes its samples, results, check
+names and their order, and is refused unless it is a non-negative
 integer."""
 import json
 
 import numpy as np
 import pytest
 
-from rbmq import checks, kernel, make_bundle, transform, uniformization
-from rbmq.cli import EXIT_REFUSED, main
+from rbmq import _points, checks, kernel, make_bundle, transform, uniformization
+from rbmq.cli import EXIT_CHECK_FAILED, EXIT_REFUSED, main
 from rbmq.errors import ComputationRefused, ValidationError
 
 FIXTURES = ["diag", "corr", "corr_neg", "regime1", "regime2"]
@@ -152,7 +153,9 @@ def test_run_checks_draws(corr, monkeypatch):
 
 
 @pytest.mark.parametrize("model", FIXTURES)
-@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 10_000])
+@pytest.mark.parametrize(
+    "n", [1, 4095, 4096, 4097, _points._BLOCK - 1, _points._BLOCK, _points._BLOCK + 1, 10_000]
+)
 def test_sliced_residuals_equal_whole_array_bits(model, n, request):
     """The slices cover every point once, and across and at their
     boundaries the largest slice residual is the whole-array residual,
@@ -163,7 +166,7 @@ def test_sliced_residuals_equal_whole_array_bits(model, n, request):
     pts = rng.uniform(-4, 4, n) + 1j * rng.uniform(-4, 4, n)
     seen = []
     checks._block_max(lambda x: seen.append(x) or 0.0, pts)
-    assert max(x.size for x in seen) <= checks._CHECK_BLOCK
+    assert max(x.size for x in seen) <= _points._BLOCK
     assert np.concatenate(seen).tobytes() == pts.tobytes()
     s = checks._sphere_points(rng, n)
     th1, th2 = uniformization.theta_of_s(b, s)
@@ -189,3 +192,26 @@ def test_native_zero_shortage_is_a_refusal(diag, tmp_path, monkeypatch, capsys):
     assert main(["check", "--config", str(config)]) == EXIT_REFUSED
     err = capsys.readouterr().err
     assert err.startswith("refused: ComputationRefused: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "s12, names",
+    [(0.0, [*NAMES, "diagonal_product_form"]), (1e-13, NAMES)],
+    ids=["diagonal", "correlated"],
+)
+def test_check_reports_on_integer_order_boundary_models(s12, names, tmp_path, capsys):
+    """pi/beta snaps to 2 and the tail is in the boundary regime, where
+    `classify_regime` withholds the branch-point constants (exit 3 from
+    analyze, asympt and invert); `rbmq check` needs only the decay rate,
+    so it prints every line.  The verdict is pinned, not the residuals:
+    cross_transform_identity fails here (ROADMAP item 2)."""
+    config = tmp_path / "model.json"
+    config.write_text(json.dumps({"sigma": [[1.0, s12], [s12, 1.0]], "mu": [-1e-14, -1.0]}))
+    assert main(["check", "--config", str(config)]) == EXIT_CHECK_FAILED
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines[:-1]] == [f"{name}:" for name in names]
+    assert lines[-1].endswith(f"/{len(names)} checks passed")
+    for verb in ("analyze", "asympt", "invert"):
+        assert main([verb, "--config", str(config)]) == EXIT_REFUSED
+        captured = capsys.readouterr()
+        assert captured.out == "" and "refused: IntegerExponentError: " in captured.err

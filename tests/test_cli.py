@@ -373,6 +373,35 @@ def test_check_exit_codes(diag_config, capsys):
                for line in out.strip().splitlines())
 
 
+@pytest.mark.parametrize("scale", [1e-100, 1e100])
+@pytest.mark.parametrize(
+    "verb",
+    [["analyze"], ["asympt"], ["check"], ["invert"], ["eval", "--fn", "phi1", "--re=-0.5"]],
+    ids=lambda verb: verb[0],
+)
+def test_branch_points_outside_double_precision_are_refused(scale, verb, tmp_path, capsys):
+    # sigma = c I, mu = -c (1, 1): at c = 1e-100 the branch-point closed
+    # forms underflow to a zero spread, at 1e100 they overflow to +/-inf
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps({"sigma": [[scale, 0.0], [0.0, scale]], "mu": [-scale, -scale]}))
+    code, out, err = run_cli([verb[0], "--config", str(path), *verb[1:]], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("refused: ComputationRefused: the theta1 branch points")
+    assert "ROADMAP.md item 2a" in err
+    assert err.count("\n") == 1
+
+
+def test_simulate_runs_where_the_branch_points_underflow(tmp_path, capsys):
+    # the simulator never reads the branch points
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"sigma": [[1e-100, 0.0], [0.0, 1e-100]], "mu": [-1e-100, -1e-100]}))
+    args = ["simulate", "--config", str(path), "--horizon", "3", "--burn-in", "1", "--batches", "2"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert out.startswith("kind,coord1,coord2,value,stderr")
+
+
 def test_check_negative_seed_exit_code(diag_config, capsys):
     code, out, err = run_cli(["check", "--config", diag_config, "--seed", "-1"], capsys)
     assert code == 2
