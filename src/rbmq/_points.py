@@ -35,20 +35,26 @@ place in `_scale` (through the real view, which keeps a signed zero),
 the `uniformization` maps built on it and `kernel.theta2_branches`,
 where fresh outputs were up to 5% slower on 200 to 1e5 points.
 
+`_on_threads` is the package's one worker-thread runner, for the
+blocks of points of `_blocked` and the batches of `oracle.simulate`.
+For n items it starts one thread per CPU the process may use, at most
+n, from one pool per call, and hands out one item at a time to
+whichever thread is free: fixed strides (items w, w + k, ... to worker
+w) took 16% longer on 1e5-point arrays (2 cores; see CHANGES.md).  A
+thread starts with numpy's default error state, not the caller's, so
+each item runs in its own copy of the caller's context (`contextvars`),
+which carries an `np.errstate` into the workers.
+
 `_evaluate` calls the array-level function once on up to _BLOCK (8,192)
-points; above, `_blocked` maps it over blocks of _BLOCK points on one
-worker thread per CPU the process may use, at most one per block, from
-one pool per call.  numpy's complex arccosh and cosh release the GIL,
-so the threads overlap.  Every step is elementwise, so the blocks and
-the thread count leave the bits unchanged.  A point on a cut is refused
+points; above, `_blocked` maps it over blocks of _BLOCK points with
+`_on_threads`.  numpy's complex arccosh and cosh release the GIL, so the
+threads overlap.  Every step is elementwise, so the blocks and the
+thread count leave the bits unchanged.  A point on a cut is refused
 before any block.  A refusal raised in any block makes the function run
 again on the whole array, which raises the refusal a serial call
 raises: psi's zero before any pole, a kernel zero off phi's origin
 before any pole, and then the first pole in array order, theta2's row
-over all points before theta1's; s = 0 or infinity for a sphere map.  A
-worker thread starts with numpy's default error state, not the
-caller's, so each block runs in its own copy of the caller's context
-(`contextvars`), which carries an `np.errstate` into the workers.
+over all points before theta1's; s = 0 or infinity for a sphere map.
 
 A real-typed point on a branch cut is refused (`_raise_if_on_cut`); a
 complex one, x + 0j or x - 0j, picks the side of the cut by the sign of
@@ -57,6 +63,7 @@ its zero imaginary part.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import copy_context
 
@@ -102,19 +109,38 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+def _threads(n: int) -> int:
+    """Worker threads `_on_threads` starts for n items."""
+    return min(_cpu_count(), n)
+
+
+def _on_threads(task, n: int, state=lambda: None) -> list:
+    """[task(s, i) for i in range(n)], in item order, over _threads(n)
+    worker threads; s = state() is made once per thread and shared by
+    its items, and each item runs in its own copy of the caller's
+    context, so an np.errstate holds there."""
+    local = threading.local()
+
+    def run(i):
+        if not hasattr(local, "s"):
+            local.s = state()
+        return task(local.s, i)
+
+    with ThreadPoolExecutor(max_workers=_threads(n)) as pool:
+        futures = [pool.submit(copy_context().run, run, i) for i in range(n)]
+        return [f.result() for f in futures]
+
+
 def _blocked(fn, *arrays):
     """fn(*arrays) on blocks of _BLOCK points of equal-length 1-d arrays,
     over threads; a refusal in any block is raised by fn on the whole
     arrays."""
-    n = len(arrays[0])
-    blocks = [[a[i : i + _BLOCK] for a in arrays] for i in range(0, n, _BLOCK)]
-    threads = min(_cpu_count(), len(blocks))
+
+    def block(_, i):
+        return fn(*[a[i * _BLOCK : (i + 1) * _BLOCK] for a in arrays])
+
     try:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            # a thread does not inherit the caller's np.errstate: each
-            # block runs in its own copy of the caller's context
-            futures = [pool.submit(copy_context().run, fn, *block) for block in blocks]
-            parts = [f.result() for f in futures]
+        parts = _on_threads(block, -(-len(arrays[0]) // _BLOCK))
     except ComputationRefused:
         # which refusal, and at which point, is decided over all points
         return fn(*arrays)

@@ -353,7 +353,8 @@ def diagonal_product_residual(b: TransformBundle, theta1, theta2) -> float:
 def run_checks(p: ModelParams, seed: int = 0) -> list[CheckResult]:
     """Run the full invariant suite for one model; seed (a non-negative
     integer) fixes the random sample points."""
-    if not isinstance(seed, numbers.Integral):
+    # a bool is an Integral, but True is no seed
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
         raise ValidationError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")

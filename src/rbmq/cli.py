@@ -68,14 +68,8 @@ def _analyze_payload(p) -> dict:
     b = transform.make_bundle(p)
     regime = asymptotics.classify_regime(b)
     payload["theta1_at_theta2_plus"] = regime.theta1_at_theta2_plus
-    report = uniformization.group_order(b)
-    payload["group"] = {
-        "finite": report.finite,
-        "order": report.order,
-        "p": report.p,
-        "q": report.q,
-        "note": report.note,
-    }
+    payload["group"] = dataclasses.asdict(uniformization.group_order(b))
+    del payload["group"]["residual"]
     payload["nature"] = uniformization.classify_solution_nature(b)
     payload["regime"] = regime.regime
     payload["decay_rate"] = regime.decay_rate
@@ -89,7 +83,14 @@ def _cmd_analyze(p, args, out) -> int:
     return EXIT_OK
 
 
-_EVAL_FNS = ("phi", "phi1", "phi2", "w", "psi1", "psi2")
+_EVAL_FNS = {
+    "phi": transform.phi_eval,
+    "phi1": transform.phi1_eval,
+    "phi2": transform.phi2_eval,
+    "w": transform.w_eval,
+    "psi1": transform.psi1_eval,
+    "psi2": transform.psi2_eval,
+}
 
 
 def _require_finite(args, *names) -> None:
@@ -114,27 +115,19 @@ def _cmd_eval(p, args, out) -> int:
         if args.re1 is None or args.re2 is None:
             raise ValidationError("--fn phi needs --re1/--im1 and --re2/--im2")
         points = (_point(args.re1, args.im1), _point(args.re2, args.im2))
-        fn = transform.phi_eval
         named = {"theta1": complex(points[0]), "theta2": complex(points[1])}
         flags = "--im1 0 / --im1 -0 (theta1) or --im2 0 / --im2 -0 (theta2)"
     else:
         if args.re is None:
             raise ValidationError(f"--fn {args.fn} needs --re/--im")
         points = (_point(args.re, args.im),)
-        fn = {
-            "phi1": transform.phi1_eval,
-            "phi2": transform.phi2_eval,
-            "w": transform.w_eval,
-            "psi1": transform.psi1_eval,
-            "psi2": transform.psi2_eval,
-        }[args.fn]
         named = {"arg": complex(points[0])}
         flags = "--im 0 / --im -0"
     try:
         # an overflow shows as a non-finite value, refused below; numpy's
         # warnings about it would add nothing
         with np.errstate(all="ignore"):
-            val = complex(fn(b, *points))
+            val = complex(_EVAL_FNS[args.fn](b, *points))
     except OnCutError as exc:
         # the library's hint speaks of signed zeros; name the flags too
         raise OnCutError(f"{exc}; on the command line, pass {flags}") from exc
@@ -149,31 +142,19 @@ def _cmd_eval(p, args, out) -> int:
 
 def _cmd_asympt(p, args, out) -> int:
     b = transform.make_bundle(p)
-    report = asymptotics.classify_regime(b)
-    payload = {
-        "regime": report.regime,
-        "decay_rate": report.decay_rate,
-        "power": report.power,
-        "constant": report.constant,
-        "pole_location": report.pole_location,
-        "theta1_at_theta2_plus": report.theta1_at_theta2_plus,
-    }
-    if report.regime != asymptotics.REGIME_POLE:
-        payload["C1"] = report.c1
-        payload["C2"] = report.c2
-        payload["applicable"] = "C1" if report.regime == asymptotics.REGIME_SADDLE else "C2"
+    payload = dataclasses.asdict(asymptotics.classify_regime(b))
+    c1, c2 = payload.pop("c1"), payload.pop("c2")
+    if payload["regime"] != asymptotics.REGIME_POLE:
+        payload["C1"] = c1
+        payload["C2"] = c2
+        payload["applicable"] = "C1" if payload["regime"] == asymptotics.REGIME_SADDLE else "C2"
     out.write(_fmt(payload) + "\n")
     return EXIT_OK
 
 
 def _cmd_simulate(p, args, out) -> int:
-    cfg = oracle.SimConfig(
-        step=args.step,
-        horizon=args.horizon,
-        burn_in=args.burn_in,
-        seed=args.seed,
-        batches=args.batches,
-    )
+    fields = dataclasses.fields(oracle.SimConfig)
+    cfg = oracle.SimConfig(**{f.name: getattr(args, f.name) for f in fields})
     result = oracle.simulate(p, cfg)
     oracle.sim_result_to_csv(result, out)
     return EXIT_OK
@@ -218,23 +199,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fn", required=True, choices=_EVAL_FNS)
     im_help = "imaginary part; if omitted the point is real and refused on a cut, "
     im_help += "while 0 or -0 picks the side of the cut"
-    sp.add_argument("--re", type=float, default=None)
-    sp.add_argument("--im", type=float, default=None, help=im_help)
-    sp.add_argument("--re1", type=float, default=None)
-    sp.add_argument("--im1", type=float, default=None, help=im_help)
-    sp.add_argument("--re2", type=float, default=None)
-    sp.add_argument("--im2", type=float, default=None, help=im_help)
+    for suffix in ("", "1", "2"):
+        sp.add_argument(f"--re{suffix}", type=float)
+        sp.add_argument(f"--im{suffix}", type=float, help=im_help)
 
     sp = sub.add_parser("asympt", help="tail asymptotics report")
     common(sp)
 
     sp = sub.add_parser("simulate", help="simulate the reflected diffusion (CSV)")
     common(sp)
-    sp.add_argument("--step", type=float, default=oracle.SimConfig.step)
-    sp.add_argument("--horizon", type=float, default=oracle.SimConfig.horizon)
-    sp.add_argument("--burn-in", type=float, default=oracle.SimConfig.burn_in)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--batches", type=int, default=oracle.SimConfig.batches)
+    for f in dataclasses.fields(oracle.SimConfig):
+        sp.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
 
     sp = sub.add_parser("invert", help="invert a boundary transform (CSV)")
     common(sp)

@@ -33,9 +33,11 @@ chunk in step order, so no result depends on the block size.  Batches
 are independent replicas, each with its own burn-in and its own RNG
 stream spawned from one seed, merged by batch index, so output is
 deterministic for a fixed seed regardless of how many worker threads
-run: one per CPU the process may use, at most one per batch.  The
-Laplace transform is estimated on the fixed 3x3 grid of theta in
-{-1, -0.5, -0.1}^2, and each marginal and boundary histogram has 60 bins.
+run.  The batches run on `_points._on_threads`, the package's one
+worker-thread runner: one thread per CPU the process may use, at most
+one per batch, each in the caller's context.  The Laplace transform is
+estimated on the fixed 3x3 grid of theta in {-1, -0.5, -0.1}^2, and
+each marginal and boundary histogram has 60 bins.
 
 Inversion
 ---------
@@ -53,7 +55,6 @@ import logging
 import math
 import numbers
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -397,7 +398,8 @@ def simulate(p: ModelParams, cfg: Optional[SimConfig] = None) -> SimResult:
     Brownian-bridge law; the one approximation left is that the two
     coordinates' minima are drawn independently (exact when s12 = 0).
     Batches run on one worker thread per CPU the process may use (at
-    most one per batch); results do not depend on the count.
+    most one per batch), each in the caller's context, so an
+    np.errstate holds there; results do not depend on the count.
     """
     cfg = cfg or SimConfig()
     mu_max = float(np.abs(p.mu).max())
@@ -418,21 +420,16 @@ def simulate(p: ModelParams, cfg: Optional[SimConfig] = None) -> SimResult:
     thin = max(1, int(round(_THIN_TIME / cfg.step)))
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.batches)
 
-    threads = min(_points._cpu_count(), cfg.batches)
-    log.debug("simulate: %d worker thread(s) for %d batches", threads, cfg.batches)
+    log.debug(
+        "simulate: %d worker thread(s) for %d batches", _points._threads(cfg.batches), cfg.batches
+    )
 
-    def run(worker):
-        # batches worker, worker + threads, ...: one workspace serves them
-        # all, so its pages are faulted in once
-        space = _workspace(p, cfg, n_burn + n_meas)
-        return [
-            _run_batch(p, cfg, edges, n_burn, n_meas, thin, seeds[b], space)
-            for b in range(worker, cfg.batches, threads)
-        ]
+    def run(space, b):
+        return _run_batch(p, cfg, edges, n_burn, n_meas, thin, seeds[b], space)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(run, range(threads)))
-    results = [parts[b % threads][b // threads] for b in range(cfg.batches)]
+    # one workspace serves all of a thread's batches, so its pages are
+    # faulted in once
+    results = _points._on_threads(run, cfg.batches, lambda: _workspace(p, cfg, n_burn + n_meas))
 
     lap = np.stack([r[0] for r in results])
     nb = cfg.batches
@@ -638,11 +635,11 @@ def sim_result_to_csv(result: SimResult, fh) -> None:
     (rate1, se1), (rate2, se2) = result.local_time_rates
     fh.write(f"local_time_rate,1,,{_num(rate1)},{_num(se1)}\n")
     fh.write(f"local_time_rate,2,,{_num(rate2)},{_num(se2)}\n")
-    for name, (edges, dens) in result.marginal_histograms.items():
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        for x, v in zip(centers, dens):
-            fh.write(f"marginal_{name},{_num(x)},,{_num(v)},\n")
-    for name, (edges, dens) in result.boundary_histograms.items():
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        for x, v in zip(centers, dens):
-            fh.write(f"boundary_{name},{_num(x)},,{_num(v)},\n")
+    for kind, hists in (
+        ("marginal", result.marginal_histograms),
+        ("boundary", result.boundary_histograms),
+    ):
+        for name, (edges, dens) in hists.items():
+            centers = 0.5 * (edges[:-1] + edges[1:])
+            for x, v in zip(centers, dens):
+                fh.write(f"{kind}_{name},{_num(x)},,{_num(v)},\n")

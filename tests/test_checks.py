@@ -109,7 +109,7 @@ def test_run_checks_deterministic_names_and_order(model, request):
     assert [r.name for r in first] == NAMES + extra
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", True, False])
 def test_run_checks_refuses_bad_seeds(corr, seed):
     with pytest.raises(ValidationError, match="seed must be"):
         checks.run_checks(corr, seed)

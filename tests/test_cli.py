@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 import rbmq
+from rbmq import cli, oracle
 from rbmq.cli import main
 
 
@@ -414,3 +417,19 @@ def test_out_file(diag_config, tmp_path, capsys):
     code = main(["analyze", "--config", diag_config, "--out", str(target)])
     assert code == 0
     assert json.loads(target.read_text())["regime"] == "pole_dominant"
+
+
+def test_parser_options_come_from_the_library_tables():
+    # the simulate flags are SimConfig's fields and --fn's choices the
+    # eval table's keys, so neither can drift from its owner
+    parser = cli._build_parser()
+    (verbs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    sim = [
+        (a.dest, a.type, a.default)
+        for a in verbs.choices["simulate"]._actions
+        if a.dest not in ("help", "config", "out")
+    ]
+    fields = dataclasses.fields(oracle.SimConfig)
+    assert sim == [(f.name, type(f.default), f.default) for f in fields]
+    (fn,) = [a for a in verbs.choices["eval"]._actions if a.dest == "fn"]
+    assert list(fn.choices) == list(cli._EVAL_FNS)

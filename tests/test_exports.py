@@ -2,7 +2,8 @@
 rbmq resolve, so a deletion cannot leave a stale export behind, and
 README's list of top-level exports is the package's.  The public values
 a caller may set but need not are pinned, so a new one shows as a diff,
-and no module reads the environment, so no setting can hide there."""
+and no module reads the environment, so no setting can hide there.
+Only `_points` starts threads, so the thread policy has one owner."""
 import ast
 import dataclasses
 import importlib
@@ -102,3 +103,16 @@ def test_no_module_reads_the_environment():
             for alias in node.names
         }
         assert not used & env, (path.name, used & env)
+
+
+def test_only_points_imports_threads():
+    for path in sorted(Path(rbmq.__path__[0]).glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module.split(".")[0])
+        threads = imported & {"concurrent", "threading"}
+        assert not threads or path.name == "_points.py", (path.name, threads)

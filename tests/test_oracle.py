@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+from concurrent.futures import Future
 import io
 import logging
 import math
@@ -235,8 +236,8 @@ def test_simulate_block_invariant(corr, monkeypatch, burn_in):
 
 
 class _PoolRecorder:
-    """Stands in for ThreadPoolExecutor: records max_workers and runs the
-    batches serially in the calling thread."""
+    """Stands in for ThreadPoolExecutor: records max_workers and runs each
+    item serially in the calling thread."""
 
     def __init__(self, created):
         self.created = created
@@ -251,8 +252,10 @@ class _PoolRecorder:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def submit(self, fn, *args):
+        done = Future()
+        done.set_result(fn(*args))
+        return done
 
 
 TINY = SimConfig(step=1e-3, horizon=2.0, burn_in=0.5, seed=1, batches=6)
@@ -261,7 +264,7 @@ TINY = SimConfig(step=1e-3, horizon=2.0, burn_in=0.5, seed=1, batches=6)
 @pytest.fixture
 def pools(monkeypatch):
     created = []
-    monkeypatch.setattr(oracle, "ThreadPoolExecutor", _PoolRecorder(created))
+    monkeypatch.setattr(_points, "ThreadPoolExecutor", _PoolRecorder(created))
     return created
 
 
@@ -283,6 +286,24 @@ def test_worker_count_logged_once_per_call(diag, pools, monkeypatch, caplog):
         simulate(diag, TINY)
     lines = [r.getMessage() for r in caplog.records if "worker thread" in r.getMessage()]
     assert lines == ["simulate: 4 worker thread(s) for 6 batches"]
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_simulate_workers_keep_the_callers_errstate(diag, monkeypatch, cpus):
+    # a thread starts with numpy's default error state; each worker runs
+    # in a copy of the caller's context, so the caller's np.errstate holds
+    seen = []
+    run_batch = oracle._run_batch
+
+    def spy(*args):
+        seen.append(np.geterr()["under"])
+        return run_batch(*args)
+
+    monkeypatch.setattr(oracle, "_run_batch", spy)
+    monkeypatch.setattr(_points, "_cpu_count", lambda: cpus)
+    with np.errstate(under="raise"):
+        simulate(diag, TINY)
+    assert seen == ["raise"] * TINY.batches
 
 
 def test_simulate_histograms_track_exact_densities(diag):
