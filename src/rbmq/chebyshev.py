@@ -36,7 +36,7 @@ from functools import partial
 import numpy as np
 
 from ._points import _evaluate, _raise_if_on_cut
-from .errors import AtBranchPointError
+from .errors import AtBranchPointError, ValidationError
 
 __all__ = [
     "cheb_T",
@@ -63,9 +63,12 @@ def _order(a) -> tuple[float, tuple[int, int, float] | None, bool]:
     it, with a logged note: silent snapping of a generically irrational
     exponent would corrupt classification.
     """
-    af = float(a)
+    try:
+        af = float(a)
+    except (TypeError, ValueError, OverflowError):
+        af = np.nan  # refused below, with the same message
     if not np.isfinite(af) or af < 0:
-        raise ValueError(f"order must be a finite non-negative real, got {a!r}")
+        raise ValidationError(f"order must be a finite non-negative real, got {a!r}")
     # imported here: fractions imports decimal, which `import rbmq` need not pay for
     from fractions import Fraction
 

@@ -34,16 +34,15 @@ into an array it is passed.
 from __future__ import annotations
 
 import cmath
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import asymptotics, kernel, transform, uniformization
 from ._points import _BLOCK, _as_array
-from .errors import ComputationRefused, ValidationError, WrongRegimeError
+from .errors import ComputationRefused, WrongRegimeError
 from .model import ModelParams
-from .oracle import diagonal_closed_forms
+from .oracle import _check_seed, diagonal_closed_forms
 from .transform import TransformBundle
 
 __all__ = [
@@ -353,11 +352,7 @@ def diagonal_product_residual(b: TransformBundle, theta1, theta2) -> float:
 def run_checks(p: ModelParams, seed: int = 0) -> list[CheckResult]:
     """Run the full invariant suite for one model; seed (a non-negative
     integer) fixes the random sample points."""
-    # a bool is an Integral, but True is no seed
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise ValidationError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ValidationError(f"seed must be non-negative, got {seed}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     sc = p.scalars
     pts = rng.uniform(-4, 4, 10_000) + 1j * rng.uniform(-4, 4, 10_000)

@@ -213,7 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("invert", help="invert a boundary transform (CSV)")
     common(sp)
-    sp.add_argument("--side", choices=("nu1", "nu2"), default="nu1")
+    sp.add_argument("--side", choices=oracle._SIDES, default="nu1")
     sp.add_argument("--x-min", type=float, default=0.1)
     sp.add_argument("--x-max", type=float, default=5.0)
     sp.add_argument("--points", type=int, default=50)

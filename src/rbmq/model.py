@@ -33,7 +33,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Validated (sigma, mu) pair.
+    """Validated (sigma, mu) pair; building one validates its input.
 
     Attributes
     ----------
@@ -42,15 +42,53 @@ class ModelParams:
     mu : ndarray, shape (2,)
         Drift (distance per unit time); both components negative.
 
-    Instances are immutable and safe to share across threads.
+    The arrays are read-only float copies of the input, so instances
+    are immutable and safe to share across threads; the caller's arrays
+    are left as they were.  `validate_parameters` is this constructor.
+
+    Strict inequalities are tested exactly against zero: the admissible
+    set is open, and softening the comparisons would silently change
+    the model class.  Callers wanting a margin should pre-scale inputs.
+
+    Raises
+    ------
+    ValidationError (non-numeric, wrong shape, non-finite),
+    NonSymmetricCovarianceError, SingularCovarianceError, NotErgodicError
     """
 
     sigma: np.ndarray
     mu: np.ndarray
 
     def __post_init__(self):
-        for name in ("sigma", "mu"):
-            getattr(self, name).setflags(write=False)
+        sigma = _frozen_array(self.sigma, "sigma")
+        mu = _frozen_array(self.mu, "mu")
+
+        if sigma.shape != (2, 2):
+            raise ValidationError(f"sigma must be 2x2, got shape {sigma.shape}")
+        if mu.shape != (2,):
+            raise ValidationError(f"mu must be a 2-vector, got shape {mu.shape}")
+        if not (np.isfinite(sigma).all() and np.isfinite(mu).all()):
+            raise ValidationError("parameters must be finite")
+
+        if sigma[0, 1] != sigma[1, 0]:
+            raise NonSymmetricCovarianceError(
+                f"sigma[0,1]={sigma[0,1]!r} != sigma[1,0]={sigma[1,0]!r}"
+            )
+        s11, s22 = sigma[0, 0], sigma[1, 1]
+        det = s11 * s22 - sigma[0, 1] ** 2
+        if s11 <= 0 or s22 <= 0 or det <= 0:
+            raise SingularCovarianceError(
+                f"need s11 > 0, s22 > 0, det > 0; got s11={s11}, s22={s22}, det={det}"
+            )
+
+        # with orthogonal reflection the process is ergodic iff both drifts
+        # point into the axes
+        failed = [f"mu{i} < 0 fails (mu{i}={m})" for i, m in enumerate(mu, 1) if not m < 0]
+        if failed:
+            raise NotErgodicError(failed)
+
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "mu", mu)
 
     # scalar accessors used throughout the kernel algebra, computed once
     # per instance (the arrays are read-only)
@@ -110,10 +148,7 @@ class ModelParams:
     @cached_property
     def swapped(self) -> "ModelParams":
         """The index-swapped model (coordinates 1 and 2 exchanged)."""
-        return ModelParams(
-            np.array(self.sigma[::-1, ::-1]),
-            np.array(self.mu[::-1]),
-        )
+        return ModelParams(self.sigma[::-1, ::-1], self.mu[::-1])
 
 
 @dataclass(frozen=True)
@@ -145,46 +180,14 @@ def _real_array(value, name: str) -> np.ndarray:
         raise ValidationError(f"{name} must be numeric, got {value!r}") from None
 
 
-def validate_parameters(sigma, mu) -> ModelParams:
-    """Validate raw input and return immutable ModelParams.
+def _frozen_array(value, name: str) -> np.ndarray:
+    """A read-only float copy of value; non-numeric or ragged input is refused."""
+    array = _real_array(value, name).copy()
+    array.setflags(write=False)
+    return array
 
-    Strict inequalities are tested exactly against zero: the admissible
-    set is open, and softening the comparisons would silently change
-    the model class.  Callers wanting a margin should pre-scale inputs.
 
-    Raises
-    ------
-    ValidationError (non-numeric, wrong shape, non-finite),
-    NonSymmetricCovarianceError, SingularCovarianceError, NotErgodicError
-    """
-    sigma = _real_array(sigma, "sigma")
-    mu = _real_array(mu, "mu")
-
-    if sigma.shape != (2, 2):
-        raise ValidationError(f"sigma must be 2x2, got shape {sigma.shape}")
-    if mu.shape != (2,):
-        raise ValidationError(f"mu must be a 2-vector, got shape {mu.shape}")
-    if not (np.isfinite(sigma).all() and np.isfinite(mu).all()):
-        raise ValidationError("parameters must be finite")
-
-    if sigma[0, 1] != sigma[1, 0]:
-        raise NonSymmetricCovarianceError(
-            f"sigma[0,1]={sigma[0,1]!r} != sigma[1,0]={sigma[1,0]!r}"
-        )
-    s11, s22 = sigma[0, 0], sigma[1, 1]
-    det = s11 * s22 - sigma[0, 1] ** 2
-    if s11 <= 0 or s22 <= 0 or det <= 0:
-        raise SingularCovarianceError(
-            f"need s11 > 0, s22 > 0, det > 0; got s11={s11}, s22={s22}, det={det}"
-        )
-
-    # with orthogonal reflection the process is ergodic iff both drifts
-    # point into the axes
-    failed = [f"mu{i} < 0 fails (mu{i}={m})" for i, m in enumerate(mu, 1) if not m < 0]
-    if failed:
-        raise NotErgodicError(failed)
-
-    return ModelParams(sigma.copy(), mu.copy())
+validate_parameters = ModelParams
 
 
 def _branch_points(det, s12, s11, m1, m2) -> tuple[float, float]:

@@ -68,7 +68,7 @@ from .errors import (
     StepSizeWarning,
     ValidationError,
 )
-from .model import ModelParams
+from .model import ModelParams, _frozen_array, _real_array
 from .transform import TransformBundle, phi1_eval
 
 __all__ = [
@@ -123,10 +123,11 @@ class SimConfig:
     batches: int = 50
 
     def __post_init__(self):
-        for name in ("step", "horizon", "burn_in", "seed", "batches"):
+        _check_seed(self.seed)
+        for name in ("step", "horizon", "burn_in", "batches"):
             value = getattr(self, name)
-            kind = numbers.Integral if name in ("seed", "batches") else numbers.Real
-            # a bool is an Integral, but True is no time, count or seed
+            kind = numbers.Integral if name == "batches" else numbers.Real
+            # a bool is an Integral, but True is no time or count
             if isinstance(value, bool) or not isinstance(value, kind):
                 what = "an integer" if kind is numbers.Integral else "a real number"
                 raise ValidationError(f"{name} must be {what}, got {value!r}")
@@ -134,8 +135,6 @@ class SimConfig:
             raise ValidationError(
                 "step and horizon must be positive and finite, burn_in non-negative"
             )
-        if self.seed < 0:
-            raise ValidationError(f"seed must be non-negative, got {self.seed}")
         if self.burn_in >= self.horizon:
             raise ValidationError("burn_in must be smaller than horizon")
         if self.batches < 2:
@@ -145,6 +144,16 @@ class SimConfig:
                 "each batch's measured segment (horizon - burn_in) / batches "
                 "must be at least one step"
             )
+
+
+def _check_seed(seed) -> None:
+    """Refuse a seed that is not a non-negative integer (SimConfig's and
+    checks.run_checks' rule)."""
+    # a bool is an Integral, but True is no seed
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ValidationError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -169,15 +178,18 @@ class SimResult:
 
 @dataclass(frozen=True)
 class DensityTable:
-    """Density values on a positive grid, tagged with how they were made."""
+    """Density values on a positive grid, tagged with how they were made.
+
+    grid and values are held as read-only float copies of the input.
+    """
 
     grid: np.ndarray
     values: np.ndarray
     method: str
 
     def __post_init__(self):
-        self.grid.setflags(write=False)
-        self.values.setflags(write=False)
+        for name in ("grid", "values"):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), name))
 
 
 def _bridge_minimum(y: np.ndarray, expo: np.ndarray, var_h, out: np.ndarray) -> np.ndarray:
@@ -469,6 +481,8 @@ def simulate(p: ModelParams, cfg: Optional[SimConfig] = None) -> SimResult:
 _TALBOT_NODES = 32
 _CHECK_NODES = 24
 _CROSS_CHECK_RTOL = 0.01
+# the boundary densities invert_transform inverts
+_SIDES = ("nu1", "nu2")
 
 
 @functools.lru_cache(maxsize=4)
@@ -533,11 +547,14 @@ def invert_transform(b: TransformBundle, side: str, grid) -> DensityTable:
     1%, or a non-finite value on either contour, raises
     MethodDisagreementError.
     """
-    if side not in ("nu1", "nu2"):
-        raise ValueError("side must be 'nu1' or 'nu2'")
-    xs = np.atleast_1d(np.asarray(grid, dtype=float))
-    if not (xs.size and 0 < xs.min() <= xs.max() < math.inf):  # NaN fails too
-        raise ValidationError("density grid must be non-empty, finite and strictly positive")
+    if side not in _SIDES:
+        raise ValidationError(f"side must be 'nu1' or 'nu2', got {side!r}")
+    xs = np.atleast_1d(_real_array(grid, "density grid"))
+    if not (xs.ndim == 1 and xs.size and 0 < xs.min() <= xs.max() < math.inf):  # NaN fails too
+        raise ValidationError(
+            "density grid must be 1-d, non-empty, finite and strictly positive; "
+            f"got shape {xs.shape}"
+        )
     side_bundle = b if side == "nu1" else b.swapped
     report = asymptotics.classify_regime(side_bundle)
     shift = report.decay_rate  # abscissa of the dominant singularity
@@ -571,7 +588,7 @@ def invert_transform(b: TransformBundle, side: str, grid) -> DensityTable:
             f"the {_TALBOT_NODES}- and {_CHECK_NODES}-node Talbot contours disagree "
             f"by {rel.max():.2%} (tolerance {_CROSS_CHECK_RTOL:.0%})"
         )
-    return DensityTable(grid=xs.copy(), values=values, method="talbot")
+    return DensityTable(grid=xs, values=values, method="talbot")
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +598,9 @@ def invert_transform(b: TransformBundle, side: str, grid) -> DensityTable:
 
 @dataclass(frozen=True)
 class DiagonalClosedForms:
-    """Exact boundary densities for diagonal covariance.
+    """Exact boundary densities for diagonal covariance; building one
+    refuses s12 != 0 (NotDiagonalError), and `diagonal_closed_forms` is
+    this constructor.
 
     Both are exponentials, and the stationary law is the product of two
     one-dimensional reflected motions (`one_dim_phi`); the skew-symmetry
@@ -589,6 +608,10 @@ class DiagonalClosedForms:
     """
 
     params: ModelParams
+
+    def __post_init__(self):
+        if self.params.s12 != 0.0:
+            raise NotDiagonalError(f"s12 = {self.params.s12} != 0")
 
     def nu1(self, x2):
         p = self.params
@@ -605,11 +628,7 @@ class DiagonalClosedForms:
         return rate / (np.asarray(theta) + rate)
 
 
-def diagonal_closed_forms(p: ModelParams) -> DiagonalClosedForms:
-    """Exact density evaluators; requires s12 = 0."""
-    if p.s12 != 0.0:
-        raise NotDiagonalError(f"s12 = {p.s12} != 0")
-    return DiagonalClosedForms(p)
+diagonal_closed_forms = DiagonalClosedForms
 
 
 # ---------------------------------------------------------------------------

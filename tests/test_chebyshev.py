@@ -7,7 +7,7 @@ import pytest
 from conftest import float_property
 from rbmq import make_bundle, validate_parameters
 from rbmq.chebyshev import _order, cheb_T, cheb_T_deriv, expansion_at_minus_one, is_integer_order
-from rbmq.errors import AtBranchPointError, OnCutError
+from rbmq.errors import AtBranchPointError, OnCutError, ValidationError
 from rbmq.uniformization import classify_solution_nature, group_order
 
 
@@ -15,6 +15,21 @@ def test_endpoint_values():
     for a in (0.3, 1.0, 1.7, 2.5, np.pi):
         assert cheb_T(a, 1.0) == pytest.approx(1.0, abs=1e-14)
         assert cheb_T(a, -1.0) == pytest.approx(np.cos(a * np.pi), abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    "call, order",
+    [
+        (lambda: cheb_T("a", 0.5), "'a'"),
+        (lambda: cheb_T(-1, 0.5), "-1"),
+        (lambda: is_integer_order(-1), "-1"),
+    ],
+    ids=["text", "negative", "is_integer_negative"],
+)
+def test_bad_order_is_a_validation_error(call, order):
+    message = f"^order must be a finite non-negative real, got {order}$"
+    with pytest.raises(ValidationError, match=message):
+        call()
 
 
 def test_order_two_is_classical_polynomial():

@@ -73,6 +73,32 @@ def test_shape_and_finite_guards():
         validate_parameters([[1, 0], [0, 1]], [-np.inf, -1])
 
 
+def test_constructor_is_the_validator():
+    # one way to build a model: the class converts, checks and freezes
+    assert validate_parameters is ModelParams
+    sigma, mu = [[1, 0.3], [0.3, 2]], [-1, -0.5]
+    p, q = ModelParams(sigma, mu), validate_parameters(sigma, mu)
+    for name in ("sigma", "mu"):
+        a, b = getattr(p, name), getattr(q, name)
+        assert a.dtype == b.dtype == np.float64
+        assert a.tobytes() == b.tobytes()
+        assert not a.flags.writeable
+    with pytest.raises(NotErgodicError):
+        ModelParams(np.eye(2), np.array([1.0, 1.0]))
+    with pytest.raises(NotErgodicError):
+        dataclasses.replace(p, mu=np.array([1.0, -1.0]))
+
+
+def test_callers_arrays_stay_writeable():
+    sigma, mu = np.array([[1.0, 0.3], [0.3, 2.0]]), np.array([-1.0, -0.5])
+    p = ModelParams(sigma, mu)
+    assert sigma.flags.writeable and mu.flags.writeable
+    sigma[0, 0], mu[0] = 5.0, -3.0
+    assert (p.s11, p.m1) == (1.0, -1.0)
+    assert not p.swapped.sigma.flags.writeable
+    assert p.swapped.mu.tolist() == [-0.5, -1.0]
+
+
 def test_general_reflection_ergodic():
     # reflection is orthogonal by construction; any other r is refused
     for r in ([[1, 0.2], [0.0, 1]], [[2, 0], [0, 2]], [1, 0, 0, 1], "I"):

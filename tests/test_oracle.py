@@ -17,6 +17,8 @@ from rbmq.errors import (
     ValidationError,
 )
 from rbmq.oracle import (
+    DensityTable,
+    DiagonalClosedForms,
     SimConfig,
     density_table_to_csv,
     diagonal_closed_forms,
@@ -416,6 +418,22 @@ def test_invert_refuses_bad_grid(diag, grid):
         invert_transform(make_bundle(diag), "nu1", grid)
 
 
+@pytest.mark.parametrize(
+    "side, grid, message",
+    [
+        ("nu1", np.linspace(0.5, 3.0, 6).reshape(6, 1), r"got shape \(6, 1\)"),
+        ("nu1", np.linspace(0.5, 3.0, 6).reshape(2, 3), r"got shape \(2, 3\)"),
+        ("nu1", np.linspace(0.5, 3.0, 6).reshape(1, 6), r"got shape \(1, 6\)"),
+        ("nu1", "x", "density grid must be numeric, got 'x'"),
+        ("nu3", [1.0, 2.0], "side must be 'nu1' or 'nu2', got 'nu3'"),
+    ],
+    ids=["column", "matrix", "row", "text", "side"],
+)
+def test_invert_refusals_are_typed(diag, side, grid, message):
+    with pytest.raises(ValidationError, match=message):
+        invert_transform(make_bundle(diag), side, grid)
+
+
 def test_invert_total_mass(corr):
     # trapezoid over the table plus an exponential tail estimate
     b = make_bundle(corr)
@@ -593,6 +611,30 @@ def test_diagonal_closed_forms_values(diag):
 def test_diagonal_closed_forms_refusal(corr):
     with pytest.raises(NotDiagonalError):
         diagonal_closed_forms(corr)
+
+
+def test_diagonal_closed_forms_constructor_refuses(corr):
+    assert diagonal_closed_forms is DiagonalClosedForms
+    with pytest.raises(NotDiagonalError) as direct:
+        DiagonalClosedForms(corr)
+    with pytest.raises(NotDiagonalError) as factory:
+        diagonal_closed_forms(corr)
+    assert str(direct.value) == str(factory.value) == f"s12 = {corr.s12} != 0"
+
+
+def test_density_table_holds_read_only_float_copies():
+    grid, values = [1, 2], [0.5, 0.25]
+    tab = DensityTable(grid, values, "talbot")
+    for held, given in ((tab.grid, grid), (tab.values, values)):
+        assert held.dtype == np.float64 and held.tolist() == given
+        assert not held.flags.writeable
+
+
+def test_invert_table_copies_the_callers_grid(diag):
+    xs = np.linspace(0.5, 2.0, 4)
+    tab = invert_transform(make_bundle(diag), "nu1", xs)
+    assert xs.flags.writeable and not np.shares_memory(tab.grid, xs)
+    assert tab.grid.tobytes() == xs.tobytes()
 
 
 def test_density_table_csv_roundtrip(diag):
