@@ -86,7 +86,7 @@ def _constants(b: TransformBundle, regime: str) -> tuple[Optional[float], float]
             f"pi/beta = {b.order} is an integer: the branch-point expansion degenerates "
             "and the constants are withheld"
         )
-    w_top, slope = _expansion(b.order, b.integer_order)
+    w_top, slope = _expansion(b.order)
     k = slope * np.sqrt(-_map(b.scalars)[2])
     num = -b.params.m1 * b.w1_prime0 * b.scalars.theta2_plus
     c2 = float(num / k)

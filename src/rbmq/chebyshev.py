@@ -26,7 +26,9 @@ cos(a arccos x) with imaginary part +/-0.  Every point sees the same
 elementwise operations whatever the rest of the array holds, so a point
 gives the same bits alone or inside any array.  The derivative is
 a sinh(a arccosh x) / (sqrt(x - 1) sqrt(x + 1)), refused at x = +/-1
-where that denominator vanishes.
+where that denominator vanishes.  The derivative (for w'(0) and the
+pole-regime constant) and the expansion at -1 (for C1/C2) are private:
+`transform` and `asymptotics` are their only callers.
 """
 from __future__ import annotations
 
@@ -38,12 +40,7 @@ import numpy as np
 from ._points import _evaluate, _raise_if_on_cut
 from .errors import AtBranchPointError, ValidationError
 
-__all__ = [
-    "cheb_T",
-    "cheb_T_deriv",
-    "expansion_at_minus_one",
-    "is_integer_order",
-]
+__all__ = ["cheb_T", "is_integer_order"]
 
 logger = logging.getLogger(__name__)
 
@@ -99,8 +96,8 @@ def _cheb_poly(n: int, x: np.ndarray) -> np.ndarray:
 
 
 def _cheb_poly_deriv(n: int, x: np.ndarray) -> np.ndarray:
-    if n == 0:
-        return np.zeros_like(x)
+    """Derivative of the classical polynomial, for n >= 1 (the gluing map's
+    order pi/beta exceeds 1)."""
     t_prev = np.ones_like(x)
     t = x.copy()
     d_prev = np.zeros_like(x)
@@ -119,6 +116,9 @@ def _cheb_T(af: float, integer: bool, arr: np.ndarray) -> np.ndarray:
 
 
 def _cheb_T_deriv(af: float, integer: bool, arr: np.ndarray) -> np.ndarray:
+    """T_a' on arr, in a new array.  The denominator is the product of
+    square roots rather than sinh(arccosh x), which loses digits near
+    x = -1."""
     if integer:
         return _cheb_poly_deriv(int(round(af)), arr)
     # sqrt(x^2 - 1), zero exactly at x = +/-1 and nowhere else; x - (-1)
@@ -129,47 +129,21 @@ def _cheb_T_deriv(af: float, integer: bool, arr: np.ndarray) -> np.ndarray:
     return af * np.sinh(af * np.arccosh(arr)) / s
 
 
-def _public(fn, a, x):
-    """fn (`_cheb_T` or `_cheb_T_deriv`) of order a at x, on the path that
-    the order's reading picks; a non-integer order refuses the cut."""
-    af, _, integer = _order(a)
-    if not integer:
-        _raise_if_on_cut(x, np.less, -1.0, _CUT, a=a)
-    return _evaluate(partial(fn, af, integer), x)
-
-
 def cheb_T(a, x):
     """Evaluate T_a at x (scalar or array, real or complex).
 
     Equals cos(a arccos x) on [-1, 1]; elsewhere the analytic
     continuation on the cut plane (see module docstring).  Integer
-    orders take the polynomial path, valid everywhere.
-    """
-    return _public(_cheb_T, a, x)
-
-
-def cheb_T_deriv(a, x):
-    """Derivative of T_a; refuses x = +/-1 for non-integer order.
-
-    a sinh(a arccosh x) / (sqrt(x - 1) sqrt(x + 1)) with the module's
-    branch, which is a sin(a arccos x)/sqrt(1 - x^2) on (-1, 1).  The
-    denominator is the product of square roots rather than
-    sinh(arccosh x), which loses digits near x = -1.
-    """
-    return _public(_cheb_T_deriv, a, x)
-
-
-def _expansion(af: float, integer: bool) -> tuple[float, float]:
-    if integer:
-        return float((-1.0) ** round(af)), 0.0
-    return float(np.cos(af * np.pi)), float(af * np.sqrt(2.0) * np.sin(af * np.pi))
-
-
-def expansion_at_minus_one(a) -> tuple[float, float]:
-    """Leading coefficients of T_a(-1 + e) = c0 + c1 sqrt(e) + O(e).
-
-    c0 = cos(a pi), c1 = a sqrt(2) sin(a pi).  For integer order the
-    square-root term degenerates and c1 = 0.
+    orders take the polynomial path, valid everywhere; a non-integer
+    order refuses a real x on the cut.
     """
     af, _, integer = _order(a)
-    return _expansion(af, integer)
+    if not integer:
+        _raise_if_on_cut(x, np.less, -1.0, _CUT, a=a)
+    return _evaluate(partial(_cheb_T, af, integer), x)
+
+
+def _expansion(af: float) -> tuple[float, float]:
+    """Leading coefficients of T_a(-1 + e) = c0 + c1 sqrt(e) + O(e) for a
+    non-integer order af: c0 = cos(a pi), c1 = a sqrt(2) sin(a pi)."""
+    return float(np.cos(af * np.pi)), float(af * np.sqrt(2.0) * np.sin(af * np.pi))

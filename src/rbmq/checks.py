@@ -40,7 +40,7 @@ import numpy as np
 
 from . import asymptotics, kernel, transform, uniformization
 from ._points import _BLOCK, _as_array
-from .errors import ComputationRefused, WrongRegimeError
+from .errors import ComputationRefused
 from .model import ModelParams
 from .oracle import _check_seed, diagonal_closed_forms
 from .transform import TransformBundle
@@ -63,7 +63,6 @@ __all__ = [
     "reflection_residual",
     "lift_residual",
     "boundary_mass_residual",
-    "pole_residue_residual",
     "injectivity_collisions",
     "diagonal_product_residual",
 ]
@@ -294,36 +293,6 @@ def boundary_mass_residual(b: TransformBundle) -> float:
         mean = _circle_mean(lambda t: transform.phi1_eval(side, t), 0.0, 0.5 * rate)
         worst = max(worst, abs(mean + side.params.m1) / abs(side.params.m1))
     return float(worst)
-
-
-def pole_residue_residual(b: TransformBundle) -> float:
-    """In the pole regime, the tail constant of `classify_regime`
-    against the limit of (p - theta) phi1(theta) at the pole p: its mean
-    on a circle about p.  The radius starts at 0.01 min(theta2_plus - p,
-    p) and shrinks by 4 until the argument principle finds p alone, a
-    simple zero of w - w(0), inside twice the radius; the margin keeps a
-    pole just outside the circle from slowing the mean's convergence.
-
-    Not part of `run_checks`: the residual reads the evaluator's own error
-    near the pole, 2.4e-10 on the rho = 0.999, mu (-0.05, -3) nu2 side
-    (ROADMAP item 2), and would fail `model_sweep` operations.
-    """
-    rep = asymptotics.classify_regime(b)
-    if rep.regime != asymptotics.REGIME_POLE:
-        raise WrongRegimeError("the tail has no pole in this regime")
-    pole = rep.pole_location
-
-    def enclosed(t):
-        # its circle mean counts the zeros of w - w(0) inside the circle
-        return (t - pole) * transform._w_deriv(b, t) / (transform._w(b, t) - b.w1_at_0)
-
-    radius = 0.01 * min(b.scalars.theta2_plus - pole, pole)
-    while round(_circle_mean(enclosed, pole, 2.0 * radius).real) != 1:
-        radius /= 4.0
-        if radius < 1e-8 * pole:
-            raise ComputationRefused("no circle about the pole encloses it alone")
-    mean = _circle_mean(lambda t: (pole - t) * transform.phi1_eval(b, t), pole, radius)
-    return float(abs(mean - rep.constant) / abs(rep.constant))
 
 
 def injectivity_collisions(b: TransformBundle, za, zb) -> int:

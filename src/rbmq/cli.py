@@ -6,7 +6,7 @@ significant digits so that re-ingesting an analyze report reproduces
 identical numbers bit for bit.
 
 Exit codes: 0 success, 1 check-suite failure, 2 invalid config or
-usage, 3 computation refused (pole, cut, wrong regime, ...).
+usage, 3 computation refused (pole, cut, ...).
 """
 from __future__ import annotations
 
@@ -134,7 +134,7 @@ def _cmd_eval(p, args, out) -> int:
     if not (math.isfinite(val.real) and math.isfinite(val.imag)):
         raise ComputationRefused(
             f"{args.fn} overflows double precision here (T_a of order pi/beta = "
-            f"{b.order:.6g} exceeds the float range); see ROADMAP.md item 2"
+            f"{b.order:.6g} exceeds the float range); see ROADMAP.md item 15"
         )
     out.write(_fmt({"fn": args.fn, **named, "value": val}) + "\n")
     return EXIT_OK

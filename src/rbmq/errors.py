@@ -26,7 +26,7 @@ class NotErgodicError(ValidationError):
 
 
 class ComputationRefused(RBMQError, ValueError):
-    """An evaluation was refused at this point (cut, pole, wrong regime, ...)."""
+    """An evaluation was refused at this point (cut, pole, ...)."""
 
 
 class OnCutError(ComputationRefused):
@@ -51,10 +51,6 @@ class AtPoleError(ComputationRefused):
 
 
 class AtZeroError(ComputationRefused):
-    pass
-
-
-class WrongRegimeError(ComputationRefused):
     pass
 
 

@@ -180,7 +180,9 @@ class SimResult:
 class DensityTable:
     """Density values on a positive grid, tagged with how they were made.
 
-    grid and values are held as read-only float copies of the input.
+    grid and values are held as read-only float copies of the input; the
+    grid is 1-d, the values have its shape, and the method is "talbot",
+    the one `invert_transform` uses.
     """
 
     grid: np.ndarray
@@ -190,6 +192,13 @@ class DensityTable:
     def __post_init__(self):
         for name in ("grid", "values"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name), name))
+        if self.grid.ndim != 1 or self.values.shape != self.grid.shape:
+            raise ValidationError(
+                "a density table needs a 1-d grid and values of its shape; "
+                f"got shapes {self.grid.shape} and {self.values.shape}"
+            )
+        if self.method != _METHOD:
+            raise ValidationError(f"method must be {_METHOD!r}, got {self.method!r}")
 
 
 def _bridge_minimum(y: np.ndarray, expo: np.ndarray, var_h, out: np.ndarray) -> np.ndarray:
@@ -481,8 +490,10 @@ def simulate(p: ModelParams, cfg: Optional[SimConfig] = None) -> SimResult:
 _TALBOT_NODES = 32
 _CHECK_NODES = 24
 _CROSS_CHECK_RTOL = 0.01
-# the boundary densities invert_transform inverts
+# the boundary densities invert_transform inverts, and the method its
+# DensityTable is tagged with
 _SIDES = ("nu1", "nu2")
+_METHOD = "talbot"
 
 
 @functools.lru_cache(maxsize=4)
@@ -588,7 +599,7 @@ def invert_transform(b: TransformBundle, side: str, grid) -> DensityTable:
             f"the {_TALBOT_NODES}- and {_CHECK_NODES}-node Talbot contours disagree "
             f"by {rel.max():.2%} (tolerance {_CROSS_CHECK_RTOL:.0%})"
         )
-    return DensityTable(grid=xs, values=values, method="talbot")
+    return DensityTable(grid=xs, values=values, method=_METHOD)
 
 
 # ---------------------------------------------------------------------------

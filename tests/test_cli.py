@@ -348,7 +348,7 @@ def test_eval_overflow_is_refused(tmp_path, capsys, fn):
     assert code == 3
     assert out == ""
     assert err.startswith(f"refused: ComputationRefused: {fn} overflows double precision")
-    assert "ROADMAP.md item 2" in err
+    assert "ROADMAP.md item 15" in err
     assert err.count("\n") == 1
 
 

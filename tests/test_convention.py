@@ -18,9 +18,6 @@ EVALUATORS = {
     "theta1_branch": (lambda b, x: kernel.theta1_branches(b.params, x), (NATIVE,), complex),
     "theta2_branch": (lambda b, x: kernel.theta2_branches(b.params, x), (NATIVE,), complex),
     "cheb_T": (lambda b, x: chebyshev.cheb_T(b.scalars.pi_over_beta, x), (NATIVE,), complex),
-    "cheb_T_deriv": (
-        lambda b, x: chebyshev.cheb_T_deriv(b.scalars.pi_over_beta, x), (NATIVE,), complex
-    ),
     "w_eval": (transform.w_eval, (NATIVE,), complex),
     "phi1_eval": (transform.phi1_eval, (NATIVE,), complex),
     "phi2_eval": (transform.phi2_eval, (NATIVE,), complex),
@@ -164,7 +161,7 @@ def test_fast_path_matches_masked_path(corr):
         return [transform._affine(*transform._map(sc), g) for g in side]
 
     check(lambda x: chebyshev.cheb_T(b.order, x), image(side2))
-    check(lambda x: chebyshev.cheb_T_deriv(b.order, x), image(side2))
+    check(lambda x: chebyshev._cheb_T_deriv(b.order, b.integer_order, x), image(side2))
     check(lambda t: transform.phi1_eval(b, t), side2)
     check(lambda t1, t2: transform.phi_eval(b, t1, t2), side1, side2)
     check(lambda t: transform.psi1_eval(b, t), [g[g != 0] for g in side2])

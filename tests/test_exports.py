@@ -1,9 +1,11 @@
 """Public names: every module's __all__ and every top-level export of
 rbmq resolve, so a deletion cannot leave a stale export behind, and
-README's list of top-level exports is the package's.  The public values
-a caller may set but need not are pinned, so a new one shows as a diff,
-and no module reads the environment, so no setting can hide there.
-Only `_points` starts threads, so the thread policy has one owner."""
+README's list of top-level exports is the package's.  Every public name
+has a caller outside the tests, and README's python block runs.  The
+public values a caller may set but need not are pinned, so a new one
+shows as a diff, and no module reads the environment, so no setting can
+hide there.  Only `_points` starts threads, so the thread policy has one
+owner."""
 import ast
 import dataclasses
 import importlib
@@ -17,7 +19,8 @@ import rbmq
 from rbmq import oracle
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(rbmq.__path__))
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def _top_level_exports() -> dict:
@@ -60,6 +63,39 @@ def test_readme_export_list_matches_package():
     for sym, obj in _top_level_exports().items():
         actual[obj.__module__.rsplit(".", 1)[1]].add(sym)
     assert listed == dict(actual)
+
+
+def _readme_python() -> list:
+    """The python code blocks of README."""
+    return re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+
+
+def _names_used(source: str) -> set:
+    """Every name and attribute that source reads, calls or sets."""
+    tree = ast.parse(source)
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+
+
+def test_every_public_name_has_a_caller():
+    # a caller is package code (not the re-exports of __init__.py),
+    # README's python block or the benchmark, which this only reads
+    package = [p for p in Path(rbmq.__path__[0]).glob("*.py") if p.name != "__init__.py"]
+    sources = [p.read_text(encoding="utf-8") for p in package + sorted(ROOT.glob("bench/*.py"))]
+    used = set().union(*map(_names_used, sources + _readme_python()))
+    orphans = [
+        f"{name}.{sym}"
+        for name in MODULES
+        for sym in getattr(importlib.import_module(f"rbmq.{name}"), "__all__", ())
+        if sym not in used
+    ]
+    assert not orphans
+
+
+def test_readme_python_block_runs():
+    (block,) = _readme_python()
+    exec(compile(block, str(README), "exec"), {})
 
 
 def test_public_settable_values():

@@ -630,6 +630,20 @@ def test_density_table_holds_read_only_float_copies():
         assert not held.flags.writeable
 
 
+@pytest.mark.parametrize(
+    "grid, values, method",
+    [
+        ([[1.0, 2.0]], [[0.5, 0.25]], "talbot"),  # a 2-d grid
+        ([1.0, 2.0, 3.0], [0.5], "talbot"),  # values of another shape
+        ([1.0, 2.0], [0.5, 0.25], 7),  # a method invert_transform never uses
+    ],
+    ids=["2d_grid", "shape_mismatch", "method"],
+)
+def test_density_table_refuses_inconsistent_input(grid, values, method):
+    with pytest.raises(ValidationError):
+        DensityTable(grid, values, method)
+
+
 def test_invert_table_copies_the_callers_grid(diag):
     xs = np.linspace(0.5, 2.0, 4)
     tab = invert_transform(make_bundle(diag), "nu1", xs)
