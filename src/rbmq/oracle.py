@@ -178,16 +178,14 @@ class SimResult:
 
 @dataclass(frozen=True)
 class DensityTable:
-    """Density values on a positive grid, tagged with how they were made.
+    """Density values on a positive grid.
 
     grid and values are held as read-only float copies of the input; the
-    grid is 1-d, the values have its shape, and the method is "talbot",
-    the one `invert_transform` uses.
+    grid is 1-d and the values have its shape.
     """
 
     grid: np.ndarray
     values: np.ndarray
-    method: str
 
     def __post_init__(self):
         for name in ("grid", "values"):
@@ -197,8 +195,6 @@ class DensityTable:
                 "a density table needs a 1-d grid and values of its shape; "
                 f"got shapes {self.grid.shape} and {self.values.shape}"
             )
-        if self.method != _METHOD:
-            raise ValidationError(f"method must be {_METHOD!r}, got {self.method!r}")
 
 
 def _bridge_minimum(y: np.ndarray, expo: np.ndarray, var_h, out: np.ndarray) -> np.ndarray:
@@ -490,8 +486,8 @@ def simulate(p: ModelParams, cfg: Optional[SimConfig] = None) -> SimResult:
 _TALBOT_NODES = 32
 _CHECK_NODES = 24
 _CROSS_CHECK_RTOL = 0.01
-# the boundary densities invert_transform inverts, and the method its
-# DensityTable is tagged with
+# the boundary densities invert_transform inverts, and the method that
+# density_table_to_csv names in each row
 _SIDES = ("nu1", "nu2")
 _METHOD = "talbot"
 
@@ -599,7 +595,7 @@ def invert_transform(b: TransformBundle, side: str, grid) -> DensityTable:
             f"the {_TALBOT_NODES}- and {_CHECK_NODES}-node Talbot contours disagree "
             f"by {rel.max():.2%} (tolerance {_CROSS_CHECK_RTOL:.0%})"
         )
-    return DensityTable(grid=xs, values=values, method=_METHOD)
+    return DensityTable(grid=xs, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +650,7 @@ def _num(x) -> str:
 def density_table_to_csv(table: DensityTable, fh) -> None:
     fh.write("x,density,method\n")
     for x, v in zip(table.grid, table.values):
-        fh.write(f"{_num(x)},{_num(v)},{table.method}\n")
+        fh.write(f"{_num(x)},{_num(v)},{_METHOD}\n")
 
 
 def sim_result_to_csv(result: SimResult, fh) -> None:

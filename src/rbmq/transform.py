@@ -6,8 +6,10 @@ For orthogonal reflection the transform of the first boundary measure is
 
 where w composes the generalized Chebyshev function of order pi/beta
 with the affine map sending [theta2_minus, theta2_plus] onto [1, -1].
-phi2 and psi2 are phi1 and psi1 of the index-swapped bundle `swapped`,
-and the bivariate transform phi follows from the kernel identity
+The order and its reading as p/q belong to the model, so a
+`TransformBundle` is built from the model alone.  phi2 and psi2 are
+phi1 and psi1 of the index-swapped bundle `swapped`, and the bivariate
+transform phi follows from the kernel identity
 
     -gamma(theta) phi(theta) = theta1 phi1(theta2) + theta2 phi2(theta1).
 
@@ -62,25 +64,36 @@ _CUT = {
 
 @dataclass(frozen=True)
 class TransformBundle:
-    """Evaluator state for one model: the model and gluing-map constants.
+    """Evaluator state for one model, built from the model alone;
+    `make_bundle` is this constructor, kept under its old name.
 
-    order is pi/beta, validated once, and fraction its one reading as p/q
-    (`chebyshev._order`); integer_order, its q = 1 case, sends the gluing
-    map down the polynomial path.  w1_prime0 / w1_at_0 belong to
-    the theta2-side gluing map and come from that same path; the
-    index-swapped side's constants live on `swapped`.  phi1_at_0 = -mu1
-    and phi2_at_0 = -mu2 are the boundary masses.  Immutable; evaluators
-    are pure functions of (bundle, point).
+    order is the model's pi/beta and fraction its one reading as p/q
+    (`chebyshev._order`), made on first use, once per model: `swapped`
+    passes it on, as the swap leaves beta unchanged.  integer_order, its
+    q = 1 case, sends the gluing map down the polynomial path.
+    w1_prime0 / w1_at_0 belong to the theta2-side gluing map and come
+    from that same path; the index-swapped side's constants live on
+    `swapped`.  phi1_at_0 = -mu1 and phi2_at_0 = -mu2 are the boundary
+    masses.  Immutable; evaluators are pure functions of (bundle, point).
     """
 
     params: ModelParams
-    order: float
-    fraction: tuple[int, int, float] | None
-    integer_order: bool
 
     @property
     def scalars(self) -> DerivedScalars:
         return self.params.scalars
+
+    @cached_property
+    def order(self) -> float:
+        return self.scalars.pi_over_beta
+
+    @cached_property
+    def fraction(self) -> tuple[int, int, float] | None:
+        return _order(self.order)[1]
+
+    @cached_property
+    def integer_order(self) -> bool:
+        return self.fraction is not None and self.fraction[1] == 1
 
     @property
     def phi1_at_0(self) -> float:
@@ -100,8 +113,11 @@ class TransformBundle:
 
     @cached_property
     def swapped(self) -> "TransformBundle":
-        # the swap leaves beta, hence the order and its reading, unchanged
-        return TransformBundle(self.params.swapped, self.order, self.fraction, self.integer_order)
+        # the swap leaves beta, and pi/beta to the bit, unchanged: the
+        # reading as p/q (and a snap's log line) is made once per model
+        other = TransformBundle(self.params.swapped)
+        other.__dict__["fraction"] = self.fraction
+        return other
 
     @cached_property
     def _row(self) -> tuple:
@@ -118,10 +134,7 @@ class TransformBundle:
         return tuple(map(np.stack, zip(self._row, self.swapped._row)))
 
 
-def make_bundle(p: ModelParams) -> TransformBundle:
-    """Build the evaluator bundle; the order pi/beta is read as p/q (and a
-    snap to an integer logged) here, once per model."""
-    return TransformBundle(p, *_order(p.scalars.pi_over_beta))
+make_bundle = TransformBundle
 
 
 def _map(sc: DerivedScalars) -> tuple[float, float, float]:

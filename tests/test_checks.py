@@ -1,11 +1,11 @@
 """The invariant suite behind `rbmq check`: it still flags a 1e-9
 relative error in each quantity its 10k-point identities test and in
-w'(0), its single-coordinate sphere maps are the ones `theta_of_s`
-returns, its sliced identities keep the whole sample's bits, a sampler
-that runs dry is a typed refusal, it reports on models whose tail
-constants are withheld, and a seed fixes its samples, results, check
-names and their order, and is refused unless it is a non-negative
-integer."""
+w'(0), a NaN residual fails, its single-coordinate sphere maps are the
+ones `theta_of_s` returns, its sliced identities keep the whole
+sample's bits, a sampler that runs dry is a typed refusal, it reports
+on models whose tail constants are withheld, and a seed fixes its
+samples, results, check names and their order, and is refused unless
+it is a non-negative integer."""
 import json
 
 import numpy as np
@@ -85,6 +85,12 @@ def test_relative_error_of_1e9_fails_its_check(model, bump, check, request, monk
     bump(monkeypatch)
     r = _by_name(p)[check]
     assert not r.passed, r.line()
+
+
+def test_nan_residual_fails():
+    r = checks.CheckResult("x", float("nan"), 1e-10)
+    assert not r.passed
+    assert r.line() == "FAIL  x: residual nan vs tol 1.0e-10"
 
 
 @pytest.mark.parametrize("model", ["corr", "corr_neg"])

@@ -305,6 +305,8 @@ def test_refused_command_leaves_out_file_unchanged(diag_config, tmp_path, capsys
         (["--x-max", "nan"], "--x-max must be finite"),
         (["--x-min", "inf"], "--x-min must be finite"),
         (["--points", "-3"], "density grid"),
+        (["--points", "1000001"], "density grid"),
+        (["--points", "100000000000000000000"], "density grid"),
     ],
 )
 def test_invert_bad_grid_exit_code(diag_config, capsys, extra, message):

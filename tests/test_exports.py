@@ -2,10 +2,10 @@
 rbmq resolve, so a deletion cannot leave a stale export behind, and
 README's list of top-level exports is the package's.  Every public name
 has a caller outside the tests, and README's python block runs.  The
-public values a caller may set but need not are pinned, so a new one
-shows as a diff, and no module reads the environment, so no setting can
-hide there.  Only `_points` starts threads, so the thread policy has one
-owner."""
+public values a caller may set but need not, and the fields of every
+public record, are pinned, so a new one shows as a diff, and no module
+reads the environment, so no setting can hide there.  Only `_points`
+starts threads, so the thread policy has one owner."""
 import ast
 import dataclasses
 import importlib
@@ -124,6 +124,40 @@ def test_public_settable_values():
         "oracle.SimConfig.burn_in",
         "oracle.SimConfig.seed",
         "oracle.SimConfig.batches",
+    }
+
+
+def test_public_record_fields():
+    # the constructor fields of every public dataclass, an alias such as
+    # make_bundle under its class, so an added or removed field shows
+    found = {}
+    for name in MODULES:
+        mod = importlib.import_module(f"rbmq.{name}")
+        for sym in getattr(mod, "__all__", ()):
+            obj = getattr(mod, sym)
+            if isinstance(obj, type) and dataclasses.is_dataclass(obj):
+                fields = tuple(f.name for f in dataclasses.fields(obj) if f.init)
+                found[f"{name}.{obj.__name__}"] = fields
+    assert found == {
+        "asymptotics.AsymptoticReport": (
+            "regime", "decay_rate", "power", "constant", "pole_location",
+            "theta1_at_theta2_plus", "c1", "c2",
+        ),
+        "checks.CheckResult": ("name", "residual", "tol", "detail"),
+        "kernel.HyperbolaR": ("cx2", "cy2", "cx", "rhs", "apex", "degenerate"),
+        "model.ModelParams": ("sigma", "mu"),
+        "model.DerivedScalars": (
+            "beta", "theta1_minus", "theta1_plus", "theta2_minus", "theta2_plus",
+        ),
+        "oracle.SimConfig": ("step", "horizon", "burn_in", "seed", "batches"),
+        "oracle.SimResult": (
+            "laplace_estimates", "local_time_rates", "marginal_histograms",
+            "boundary_histograms", "measured_time", "config",
+        ),
+        "oracle.DensityTable": ("grid", "values"),
+        "oracle.DiagonalClosedForms": ("params",),
+        "transform.TransformBundle": ("params",),
+        "uniformization.GroupReport": ("finite", "order", "p", "q", "residual", "note"),
     }
 
 

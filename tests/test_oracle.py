@@ -407,7 +407,6 @@ def test_invert_diag_closed_form(diag):
     tab = invert_transform(b, "nu1", xs)
     exact = 2.0 * np.exp(-2.0 * xs)
     assert np.max(np.abs(tab.values - exact) / exact) < 1e-6
-    assert tab.method == "talbot"
     tab2 = invert_transform(b, "nu2", xs)
     assert np.max(np.abs(tab2.values - exact) / exact) < 1e-6
 
@@ -624,24 +623,23 @@ def test_diagonal_closed_forms_constructor_refuses(corr):
 
 def test_density_table_holds_read_only_float_copies():
     grid, values = [1, 2], [0.5, 0.25]
-    tab = DensityTable(grid, values, "talbot")
+    tab = DensityTable(grid, values)
     for held, given in ((tab.grid, grid), (tab.values, values)):
         assert held.dtype == np.float64 and held.tolist() == given
         assert not held.flags.writeable
 
 
 @pytest.mark.parametrize(
-    "grid, values, method",
+    "grid, values",
     [
-        ([[1.0, 2.0]], [[0.5, 0.25]], "talbot"),  # a 2-d grid
-        ([1.0, 2.0, 3.0], [0.5], "talbot"),  # values of another shape
-        ([1.0, 2.0], [0.5, 0.25], 7),  # a method invert_transform never uses
+        ([[1.0, 2.0]], [[0.5, 0.25]]),  # a 2-d grid
+        ([1.0, 2.0, 3.0], [0.5]),  # values of another shape
     ],
-    ids=["2d_grid", "shape_mismatch", "method"],
+    ids=["2d_grid", "shape_mismatch"],
 )
-def test_density_table_refuses_inconsistent_input(grid, values, method):
+def test_density_table_refuses_inconsistent_input(grid, values):
     with pytest.raises(ValidationError):
-        DensityTable(grid, values, method)
+        DensityTable(grid, values)
 
 
 def test_invert_table_copies_the_callers_grid(diag):

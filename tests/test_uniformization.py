@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_ergodic
-from rbmq import make_bundle, validate_parameters
+from rbmq import make_bundle, phi2_eval, validate_parameters
 from rbmq.asymptotics import classify_regime
 from rbmq.chebyshev import _order
 from rbmq.checks import (
@@ -190,8 +190,9 @@ def test_detect_rational_near_fractions(eps):
 
 @pytest.mark.parametrize("model", ["corr", "regime1"])  # pole; saddle, which reads w's expansion
 def test_one_reading_of_the_order_per_bundle(model, request, monkeypatch):
-    """make_bundle reads pi/beta as p/q once; group_order,
-    classify_solution_nature and classify_regime read that result."""
+    """A bundle reads pi/beta as p/q once, on first use; group_order,
+    classify_solution_nature, classify_regime and the swapped side read
+    that result."""
     from fractions import Fraction
 
     calls = []
@@ -206,6 +207,7 @@ def test_one_reading_of_the_order_per_bundle(model, request, monkeypatch):
     group_order(b)
     classify_solution_nature(b)
     classify_regime(b)
+    phi2_eval(b, -0.5)
     assert len(calls) == 1
 
 
